@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   chaos::SweepResult result = chaos::run_sweep(config, sweep);
   std::printf("\n%s", result.summary().c_str());
   if (profile) print_profile(static_cast<size_t>(profile_top));
-  // exit_code() is non-zero for ANY violation, telemetry-drift-only runs
-  // included (regression-tested in chaos_test).
+  // exit_code() is non-zero for ANY violation, run-global budget-only runs
+  // included (regression-tested in span_test).
   return result.exit_code();
 }

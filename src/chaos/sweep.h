@@ -60,9 +60,9 @@ struct SweepResult {
 
   bool passed() const { return failures == 0; }
   /// Process exit code for CLI drivers: 0 only when every audited invariant
-  /// held in every seed. ANY violation — including a telemetry-drift-only
-  /// failure — is non-zero, so CI cannot green-light a run whose
-  /// observability layer disagrees with the network it watched.
+  /// held in every seed. ANY violation — including a run-global one such
+  /// as a blown message budget while every version resolved — is non-zero,
+  /// so CI cannot green-light a run that converged too expensively.
   int exit_code() const { return passed() ? 0 : 1; }
   /// Short human-readable summary; failing seeds include the shrunk repro.
   std::string summary() const;

@@ -246,7 +246,6 @@ void FragmentServer::ensure_round_scheduled() {
 void FragmentServer::start_round() {
   obs::ProfScope prof("fs_round");
   round_timer_ = 0;
-  ++rounds_run_;
   m_rounds_->inc();
   // Fig 4: a convergence step for every object version not yet verified AMR.
   for (const ObjectVersionId& ov : store_meta_.all_versions()) {
@@ -262,7 +261,6 @@ void FragmentServer::start_round() {
       const bool durable = durable_class(ov, &work);
       store_meta_.erase(ov);
       work_.erase(ov);
-      ++versions_given_up_;
       m_giveups_->inc();
       given_up_versions_.push_back(ov);
       telemetry().spans.interval(ov, "give_up", id(), sim_.now(), sim_.now(),
@@ -534,7 +532,6 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
       send(loc->fs, req);
     }
   }
-  ++recoveries_completed_;
   m_recoveries_->inc();
   clear_recovery_state(work);
   work.next_attempt = sim_.now();  // verify at the next round
@@ -609,7 +606,6 @@ void FragmentServer::clear_recovery_state(Work& work) {
 void FragmentServer::cancel_recovery(const ObjectVersionId& ov, Work& work) {
   if (!work.recovering) return;
   clear_recovery_state(work);
-  ++recovery_backoffs_;
   m_backoffs_->inc();
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(ov, "recovery_canceled", id(), sim_.now(),
@@ -644,7 +640,6 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
   }
   work_.erase(ov);
   store_meta_.erase(ov);
-  ++versions_converged_;
   m_converged_->inc();
   if (options_.giveup_age_durable >= 0) amr_history_.insert(ov);
   telemetry().amr.on_amr_confirmed(ov, sim_.now());

@@ -54,18 +54,18 @@ class FragmentServer : public Server {
   /// runs periodically when ConvergenceOptions::scrub_interval is set.
   size_t scrub();
 
-  // Counters for tests and experiments.
-  uint64_t versions_converged() const { return versions_converged_; }
-  uint64_t versions_given_up() const { return versions_given_up_; }
+  // Counters for tests and experiments, read from the metric registry.
+  uint64_t versions_converged() const { return m_converged_->value(); }
+  uint64_t versions_given_up() const { return m_giveups_->value(); }
   /// Every version this FS dropped at the give-up horizon, in drop order
   /// (the per-durability-class regression tests check none of them was
   /// durable).
   const std::vector<ObjectVersionId>& given_up_versions() const {
     return given_up_versions_;
   }
-  uint64_t recoveries_completed() const { return recoveries_completed_; }
-  uint64_t recovery_backoffs() const { return recovery_backoffs_; }
-  uint64_t rounds_run() const { return rounds_run_; }
+  uint64_t recoveries_completed() const { return m_recoveries_->value(); }
+  uint64_t recovery_backoffs() const { return m_backoffs_->value(); }
+  uint64_t rounds_run() const { return m_rounds_->value(); }
   uint64_t scrubs_run() const { return scrubs_run_; }
   /// Convergence work outstanding (work-list size).
   size_t pending_versions() const { return store_meta_.size(); }
@@ -179,11 +179,6 @@ class FragmentServer : public Server {
   std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
       codecs_;
 
-  uint64_t versions_converged_ = 0;
-  uint64_t versions_given_up_ = 0;
-  uint64_t recoveries_completed_ = 0;
-  uint64_t recovery_backoffs_ = 0;
-  uint64_t rounds_run_ = 0;
   std::vector<ObjectVersionId> given_up_versions_;
   /// Versions this FS verified AMR (or was told reached AMR). Modeled as
   /// persisted alongside the fragment store — the one-bit marker lets scrub

@@ -174,8 +174,6 @@ const char* to_string(InvariantViolation::Kind kind) {
       return "event-budget";
     case InvariantViolation::Kind::kMessageBudget:
       return "message-budget";
-    case InvariantViolation::Kind::kTelemetryDrift:
-      return "telemetry-drift";
   }
   return "?";
 }
@@ -278,8 +276,6 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   obs::ProfScope prof_run("run_experiment");
   sim::Simulator sim(config.seed);
   net::Network net(sim, config.network);
-  // Tracing must start before any traffic: the stats-vs-tracer
-  // reconciliation below only holds when the tracer saw the whole run.
   if (config.telemetry.trace_capacity > 0) {
     net.tracer().enable(config.telemetry.trace_capacity);
   }
@@ -419,19 +415,7 @@ static RunResult run_experiment_impl(const RunConfig& config) {
     result.given_up += static_cast<int>(cluster.fs(i).versions_given_up());
   }
 
-  // --- telemetry: reconcile, snapshot, and (on failure) capture forensics --
-  if (config.telemetry.inject_trace_drift && net.tracer().enabled()) {
-    // Phantom record: guaranteed stats-vs-tracer drift, so tests can lock
-    // down the behavior of a run whose ONLY failure is kTelemetryDrift.
-    net.tracer().record(sim.now(), net::TraceEvent::kSend, NodeId{}, NodeId{},
-                        wire::MessageType::kDecideLocsReq, 0);
-  }
-  if (const std::string drift = net.trace_consistency_report();
-      !drift.empty()) {
-    result.audit.violations.push_back(
-        {InvariantViolation::Kind::kTelemetryDrift, ObjectVersionId{}, drift});
-  }
-
+  // --- telemetry: snapshot and (on failure) capture forensics --------------
   obs::Telemetry& tel = net.telemetry();
   tel.metrics.gauge("amr_backlog").set(static_cast<double>(tel.amr.backlog()));
   tel.metrics.gauge("amr_backlog_peak")

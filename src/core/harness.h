@@ -81,10 +81,9 @@ struct TelemetryOptions {
   /// to one interval (see DESIGN.md).
   SimTime sample_interval = 0;
   size_t max_samples = 4096;
-  /// Enable net::Tracer with this ring capacity; 0 disables. When on, the
-  /// run cross-checks NetworkStats against the tracer's cumulative tallies
-  /// and reports any drift as a kTelemetryDrift audit violation, and a
+  /// Enable net::Tracer with this ring capacity; 0 disables. When on, a
   /// failed audit attaches the trailing trace window to the RunResult.
+  /// Message counts and bytes come from NetworkStats either way.
   size_t trace_capacity = 0;
   /// Trace lines kept in the forensics dump of a failed run.
   size_t trace_dump_lines = 40;
@@ -95,10 +94,6 @@ struct TelemetryOptions {
   bool spans = false;
   /// Spans stored per version before truncation (see SpanTracer::enable).
   size_t max_spans_per_version = 8192;
-  /// Test hook: record one phantom trace event right before the stats/trace
-  /// reconciliation so kTelemetryDrift fires as the run's only violation
-  /// (locks down the sweep's non-zero exit code). Needs trace_capacity > 0.
-  bool inject_trace_drift = false;
   /// Tail-latency exemplars + cohort attribution (obs/exemplar.h,
   /// obs/attribution.h). Implies span tracing (the exemplar source). Like
   /// spans, a pure observer: the stores are built from already-recorded
@@ -137,7 +132,6 @@ struct InvariantViolation {
     kNotQuiescent,      ///< convergence work still pending at the horizon
     kEventBudget,       ///< simulator executed more events than budgeted
     kMessageBudget,     ///< network sent more messages than budgeted
-    kTelemetryDrift,    ///< NetworkStats disagreed with the tracer's tallies
   };
 
   Kind kind;

@@ -64,7 +64,6 @@ Metadata KeyLookupServer::suggest_for(const ObjectVersionId& ov,
 
 void KeyLookupServer::on_decide_locs(NodeId from,
                                      const wire::DecideLocsReq& req) {
-  ++decide_locs_served_;
   Metadata meta = suggest_for(req.ov, req.policy, req.value_size);
 
   if (req.from_fs) {

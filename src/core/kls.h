@@ -7,8 +7,6 @@
 // merging metadata and verifying completeness.
 #pragma once
 
-#include <cstdint>
-
 #include "core/config.h"
 #include "core/server.h"
 #include "storage/stores.h"
@@ -25,8 +23,6 @@ class KeyLookupServer : public Server {
   // Persistent stores, exposed read-only for the experiment oracle & tests.
   const storage::TimestampStore& timestamp_store() const { return store_ts_; }
   const storage::MetaStore& meta_store() const { return store_meta_; }
-
-  uint64_t decide_locs_served() const { return decide_locs_served_; }
 
  protected:
   void dispatch(const wire::Envelope& env) override;
@@ -45,7 +41,6 @@ class KeyLookupServer : public Server {
 
   storage::TimestampStore store_ts_;
   storage::MetaStore store_meta_;
-  uint64_t decide_locs_served_ = 0;
 
   // Registry handles (labeled {node, op}); cached once in the constructor.
   obs::Counter* m_decide_locs_ = nullptr;

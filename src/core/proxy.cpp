@@ -78,7 +78,7 @@ Proxy::Proxy(sim::Simulator& sim, net::Network& net,
   labels.emplace_back("result", "acked");
   m_puts_acked_ = &metrics.counter("proxy_puts_total", labels);
   labels.back().second = "failed";
-  m_puts_failed_ = &metrics.counter("proxy_puts_total", labels);
+  m_put_failures_ = &metrics.counter("proxy_puts_total", labels);
   labels.back().second = "ok";
   m_gets_ok_ = &metrics.counter("proxy_gets_total", labels);
   labels.back().second = "failed";
@@ -233,7 +233,6 @@ void Proxy::put_maybe_reply(PutOp& op) {
     return;
   }
   op.replied = true;
-  ++puts_succeeded_;
   m_puts_acked_->inc();
   telemetry().amr.on_put_acked(op.ov, sim_.now());
   telemetry().spans.on_put_acked(op.ov, id());
@@ -254,7 +253,6 @@ void Proxy::put_check_amr(PutOp& op) {
   if (options_.put_amr_indication) {
     for (NodeId fs : op.meta.sibling_fs()) {
       send(fs, wire::AmrIndication{op.ov});
-      ++amr_indications_sent_;
       m_amr_indications_->inc();
     }
   }
@@ -267,8 +265,7 @@ void Proxy::finish_put(const ObjectVersionId& ov) {
   PutOp& op = *it->second;
   sim_.cancel(op.timeout);
   if (!op.replied) {
-    ++puts_failed_;
-    m_puts_failed_->inc();
+    m_put_failures_->inc();
     telemetry().spans.interval(
         op.ov, "put_failed", id(), sim_.now(), sim_.now(),
         "acked_frags=" + std::to_string(op.acked_frags.size()));

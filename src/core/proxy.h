@@ -59,12 +59,15 @@ class Proxy : public Server {
   /// Begin a get; the callback fires exactly once.
   void get(const Key& key, GetCallback callback);
 
-  // Counters for tests and experiments.
+  // Counters for tests and experiments; the outcome counts are read from
+  // the metric registry.
   uint64_t puts_started() const { return puts_started_; }
-  uint64_t puts_succeeded() const { return puts_succeeded_; }
-  uint64_t puts_failed() const { return puts_failed_; }
+  uint64_t puts_succeeded() const { return m_puts_acked_->value(); }
+  uint64_t puts_failed() const { return m_put_failures_->value(); }
   uint64_t gets_started() const { return gets_started_; }
-  uint64_t amr_indications_sent() const { return amr_indications_sent_; }
+  uint64_t amr_indications_sent() const {
+    return m_amr_indications_->value();
+  }
 
  protected:
   void dispatch(const wire::Envelope& env) override;
@@ -99,15 +102,12 @@ class Proxy : public Server {
   Timestamp last_issued_;
 
   uint64_t puts_started_ = 0;
-  uint64_t puts_succeeded_ = 0;
-  uint64_t puts_failed_ = 0;
   uint64_t gets_started_ = 0;
-  uint64_t amr_indications_sent_ = 0;
 
   // Registry handles (labeled {node}, plus {result} where it applies);
   // cached once in the constructor.
   obs::Counter* m_puts_acked_ = nullptr;
-  obs::Counter* m_puts_failed_ = nullptr;
+  obs::Counter* m_put_failures_ = nullptr;
   obs::Counter* m_gets_ok_ = nullptr;
   obs::Counter* m_gets_failed_ = nullptr;
   obs::Counter* m_amr_concluded_ = nullptr;

@@ -143,7 +143,6 @@ void Network::send(NodeId from, NodeId to, wire::MessageType type,
   wire::Envelope env{from, to, type, std::move(payload)};
   env.span = telemetry_.spans.on_send(from, to, wire::to_string(type));
   stats_.record_sent(type, env.wire_size());
-  record_node_sent(from, type, env.wire_size());
   tracer_.record(sim_.now(), TraceEvent::kSend, from, to, type,
                  env.wire_size());
   if (dc_resolver_) {
@@ -167,49 +166,13 @@ void Network::send(NodeId from, NodeId to, wire::MessageType type,
   const bool duplicate =
       duplication_rate_ > 0.0 && sim_.rng().chance(duplication_rate_);
   const int copies = duplicate ? 2 : 1;
+  // One envelope, shared by reference count: the payload is moved in once
+  // and a duplicated delivery does not copy it.
+  auto shared = std::make_shared<const wire::Envelope>(std::move(env));
   for (int i = 0; i < copies; ++i) {
     const SimTime latency = sample_latency();
-    // The envelope is shared by reference count so a duplicated delivery
-    // does not copy a fragment payload.
-    auto shared = std::make_shared<wire::Envelope>(env);
     sim_.schedule_after(latency, [this, shared] { deliver(*shared); });
   }
-}
-
-void Network::record_node_sent(NodeId from, wire::MessageType type,
-                               size_t bytes) {
-  SentCounters& slot = sent_counters_[from][static_cast<size_t>(type)];
-  if (slot.count == nullptr) {
-    const obs::Labels labels = {{"node", pahoehoe::to_string(from)},
-                                {"type", wire::to_string(type)}};
-    slot.count = &telemetry_.metrics.counter("net_sent_count", labels);
-    slot.bytes = &telemetry_.metrics.counter("net_sent_bytes", labels);
-  }
-  slot.count->inc();
-  slot.bytes->inc(bytes);
-}
-
-std::string Network::trace_consistency_report() const {
-  if (!tracer_.enabled()) return {};
-  std::string out;
-  char line[128];
-  const auto check = [&](const char* what, uint64_t stats_total,
-                         uint64_t trace_total) {
-    if (stats_total == trace_total) return;
-    std::snprintf(line, sizeof(line), "%s: stats=%llu trace=%llu\n", what,
-                  static_cast<unsigned long long>(stats_total),
-                  static_cast<unsigned long long>(trace_total));
-    out += line;
-  };
-  check("sent count", stats_.total_sent_count(),
-        tracer_.total_count(TraceEvent::kSend));
-  check("sent bytes", stats_.total_sent_bytes(),
-        tracer_.total_bytes(TraceEvent::kSend));
-  check("dropped count", stats_.total_dropped_count(),
-        tracer_.total_count(TraceEvent::kDrop));
-  check("delivered count", stats_.total_delivered_count(),
-        tracer_.total_count(TraceEvent::kDeliver));
-  return out;
 }
 
 void Network::deliver(const wire::Envelope& env) {

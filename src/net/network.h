@@ -95,7 +95,9 @@ class TypedDrop : public FaultRule {
   wire::MessageType type_;
 };
 
-/// Per-message-type counters. Indexed by wire::MessageType.
+/// Per-message-type counters, indexed by wire::MessageType. The run's only
+/// message ledger: figure tables, the sampler's msgs_sent/bytes_sent columns
+/// and the message budget all read it.
 class NetworkStats {
  public:
   struct TypeStats {
@@ -182,15 +184,9 @@ class Network {
   const obs::Telemetry& telemetry() const { return telemetry_; }
   sim::Simulator& simulator() { return sim_; }
 
-  /// Reconcile NetworkStats against the tracer's cumulative tallies. Empty
-  /// string when consistent (or tracing is off); otherwise one line per
-  /// drifted total. Meaningful only when tracing covered the whole run.
-  std::string trace_consistency_report() const;
-
  private:
   void deliver(const wire::Envelope& env);
   SimTime sample_latency();
-  void record_node_sent(NodeId from, wire::MessageType type, size_t bytes);
 
   sim::Simulator& sim_;
   NetworkConfig config_;
@@ -201,15 +197,6 @@ class Network {
   NetworkStats stats_;
   Tracer tracer_;
   obs::Telemetry telemetry_;
-  /// Cached registry handles for the per-(node, type) sent series, so the
-  /// send hot path pays one hash lookup instead of a labeled map lookup.
-  struct SentCounters {
-    obs::Counter* count = nullptr;
-    obs::Counter* bytes = nullptr;
-  };
-  std::unordered_map<NodeId,
-                     std::array<SentCounters, wire::kMessageTypeCount>>
-      sent_counters_;
 };
 
 /// Typed send helper for messages with a static kType.

@@ -36,8 +36,6 @@ void Tracer::disable() { enabled_ = false; }
 void Tracer::record(SimTime time, TraceEvent event, NodeId from, NodeId to,
                     wire::MessageType type, size_t wire_bytes) {
   if (!enabled_) return;
-  total_count_[static_cast<size_t>(event)] += 1;
-  total_bytes_[static_cast<size_t>(event)] += wire_bytes;
   if (records_.size() == capacity_) {
     records_.pop_front();
     ++overflowed_;
@@ -49,8 +47,6 @@ void Tracer::record(SimTime time, TraceEvent event, NodeId from, NodeId to,
 void Tracer::clear() {
   records_.clear();
   overflowed_ = 0;
-  total_count_.fill(0);
-  total_bytes_.fill(0);
 }
 
 std::vector<TraceRecord> Tracer::filter(

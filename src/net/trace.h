@@ -6,7 +6,6 @@
 // tests, and by scenario_cli --trace.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -52,16 +51,6 @@ class Tracer {
   const std::deque<TraceRecord>& records() const { return records_; }
   /// Records discarded because the ring was full.
   uint64_t overflowed() const { return overflowed_; }
-  /// Cumulative tallies per event kind since enable()/clear(), unaffected
-  /// by ring eviction. These are the reconciliation anchor against
-  /// NetworkStats: when tracing covers the whole run, total_count(kSend)
-  /// must equal the stats' total sent count (checked by the harness).
-  uint64_t total_count(TraceEvent event) const {
-    return total_count_[static_cast<size_t>(event)];
-  }
-  uint64_t total_bytes(TraceEvent event) const {
-    return total_bytes_[static_cast<size_t>(event)];
-  }
   void clear();
 
   /// Records matching a predicate (e.g., one node's conversation).
@@ -77,8 +66,6 @@ class Tracer {
   bool enabled_ = false;
   size_t capacity_ = 0;
   uint64_t overflowed_ = 0;
-  std::array<uint64_t, 3> total_count_{};
-  std::array<uint64_t, 3> total_bytes_{};
   std::deque<TraceRecord> records_;
 };
 

@@ -10,8 +10,9 @@
 //
 // Naming convention (documented in EXPERIMENTS.md): snake_case metric names
 // with a `_total` suffix for counters and an `_s` suffix for histograms of
-// seconds; per-node series carry a {node=nNNN} label, per-message-type
-// series add {type=...}.
+// seconds; per-node series carry a {node=nNNN} label, plus {result=...} or
+// {op=...} where a metric has more dimensions. Message counts and bytes are
+// not here: net::NetworkStats is their one ledger.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +27,7 @@
 namespace pahoehoe::obs {
 
 /// Label dimensions of one metric instance, e.g.
-/// {{"node", "n101"}, {"type", "StoreFragmentReq"}}. Keys must be unique;
+/// {{"node", "n101"}, {"result", "acked"}}. Keys must be unique;
 /// the registry normalizes ordering, so callers may list them in any order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
@@ -109,7 +110,7 @@ class MetricRegistry {
   }
 
   /// Stable multi-line dump, one metric per line in (name, labels) order:
-  ///   counter net_sent_count{node=n101,type=DecideLocsReq} 42
+  ///   counter proxy_puts_total{node=n100,result=acked} 42
   ///   gauge amr_backlog 3 peak 17
   ///   histogram time_to_amr_s count 97 p50 61.234 p95 118.7 p99 140.2
   /// Used directly by the determinism tests: byte equality of to_text() is

@@ -168,9 +168,16 @@ TEST_F(NetworkTest, DuplicationDeliversTwice) {
   Recorder recv;
   net.register_node(a_, &recv);
   net.register_node(b_, &recv);
-  net.send(a_, b_, MessageType::kAmrIndication, Bytes{1});
+  net.send(a_, b_, MessageType::kAmrIndication, Bytes{1, 2, 3});
   sim.run();
-  EXPECT_EQ(recv.received.size(), 2u);
+  ASSERT_EQ(recv.received.size(), 2u);
+  // Both copies carry the whole message, not a moved-from husk.
+  for (const Envelope& env : recv.received) {
+    EXPECT_EQ(env.from, a_);
+    EXPECT_EQ(env.to, b_);
+    EXPECT_EQ(env.type, MessageType::kAmrIndication);
+    EXPECT_EQ(env.payload, (Bytes{1, 2, 3}));
+  }
   // Duplication is a channel property; it is counted once as sent.
   EXPECT_EQ(net.stats().of(MessageType::kAmrIndication).sent_count, 1u);
 }

@@ -182,18 +182,17 @@ TEST(SpanTest, SpanForensicsNameTheViolatingVersion) {
 
 // --- chaos sweep integration ------------------------------------------------
 
-TEST(ChaosSpanTest, DriftOnlyFailureMakesTheSweepExitNonZero) {
-  // No faults at all: every audited protocol invariant holds, and the
-  // injected phantom trace record makes kTelemetryDrift the run's ONLY
-  // violation. The sweep must still fail and exit non-zero — this is the
-  // regression test for chaos_cli's exit code.
+TEST(ChaosSpanTest, BudgetOnlyFailureMakesTheSweepExitNonZero) {
+  // No faults at all: every version resolves, and a one-message budget
+  // makes the run-global kMessageBudget the run's ONLY violation. The sweep
+  // must still fail and exit non-zero — this is the regression test for
+  // chaos_cli's exit code.
   core::RunConfig config = traced_config(2);
-  config.telemetry.trace_capacity = 512;
-  config.telemetry.inject_trace_drift = true;
+  config.message_budget = 1;
 
   chaos::SweepOptions options;
   options.seeds = 2;
-  options.shrink_failures = false;  // drift is not a schedule property
+  options.shrink_failures = false;  // the budget is not a schedule property
   options.schedule.corruption = false;
   options.schedule.crashes = false;
   options.schedule.proxy_crashes = false;
@@ -210,10 +209,10 @@ TEST(ChaosSpanTest, DriftOnlyFailureMakesTheSweepExitNonZero) {
   for (const chaos::SeedOutcome& outcome : result.outcomes) {
     ASSERT_EQ(outcome.audit.violations.size(), 1u);
     EXPECT_EQ(outcome.audit.violations[0].kind,
-              core::InvariantViolation::Kind::kTelemetryDrift);
+              core::InvariantViolation::Kind::kMessageBudget);
   }
-  // Sanity: without the injection the same sweep passes with exit code 0.
-  config.telemetry.inject_trace_drift = false;
+  // Sanity: without the budget the same sweep passes with exit code 0.
+  config.message_budget = 0;
   const chaos::SweepResult clean = chaos::run_sweep(config, options);
   EXPECT_TRUE(clean.passed());
   EXPECT_EQ(clean.exit_code(), 0);
@@ -254,14 +253,14 @@ TEST(ChaosSpanTest, FailingSeedForensicsIncludeTheSpanTree) {
 
 TEST(ChaosSpanTest, FailingSeedForensicsIncludeTailAttribution) {
   // A blackout long enough to put recovery_backoff on the critical path,
-  // with the audit failure coming from the drift injection rather than
+  // with the audit failure coming from a one-message budget rather than
   // give-up — versions still resolve, so the violating seed's forensics
   // must carry the cohort attribution naming which component carries the
   // tail, and the exemplar lines pointing at concrete versions.
   core::RunConfig config = traced_config(3);
   config.faults.push_back(
       core::FaultSpec::fs_blackout(0, 0, 0, testing::minutes(10)));
-  config.telemetry.inject_trace_drift = true;
+  config.message_budget = 1;
 
   chaos::SweepOptions options;
   options.seeds = 1;

@@ -134,38 +134,5 @@ TEST(TraceDeterminismTest, EveryDeliveryHasAMatchingSend) {
   EXPECT_EQ(drops, 0);
 }
 
-TEST(TraceConsistencyTest, StatsMatchTracerTotalsOnCleanRun) {
-  SimCluster tc(core::ConvergenceOptions::all_opts(), {}, 5);
-  tc.net.tracer().enable();
-  tc.put(Key{"k"}, tc.make_value(4096));
-  tc.run_to_quiescence();
-  const Tracer& tracer = tc.net.tracer();
-  EXPECT_EQ(tc.net.stats().total_sent_count(),
-            tracer.total_count(TraceEvent::kSend));
-  EXPECT_EQ(tc.net.stats().total_sent_bytes(),
-            tracer.total_bytes(TraceEvent::kSend));
-  EXPECT_EQ(tc.net.stats().total_delivered_count(),
-            tracer.total_count(TraceEvent::kDeliver));
-  EXPECT_EQ(tc.net.trace_consistency_report(), "");
-}
-
-TEST(TraceConsistencyTest, StatsMatchTracerTotalsUnderLossAndEviction) {
-  SimCluster tc(core::ConvergenceOptions::all_opts(), {}, 6);
-  // Tiny ring: the cumulative tallies must stay exact even after heavy
-  // eviction, because they are incremented before records are dropped.
-  tc.net.tracer().enable(/*capacity=*/16);
-  tc.net.add_fault(std::make_shared<net::UniformLoss>(0.05));
-  tc.put(Key{"k"}, tc.make_value(4096));
-  tc.run_to_quiescence();
-  const Tracer& tracer = tc.net.tracer();
-  EXPECT_GT(tracer.overflowed(), 0u);
-  EXPECT_GT(tracer.total_count(TraceEvent::kDrop), 0u);
-  EXPECT_EQ(tc.net.stats().total_dropped_count(),
-            tracer.total_count(TraceEvent::kDrop));
-  EXPECT_EQ(tc.net.stats().total_sent_count(),
-            tracer.total_count(TraceEvent::kSend));
-  EXPECT_EQ(tc.net.trace_consistency_report(), "");
-}
-
 }  // namespace
 }  // namespace pahoehoe::net
