@@ -73,6 +73,15 @@ bool Metadata::merge_locs(const Metadata& other) {
   return changed;
 }
 
+bool Metadata::merge(const Metadata& other) {
+  bool changed = merge_locs(other);
+  if (value_size == 0 && other.value_size != 0) {
+    value_size = other.value_size;
+    changed = true;
+  }
+  return changed;
+}
+
 std::string to_string(NodeId id) {
   return id.valid() ? "n" + std::to_string(id.value) : "n?";
 }

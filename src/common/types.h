@@ -142,6 +142,10 @@ struct Metadata {
   /// Union locations from `other` into this metadata (slot-wise; existing
   /// decisions win). Returns true if anything changed.
   bool merge_locs(const Metadata& other);
+  /// The one metadata merge rule every store uses: merge_locs, then adopt
+  /// `other`'s value_size while ours is still 0. Returns true if anything
+  /// changed.
+  bool merge(const Metadata& other);
 
   friend bool operator==(const Metadata&, const Metadata&) = default;
 };

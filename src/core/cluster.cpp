@@ -165,24 +165,22 @@ Sha256::Digest Cluster::state_digest() const {
   wire::Writer w;
   for (const auto& kls : klss_) {
     w.u32(kls->id().value);
-    const auto& meta_store = kls->meta_store();
-    const auto versions = meta_store.all_versions();
-    w.u32(static_cast<uint32_t>(versions.size()));
-    for (const ObjectVersionId& ov : versions) {
+    const auto& entries = kls->meta_store().entries();
+    w.u32(static_cast<uint32_t>(entries.size()));
+    for (const auto& [ov, meta] : entries) {
       wire::encode(w, ov);
       w.boolean(kls->timestamp_store().contains(ov.key, ov.ts));
-      wire::encode(w, *meta_store.find(ov));
+      wire::encode(w, meta);
     }
   }
   for (const auto& fs : fss_) {
     w.u32(fs->id().value);
-    const auto versions = fs->frag_store().all_versions();
-    w.u32(static_cast<uint32_t>(versions.size()));
-    for (const ObjectVersionId& ov : versions) {
+    const auto& entries = fs->frag_store().entries();
+    w.u32(static_cast<uint32_t>(entries.size()));
+    for (const auto& [ov, entry] : entries) {
       wire::encode(w, ov);
-      const storage::FragStore::Entry* entry = fs->frag_store().find(ov);
-      w.u32(static_cast<uint32_t>(entry->fragments.size()));
-      for (const auto& [slot, frag] : entry->fragments) {
+      w.u32(static_cast<uint32_t>(entry.fragments.size()));
+      for (const auto& [slot, frag] : entry.fragments) {
         w.u32(static_cast<uint32_t>(slot));
         w.u8(frag.disk);
         // Hash of the fragment content rather than the content itself

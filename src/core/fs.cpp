@@ -47,8 +47,10 @@ const erasure::ReedSolomon& FragmentServer::codec(const Policy& policy) {
   return *it->second;
 }
 
-FragmentServer::Work& FragmentServer::work_for(const ObjectVersionId& ov) {
-  return work_[ov];
+const Metadata& FragmentServer::meta_of(const ObjectVersionId& ov) const {
+  const storage::FragStore::Entry* entry = store_frag_.find(ov);
+  PAHOEHOE_CHECK(entry != nullptr);
+  return entry->meta;
 }
 
 SimTime FragmentServer::version_age(const ObjectVersionId& ov) const {
@@ -59,9 +61,7 @@ void FragmentServer::certify_slots(const ObjectVersionId& ov, Work& work,
                                    const std::vector<int>& slots) {
   if (work.durable_evidence || options_.giveup_age_durable < 0) return;
   for (int slot : slots) work.certified_slots.insert(slot);
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta != nullptr &&
-      static_cast<int>(work.certified_slots.size()) >= meta->policy.k) {
+  if (static_cast<int>(work.certified_slots.size()) >= meta_of(ov).policy.k) {
     work.durable_evidence = true;
     work.certified_slots.clear();
   }
@@ -73,10 +73,8 @@ bool FragmentServer::durable_class(const ObjectVersionId& ov, Work* work) {
   if (work->durable_evidence) return true;
   // Certify what local state proves right now: our own intact fragments
   // plus anything a recovery attempt has gathered.
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta == nullptr) return false;
   std::vector<int> intact;
-  for (int slot : meta->fragments_for(id())) {
+  for (int slot : meta_of(ov).fragments_for(id())) {
     if (store_frag_.fragment_if_intact(ov, slot) != nullptr) {
       intact.push_back(slot);
     }
@@ -115,29 +113,15 @@ void FragmentServer::bump_backoff(Work& work) {
 }
 
 bool FragmentServer::local_verify(const ObjectVersionId& ov) const {
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta == nullptr) {
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
-    if (entry == nullptr) return false;
-    meta = &entry->meta;
-  }
-  if (!meta->complete()) return false;
-  for (int slot : meta->fragments_for(id())) {
-    if (store_frag_.fragment_if_intact(ov, slot) == nullptr) return false;
-  }
-  return true;
+  const storage::FragStore::Entry* entry = store_frag_.find(ov);
+  return entry != nullptr && entry->meta.complete() &&
+         missing_local_fragments(ov).empty();
 }
 
 std::vector<int> FragmentServer::missing_local_fragments(
     const ObjectVersionId& ov) const {
   std::vector<int> missing;
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta == nullptr) {
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
-    if (entry == nullptr) return missing;
-    meta = &entry->meta;
-  }
-  for (int slot : meta->fragments_for(id())) {
+  for (int slot : meta_of(ov).fragments_for(id())) {
     if (store_frag_.fragment_if_intact(ov, slot) == nullptr) {
       missing.push_back(slot);
     }
@@ -147,25 +131,19 @@ std::vector<int> FragmentServer::missing_local_fragments(
 
 void FragmentServer::merge_meta(const ObjectVersionId& ov,
                                 const Metadata& meta, bool create_work) {
-  const bool in_meta = store_meta_.contains(ov);
-  const bool in_frag = store_frag_.contains(ov);
-
-  if (!in_meta && in_frag) {
+  auto it = work_.find(ov);
+  if (it == work_.end()) {
     // Fig 4 line 17 requires ov to be absent from *both* stores before the
     // work-list entry is (re)created: a version already verified AMR keeps
     // serving fragments but is never resurrected into convergence.
+    if (store_frag_.contains(ov)) {
+      store_frag_.upsert(ov, meta);
+      return;
+    }
+    if (!create_work) return;
     store_frag_.upsert(ov, meta);
-    return;
-  }
-
-  if (!in_meta && !in_frag && !create_work) return;
-
-  const bool changed = store_meta_.merge(ov, meta);
-  store_frag_.upsert(ov, meta);
-  auto [it, inserted] = work_.try_emplace(ov);
-  if (inserted || !in_meta) {
-    it->second.next_attempt = 0;  // new work: eligible at the next round
-  } else if (changed) {
+    it = work_.try_emplace(ov).first;  // new work: eligible at the next round
+  } else if (store_frag_.upsert(ov, meta)) {
     // Genuinely new information (fresh locations) accelerates the next
     // attempt — post-heal catch-up. Unchanged metadata must NOT reset the
     // exponential backoff, or sibling converge traffic would keep every
@@ -190,12 +168,11 @@ void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
                                           const Metadata& meta,
                                           int frag_index, Bytes data,
                                           const Sha256::Digest& digest) {
+  const Metadata& best = work_.count(ov) > 0 ? meta_of(ov) : meta;
   uint8_t disk = 0;
-  const Metadata* best = store_meta_.find(ov);
-  if (best == nullptr) best = &meta;
-  if (frag_index < static_cast<int>(best->locs.size()) &&
-      best->locs[static_cast<size_t>(frag_index)].has_value()) {
-    disk = best->locs[static_cast<size_t>(frag_index)]->disk;
+  if (frag_index < static_cast<int>(best.locs.size()) &&
+      best.locs[static_cast<size_t>(frag_index)].has_value()) {
+    disk = best.locs[static_cast<size_t>(frag_index)]->disk;
   }
   store_frag_.put_fragment(ov, meta, frag_index, std::move(data), digest,
                            disk);
@@ -204,7 +181,7 @@ void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
 // --- round machinery --------------------------------------------------------
 
 void FragmentServer::ensure_round_scheduled() {
-  if (crashed() || store_meta_.size() == 0) return;
+  if (crashed() || work_.empty()) return;
   SimTime when;
   if (options_.unsync_rounds) {
     // §4.1: uniformly random spacing desynchronizes sibling FSs.
@@ -218,14 +195,11 @@ void FragmentServer::ensure_round_scheduled() {
   // If every pending version is waiting on backoff or min-age, skip the
   // no-op rounds and wake when the earliest version becomes eligible.
   SimTime earliest = std::numeric_limits<SimTime>::max();
-  for (const ObjectVersionId& ov : store_meta_.all_versions()) {
-    SimTime eligible = ov.ts.wall_micros + options_.effective_min_age();
-    auto it = work_.find(ov);
-    if (it != work_.end()) {
-      if (it->second.recovering) continue;  // will re-arm when it resolves
-      eligible = std::max(eligible, it->second.next_attempt);
-    }
-    earliest = std::min(earliest, eligible);
+  for (const auto& [ov, work] : work_) {
+    if (work.recovering) continue;  // will re-arm when it resolves
+    earliest = std::min(
+        earliest, std::max(ov.ts.wall_micros + options_.effective_min_age(),
+                           work.next_attempt));
   }
   if (earliest == std::numeric_limits<SimTime>::max()) {
     // Everything is mid-recovery; those paths re-arm the timer themselves.
@@ -248,8 +222,12 @@ void FragmentServer::start_round() {
   round_timer_ = 0;
   m_rounds_->inc();
   // Fig 4: a convergence step for every object version not yet verified AMR.
-  for (const ObjectVersionId& ov : store_meta_.all_versions()) {
-    Work& work = work_for(ov);
+  // A step erases at most its own entry and never inserts one, so the walk
+  // moves past an entry before acting on it.
+  for (auto next = work_.begin(); next != work_.end();) {
+    const auto it = next++;
+    const ObjectVersionId& ov = it->first;
+    Work& work = it->second;
     if (work.recovering) continue;  // a recovery for this version is active
     if (sim_.now() < work.next_attempt) continue;
     if (version_age(ov) < options_.effective_min_age()) continue;
@@ -259,14 +237,13 @@ void FragmentServer::start_round() {
       // per-class horizons the durable class got the (longer) durable
       // horizon above, so anything dropped here is non-durable-class.
       const bool durable = durable_class(ov, &work);
-      store_meta_.erase(ov);
-      work_.erase(ov);
       m_giveups_->inc();
       given_up_versions_.push_back(ov);
       telemetry().spans.interval(ov, "give_up", id(), sim_.now(), sim_.now(),
                                  durable ? "class=durable"
                                          : "class=non-durable");
       telemetry().spans.report_work_done(ov, id());
+      work_.erase(it);
       continue;
     }
     converge_step(ov, work);
@@ -275,8 +252,7 @@ void FragmentServer::start_round() {
 }
 
 void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
-  const Metadata* meta = store_meta_.find(ov);
-  PAHOEHOE_CHECK(meta != nullptr);
+  const Metadata& meta = meta_of(ov);
   m_steps_->inc();
   bump_backoff(work);
 
@@ -294,7 +270,7 @@ void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
     spans.report_work(ov, id(), work.next_attempt, work.recovering);
   }
 
-  if (!meta->complete()) {
+  if (!meta.complete()) {
     // Fig 4 line 5: incomplete metadata — act like a proxy doing a put, but
     // probe one KLS per data center in a fixed rotation (§3.5) instead of
     // broadcasting.
@@ -303,8 +279,7 @@ void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
       if (klss.empty()) continue;
       const size_t probe =
           static_cast<size_t>(work.attempts - 1) % klss.size();
-      send(klss[probe], wire::DecideLocsReq{ov, meta->policy,
-                                            meta->value_size,
+      send(klss[probe], wire::DecideLocsReq{ov, meta.policy, meta.value_size,
                                             /*from_fs=*/true});
     }
     return;
@@ -328,7 +303,7 @@ void FragmentServer::begin_verify(const ObjectVersionId& ov, Work& work) {
   // acks accumulate across rounds — verification is monotone (locations
   // and fragments are never removed), and requiring a full ack set within
   // one round would make convergence needlessly fragile under heavy loss.
-  const Metadata& meta = *store_meta_.find(ov);
+  const Metadata& meta = meta_of(ov);
   for (NodeId kls : view_->all_kls) {
     send(kls, wire::KlsConvergeReq{ov, meta});
   }
@@ -339,30 +314,31 @@ void FragmentServer::begin_verify(const ObjectVersionId& ov, Work& work) {
   check_amr(ov, work);  // degenerate topologies may need no acks
 }
 
+void FragmentServer::start_recovery(const ObjectVersionId& ov, Work& work,
+                                    bool plain) {
+  work.recovering = true;
+  work.plain_recovery = plain;
+  telemetry().spans.report_work(ov, id(), work.next_attempt, true,
+                                plain ? "plain" : "sibling");
+  arm_recovery_deadline(ov, work);
+  arm_recovery_retry(ov, work);
+  for (int slot : meta_of(ov).fragments_for(id())) {
+    if (const storage::StoredFragment* frag =
+            store_frag_.fragment_if_intact(ov, slot);
+        frag != nullptr) {
+      work.gathered.emplace(slot, frag->data);
+    }
+  }
+}
+
 void FragmentServer::begin_plain_recovery(const ObjectVersionId& ov,
                                           Work& work) {
   // recover_fragment (Fig 4 line 8): a get restricted to this object
   // version — request every other decided slot and decode from the first k.
-  const Metadata& meta = *store_meta_.find(ov);
-  work.recovering = true;
-  work.plain_recovery = true;
-  telemetry().spans.report_work(ov, id(), work.next_attempt, true, "plain");
-  work.gathered.clear();
-  work.requested_slots.clear();
-  work.failed_slots.clear();
-  work.sibling_needs.clear();
-  arm_recovery_deadline(ov, work);
-  arm_recovery_retry(ov, work);
+  start_recovery(ov, work, /*plain=*/true);
+  const Metadata& meta = meta_of(ov);
   for (size_t slot = 0; slot < meta.locs.size(); ++slot) {
-    if (!meta.locs[slot].has_value()) continue;
-    if (meta.locs[slot]->fs == id()) {
-      if (const storage::StoredFragment* frag =
-              store_frag_.fragment_if_intact(ov, static_cast<int>(slot));
-          frag != nullptr) {
-        work.gathered.emplace(static_cast<int>(slot), frag->data);
-      }
-      continue;
-    }
+    if (!meta.locs[slot].has_value() || meta.locs[slot]->fs == id()) continue;
     send(meta.locs[slot]->fs,
          wire::RetrieveFragReq{ov, static_cast<uint16_t>(slot)});
     work.requested_slots.insert(static_cast<int>(slot));
@@ -374,25 +350,9 @@ void FragmentServer::begin_sibling_recovery(const ObjectVersionId& ov,
                                             Work& work) {
   // §4.2: announce recovery intent; siblings reply with the fragments they
   // need so one FS can regenerate everything from a single k-fragment read.
-  const Metadata& meta = *store_meta_.find(ov);
-  work.recovering = true;
-  work.plain_recovery = false;
   m_sibling_recoveries_->inc();
-  telemetry().spans.report_work(ov, id(), work.next_attempt, true, "sibling");
-  work.gathered.clear();
-  work.requested_slots.clear();
-  work.failed_slots.clear();
-  work.sibling_needs.clear();
-  arm_recovery_deadline(ov, work);
-  arm_recovery_retry(ov, work);
-  for (size_t slot = 0; slot < meta.locs.size(); ++slot) {
-    if (!meta.locs[slot].has_value() || meta.locs[slot]->fs != id()) continue;
-    if (const storage::StoredFragment* frag =
-            store_frag_.fragment_if_intact(ov, static_cast<int>(slot));
-        frag != nullptr) {
-      work.gathered.emplace(static_cast<int>(slot), frag->data);
-    }
-  }
+  start_recovery(ov, work, /*plain=*/false);
+  const Metadata& meta = meta_of(ov);
   for (NodeId fs : meta.sibling_fs()) {
     if (fs == id()) continue;
     send(fs, wire::FsConvergeReq{ov, meta, /*intends_recovery=*/true});
@@ -413,12 +373,8 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
   // outstanding (re-entry happens on every ⊥ reply; without the
   // accounting, requests would multiply). Local-data-center sources are
   // preferred to save WAN capacity.
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta == nullptr) {  // converged or gave up meanwhile
-    cancel_recovery(ov, work);
-    return;
-  }
-  const int k = meta->policy.k;
+  const Metadata& meta = meta_of(ov);
+  const int k = meta.policy.k;
   const int have = static_cast<int>(work.gathered.size());
   if (have >= k) {
     recovery_maybe_finish(ov, work);
@@ -431,10 +387,10 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
   // Fresh candidates: decided slots held by someone else, not yet gathered,
   // requested, failed, or reported missing by their owner.
   std::vector<int> candidates;
-  for (size_t slot = 0; slot < meta->locs.size(); ++slot) {
+  for (size_t slot = 0; slot < meta.locs.size(); ++slot) {
     const int s = static_cast<int>(slot);
-    if (!meta->locs[slot].has_value()) continue;
-    if (meta->locs[slot]->fs == id()) continue;
+    if (!meta.locs[slot].has_value()) continue;
+    if (meta.locs[slot]->fs == id()) continue;
     if (work.gathered.count(s) > 0) continue;
     if (work.requested_slots.count(s) > 0) continue;
     if (work.failed_slots.count(s) > 0) continue;
@@ -449,8 +405,8 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
     if (!reported_missing) candidates.push_back(s);
   }
   std::stable_sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-    const bool a_local = view_->dc_of(meta->locs[static_cast<size_t>(a)]->fs) == dc();
-    const bool b_local = view_->dc_of(meta->locs[static_cast<size_t>(b)]->fs) == dc();
+    const bool a_local = view_->dc_of(meta.locs[static_cast<size_t>(a)]->fs) == dc();
+    const bool b_local = view_->dc_of(meta.locs[static_cast<size_t>(b)]->fs) == dc();
     return a_local > b_local;
   });
 
@@ -468,7 +424,7 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
   }
   for (int i = 0; i < need; ++i) {
     const int slot = candidates[static_cast<size_t>(i)];
-    send(meta->locs[static_cast<size_t>(slot)]->fs,
+    send(meta.locs[static_cast<size_t>(slot)]->fs,
          wire::RetrieveFragReq{ov, static_cast<uint16_t>(slot)});
     work.requested_slots.insert(slot);
   }
@@ -476,12 +432,8 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
 
 void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
                                            Work& work) {
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta == nullptr) {
-    cancel_recovery(ov, work);
-    return;
-  }
-  const int k = meta->policy.k;
+  const Metadata& meta = meta_of(ov);
+  const int k = meta.policy.k;
   if (static_cast<int>(work.gathered.size()) < k) return;
   obs::ProfScope prof("fs_recovery");
 
@@ -511,21 +463,20 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
   // value size yet, and fragment repair does not need it.
   const size_t frag_size = work.gathered.begin()->second.size();
   const std::vector<Bytes> regenerated =
-      codec(meta->policy).regenerate_sized(available, targets, frag_size);
+      codec(meta.policy).regenerate_sized(available, targets, frag_size);
 
-  const Metadata meta_copy = *meta;  // stores below may invalidate pointers
   for (size_t i = 0; i < targets.size(); ++i) {
     const int slot = targets[i];
     const Sha256::Digest digest = Sha256::hash(regenerated[i]);
-    const auto& loc = meta_copy.locs[static_cast<size_t>(slot)];
+    const auto& loc = meta.locs[static_cast<size_t>(slot)];
     PAHOEHOE_CHECK(loc.has_value());
     if (loc->fs == id()) {
-      store_fragment_local(ov, meta_copy, slot, regenerated[i], digest);
+      store_fragment_local(ov, meta, slot, regenerated[i], digest);
     } else {
       // §4.2: push the recovered fragment to its sibling.
       wire::SiblingStoreReq req;
       req.ov = ov;
-      req.meta = meta_copy;
+      req.meta = meta;
       req.frag_index = static_cast<uint16_t>(slot);
       req.fragment = regenerated[i];
       req.digest = digest;
@@ -556,14 +507,11 @@ void FragmentServer::arm_recovery_retry(const ObjectVersionId& ov,
         w.recovery_retry = 0;
         const obs::SpanTracer::Scope span_scope =
             telemetry().spans.version_scope(ov, "recovery_retry", id());
-        const Metadata* meta = store_meta_.find(ov);
-        if (meta != nullptr) {
-          for (int slot : w.requested_slots) {
-            const auto& loc = meta->locs[static_cast<size_t>(slot)];
-            if (!loc.has_value()) continue;
-            send(loc->fs,
-                 wire::RetrieveFragReq{ov, static_cast<uint16_t>(slot)});
-          }
+        const Metadata& meta = meta_of(ov);
+        for (int slot : w.requested_slots) {
+          const auto& loc = meta.locs[static_cast<size_t>(slot)];
+          if (!loc.has_value()) continue;
+          send(loc->fs, wire::RetrieveFragReq{ov, static_cast<uint16_t>(slot)});
         }
         if (!w.plain_recovery) recovery_gather(ov, w);
         if (w.recovering && w.recovery_retry == 0) arm_recovery_retry(ov, w);
@@ -619,12 +567,10 @@ void FragmentServer::check_amr(const ObjectVersionId& ov, Work& work) {
   // is_amr (Fig 4 line 25): this FS verifies locally and every KLS and
   // sibling FS replied "verified".
   if (!local_verify(ov)) return;
-  const Metadata* meta = store_meta_.find(ov);
-  if (meta == nullptr || !meta->complete()) return;
   for (NodeId kls : view_->all_kls) {
     if (work.verify_acks.count(kls) == 0) return;
   }
-  for (NodeId fs : meta->sibling_fs()) {
+  for (NodeId fs : meta_of(ov).sibling_fs()) {
     if (fs == id()) continue;
     if (work.verify_acks.count(fs) == 0) return;
   }
@@ -632,14 +578,11 @@ void FragmentServer::check_amr(const ObjectVersionId& ov, Work& work) {
 }
 
 void FragmentServer::mark_amr(const ObjectVersionId& ov) {
-  const Metadata meta = *store_meta_.find(ov);
-  auto wit = work_.find(ov);
-  if (wit != work_.end()) {
-    clear_recovery_state(wit->second);
-    m_converge_attempts_->observe(wit->second.attempts);
-  }
-  work_.erase(ov);
-  store_meta_.erase(ov);
+  // `ov` may be the work entry's own key, so the entry is erased last.
+  const auto it = work_.find(ov);
+  PAHOEHOE_CHECK(it != work_.end());
+  clear_recovery_state(it->second);
+  m_converge_attempts_->observe(it->second.attempts);
   m_converged_->inc();
   if (options_.giveup_age_durable >= 0) amr_history_.insert(ov);
   telemetry().amr.on_amr_confirmed(ov, sim_.now());
@@ -647,11 +590,12 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
   telemetry().spans.report_work_done(ov, id());
   if (options_.fs_amr_indication) {
     // §4.1: tell the siblings so they skip their own convergence steps.
-    for (NodeId fs : meta.sibling_fs()) {
+    for (NodeId fs : meta_of(ov).sibling_fs()) {
       if (fs == id()) continue;
       send(fs, wire::AmrIndication{ov});
     }
   }
+  work_.erase(it);
 }
 
 // --- message handlers --------------------------------------------------------
@@ -727,7 +671,6 @@ void FragmentServer::on_fs_converge(NodeId from,
       rep.needed_fragments.push_back(static_cast<uint16_t>(slot));
     }
   }
-  wit = work_.find(req.ov);
   rep.also_recovering = wit != work_.end() && wit->second.recovering;
   send(from, rep);
 }
@@ -757,9 +700,7 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
     work.verify_acks.insert(from);
     // A verified sibling proves its assigned fragments are intact; that is
     // durable-class evidence this FS can certify without any extra traffic.
-    if (const Metadata* meta = store_meta_.find(rep.ov); meta != nullptr) {
-      certify_slots(rep.ov, work, meta->fragments_for(from));
-    }
+    certify_slots(rep.ov, work, meta_of(rep.ov).fragments_for(from));
     check_amr(rep.ov, work);
   }
 }
@@ -778,26 +719,22 @@ void FragmentServer::on_amr_indication(const wire::AmrIndication& msg) {
   // §4.1: the version is AMR; drop it from the work-list (fragments stay).
   // Count as a skip only when the indication actually removed pending
   // convergence work — the rounds-saved quantity Fig 5 prices in.
-  if (work_.count(msg.ov) > 0 || store_meta_.contains(msg.ov)) {
+  if (auto it = work_.find(msg.ov); it != work_.end()) {
     m_amr_skips_->inc();
     // Chains under the AmrIndication message span: the skipped rounds the
     // §4.1 optimization buys are visible in the version's tree.
     telemetry().spans.interval(msg.ov, "amr_skip", id(), sim_.now(),
                                sim_.now());
+    clear_recovery_state(it->second);
+    work_.erase(it);
   }
-  auto wit = work_.find(msg.ov);
-  if (wit != work_.end()) {
-    clear_recovery_state(wit->second);
-    work_.erase(wit);
-  }
-  store_meta_.erase(msg.ov);
   if (options_.giveup_age_durable >= 0) amr_history_.insert(msg.ov);
   telemetry().spans.report_work_done(msg.ov, id());
 }
 
 void FragmentServer::on_decide_locs_rep(const wire::DecideLocsRep& rep) {
   // Fig 4 lines 12–15: merge useful locations from our own probe.
-  if (!store_meta_.contains(rep.ov)) return;
+  if (work_.count(rep.ov) == 0) return;
   merge_meta(rep.ov, rep.meta, /*create_work=*/false);
 }
 
@@ -827,18 +764,13 @@ void FragmentServer::on_retrieve_frag_rep(NodeId /*from*/,
   // Plain recovery requested every decided slot already; if too many ⊥
   // replies come back the attempt starves and the next round retries it.
   // Detect exhaustion: no outstanding requests and still short of k.
-  auto wit = work_.find(rep.ov);
-  if (wit != work_.end() && wit->second.recovering &&
-      wit->second.requested_slots.empty()) {
-    const Metadata* meta = store_meta_.find(rep.ov);
-    if (meta == nullptr ||
-        static_cast<int>(wit->second.gathered.size()) < meta->policy.k) {
-      // Every requested source replied and we are still short of k: the
-      // reachable cluster demonstrably lacks the fragments (crashed sources
-      // take the deadline path instead and keep the evidence).
-      if (meta != nullptr) revoke_durable_evidence(rep.ov, wit->second);
-      cancel_recovery(rep.ov, wit->second);
-    }
+  if (work.recovering && work.requested_slots.empty() &&
+      static_cast<int>(work.gathered.size()) < meta_of(rep.ov).policy.k) {
+    // Every requested source replied and we are still short of k: the
+    // reachable cluster demonstrably lacks the fragments (crashed sources
+    // take the deadline path instead and keep the evidence).
+    revoke_durable_evidence(rep.ov, work);
+    cancel_recovery(rep.ov, work);
   }
 }
 
@@ -855,9 +787,8 @@ bool FragmentServer::corrupt_fragment(const ObjectVersionId& ov,
 
 bool FragmentServer::corrupt_random_fragment(Rng& rng) {
   std::vector<std::pair<ObjectVersionId, int>> stored;
-  for (const ObjectVersionId& ov : store_frag_.all_versions()) {
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
-    for (const auto& [index, frag] : entry->fragments) {
+  for (const auto& [ov, entry] : store_frag_.entries()) {
+    for (const auto& [index, frag] : entry.fragments) {
       if (!frag.data.empty()) stored.emplace_back(ov, index);
     }
   }
@@ -884,24 +815,16 @@ void FragmentServer::schedule_scrub() {
 size_t FragmentServer::scrub() {
   obs::ProfScope prof("fs_scrub");
   size_t readded = 0;
-  for (const ObjectVersionId& ov : store_frag_.all_versions()) {
-    if (store_meta_.contains(ov)) continue;
+  for (const auto& entry : store_frag_.entries()) {
+    const ObjectVersionId& ov = entry.first;
+    if (work_.count(ov) > 0) continue;
     // Honor the give-up horizon (§3.5): resurrecting a version convergence
     // already gave up on would livelock scrub against give-up. Past the
     // horizon, damaged versions are left to the (elided) disk rebuild.
     // With per-class horizons, versions in the AMR history get the durable
     // horizon, so scrub repairs arbitrarily old AMR-eligible versions.
     if (version_age(ov) > giveup_horizon(ov, nullptr)) continue;
-    const storage::FragStore::Entry* entry = store_frag_.find(ov);
-    bool damaged = false;
-    for (int slot : entry->meta.fragments_for(id())) {
-      if (store_frag_.fragment_if_intact(ov, slot) == nullptr) {
-        damaged = true;
-        break;
-      }
-    }
-    if (!damaged) continue;
-    store_meta_.merge(ov, entry->meta);
+    if (missing_local_fragments(ov).empty()) continue;
     work_.try_emplace(ov);
     telemetry().spans.report_work(ov, id(), 0, false);
     // The class note mirrors give_up's: coverage classifies a re-add as
@@ -923,7 +846,8 @@ size_t FragmentServer::scrub() {
 }
 
 void FragmentServer::on_crash() {
-  // Volatile state is lost; persistent stores survive (§3.1).
+  // Volatile state is lost; persistent stores survive (§3.1). The work-list
+  // keys are persistent, but each entry restarts from fresh Work.
   if (round_timer_ != 0) {
     sim_.cancel(round_timer_);
     round_timer_ = 0;
@@ -935,15 +859,14 @@ void FragmentServer::on_crash() {
   for (auto& [ov, work] : work_) {
     clear_recovery_state(work);
     telemetry().spans.report_work_done(ov, id());
+    work = Work{};
   }
-  work_.clear();
 }
 
 void FragmentServer::on_recover() {
-  // Rebuild the volatile work map from the persistent work-list.
-  for (const ObjectVersionId& ov : store_meta_.all_versions()) {
-    work_.try_emplace(ov);
-    telemetry().spans.report_work(ov, id(), 0, false);
+  // on_crash reset every entry, so each is eligible at the next round.
+  for (const auto& entry : work_) {
+    telemetry().spans.report_work(entry.first, id(), 0, false);
   }
   ensure_round_scheduled();
   schedule_scrub();

@@ -1,7 +1,10 @@
 // Fragment Server (paper §2, §3.4, §4).
 //
-// Persists the convergence work-list (storemeta) and the fragment store
-// (storefrag). Runs convergence in periodic rounds; for each non-AMR object
+// Persists the fragment store (storefrag): one record of metadata plus
+// sibling fragments per object version, and the FS's only metadata. The
+// convergence work-list (storemeta) is a key set over it: the keys of
+// `work_` persist across crashes, while each entry's convergence state is
+// volatile. Runs convergence in periodic rounds; for each non-AMR object
 // version a convergence step either (a) completes metadata via a KLS
 // decide_locs probe, (b) recovers missing local fragments — plain recovery
 // or §4.2 sibling fragment recovery — or (c) verifies AMR against every KLS
@@ -38,8 +41,7 @@ class FragmentServer : public Server {
                  DataCenterId dc, ConvergenceOptions options);
   ~FragmentServer() override;
 
-  // Persistent stores, read-only, for the experiment oracle & tests.
-  const storage::MetaStore& meta_store() const { return store_meta_; }
+  // Persistent store, read-only, for the experiment oracle & tests.
   const storage::FragStore& frag_store() const { return store_frag_; }
 
   /// Fault injection for tests: destroy a disk / corrupt a fragment. The
@@ -68,7 +70,7 @@ class FragmentServer : public Server {
   uint64_t rounds_run() const { return m_rounds_->value(); }
   uint64_t scrubs_run() const { return scrubs_run_; }
   /// Convergence work outstanding (work-list size).
-  size_t pending_versions() const { return store_meta_.size(); }
+  size_t pending_versions() const { return work_.size(); }
 
  protected:
   void dispatch(const wire::Envelope& env) override;
@@ -76,7 +78,7 @@ class FragmentServer : public Server {
   void on_recover() override;
 
  private:
-  /// Volatile per-version convergence state.
+  /// Volatile per-version convergence state; a crash resets it.
   struct Work {
     SimTime next_attempt = 0;
     int attempts = 0;
@@ -119,6 +121,9 @@ class FragmentServer : public Server {
   void start_round();
   void converge_step(const ObjectVersionId& ov, Work& work);
   void begin_verify(const ObjectVersionId& ov, Work& work);
+  /// The start plain and sibling recovery share: mark the work recovering,
+  /// arm its timers and gather this FS's own intact fragments.
+  void start_recovery(const ObjectVersionId& ov, Work& work, bool plain);
   void begin_plain_recovery(const ObjectVersionId& ov, Work& work);
   void begin_sibling_recovery(const ObjectVersionId& ov, Work& work);
   void recovery_gather(const ObjectVersionId& ov, Work& work);
@@ -130,10 +135,12 @@ class FragmentServer : public Server {
   void check_amr(const ObjectVersionId& ov, Work& work);
   void mark_amr(const ObjectVersionId& ov);
 
-  /// Merge metadata into both persistent stores; wakes the work entry if the
+  /// Merge metadata into the fragment store; wakes the work entry if the
   /// metadata changed. Creates the work entry if the version is new.
   void merge_meta(const ObjectVersionId& ov, const Metadata& meta,
                   bool create_work);
+  /// The stored metadata of `ov`, which must be in the fragment store.
+  const Metadata& meta_of(const ObjectVersionId& ov) const;
   /// Make the version eligible at the next round (progress was observed).
   void wake_work(const ObjectVersionId& ov);
   /// verify() from Fig 4: metadata complete and all locally assigned
@@ -163,15 +170,14 @@ class FragmentServer : public Server {
   /// revoked and must be re-earned.
   void revoke_durable_evidence(const ObjectVersionId& ov, Work& work);
   const erasure::ReedSolomon& codec(const Policy& policy);
-  Work& work_for(const ObjectVersionId& ov);
 
   ConvergenceOptions options_;
-  storage::MetaStore store_meta_;   // persistent: convergence work-list
-  storage::FragStore store_frag_;   // persistent: fragments + metadata
+  storage::FragStore store_frag_;  // persistent: metadata + fragments
 
   void schedule_scrub();
 
-  std::map<ObjectVersionId, Work> work_;  // volatile
+  /// The convergence work-list: keys persistent, values volatile.
+  std::map<ObjectVersionId, Work> work_;
   sim::TimerId round_timer_ = 0;
   SimTime round_timer_when_ = 0;
   sim::TimerId scrub_timer_ = 0;

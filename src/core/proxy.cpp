@@ -310,12 +310,7 @@ void Proxy::on_retrieve_ts_rep(NodeId from, const wire::RetrieveTsRep& rep) {
 
   for (const auto& entry : rep.entries) {
     auto [mit, inserted] = op.meta_by_ts.try_emplace(entry.ts, entry.meta);
-    if (!inserted) {
-      mit->second.merge_locs(entry.meta);
-      if (mit->second.value_size == 0) {
-        mit->second.value_size = entry.meta.value_size;
-      }
-    }
+    if (!inserted) mit->second.merge(entry.meta);
     if (entry.meta.complete()) op.complete_attest[entry.ts].insert(from);
     // Track how deep this KLS's pages reach (entries are newest-first).
     auto [fit, fresh] = op.page_floor.try_emplace(from, entry.ts);

@@ -18,22 +18,14 @@ TimerId Simulator::schedule_after(SimTime delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-void Simulator::cancel(TimerId id) {
-  if (live_.erase(id) == 0) return;  // already fired or cancelled
-  cancelled_.insert(id);
-}
+void Simulator::cancel(TimerId id) { live_.erase(id); }
 
 bool Simulator::step() {
   while (!queue_.empty()) {
     // priority_queue::top is const; copy-out then pop. Callbacks are small.
     Event event = queue_.top();
     queue_.pop();
-    auto cancelled = cancelled_.find(event.id);
-    if (cancelled != cancelled_.end()) {
-      cancelled_.erase(cancelled);
-      continue;
-    }
-    live_.erase(event.id);
+    if (live_.erase(event.id) == 0) continue;  // cancelled
     now_ = event.time;
     last_event_time_ = event.time;
     ++executed_;
@@ -48,8 +40,7 @@ size_t Simulator::run(SimTime until) {
   while (!queue_.empty()) {
     // Reap cancelled events first so the time-limit check below sees the
     // next event that would actually execute.
-    while (!queue_.empty() && cancelled_.count(queue_.top().id) > 0) {
-      cancelled_.erase(queue_.top().id);
+    while (!queue_.empty() && live_.count(queue_.top().id) == 0) {
       queue_.pop();
     }
     if (queue_.empty() || queue_.top().time > until) break;

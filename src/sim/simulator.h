@@ -73,8 +73,9 @@ class Simulator {
   TimerId next_id_ = 1;
   uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<TimerId> cancelled_;
-  std::unordered_set<TimerId> live_;  // scheduled, not fired, not cancelled
+  // Scheduled, not fired, not cancelled: a queued event fires only if its
+  // id is still here.
+  std::unordered_set<TimerId> live_;
   Rng rng_;
 };
 

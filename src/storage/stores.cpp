@@ -24,14 +24,7 @@ bool TimestampStore::contains(const Key& key, const Timestamp& ts) const {
 
 bool MetaStore::merge(const ObjectVersionId& ov, const Metadata& meta) {
   auto [it, inserted] = by_ov_.try_emplace(ov, meta);
-  if (inserted) return true;
-  Metadata& stored = it->second;
-  bool changed = stored.merge_locs(meta);
-  if (stored.value_size == 0 && meta.value_size != 0) {
-    stored.value_size = meta.value_size;
-    changed = true;
-  }
-  return changed;
+  return inserted || it->second.merge(meta);
 }
 
 const Metadata* MetaStore::find(const ObjectVersionId& ov) const {
@@ -43,18 +36,6 @@ bool MetaStore::contains(const ObjectVersionId& ov) const {
   return by_ov_.count(ov) > 0;
 }
 
-void MetaStore::erase(const ObjectVersionId& ov) { by_ov_.erase(ov); }
-
-std::vector<ObjectVersionId> MetaStore::all_versions() const {
-  std::vector<ObjectVersionId> out;
-  out.reserve(by_ov_.size());
-  for (const auto& [ov, meta] : by_ov_) {
-    (void)meta;
-    out.push_back(ov);
-  }
-  return out;
-}
-
 bool StoredFragment::intact() const {
   if (!intact_cache_.has_value()) {
     intact_cache_ = Sha256::hash(data) == digest;
@@ -62,23 +43,10 @@ bool StoredFragment::intact() const {
   return *intact_cache_;
 }
 
-FragStore::Entry& FragStore::upsert(const ObjectVersionId& ov,
-                                    const Metadata& meta) {
+bool FragStore::upsert(const ObjectVersionId& ov, const Metadata& meta) {
   auto [it, inserted] = by_ov_.try_emplace(ov);
-  if (inserted) {
-    it->second.meta = meta;
-  } else {
-    it->second.meta.merge_locs(meta);
-    if (it->second.meta.value_size == 0) {
-      it->second.meta.value_size = meta.value_size;
-    }
-  }
-  return it->second;
-}
-
-FragStore::Entry* FragStore::find(const ObjectVersionId& ov) {
-  auto it = by_ov_.find(ov);
-  return it == by_ov_.end() ? nullptr : &it->second;
+  if (inserted) it->second.meta = meta;
+  return inserted || it->second.meta.merge(meta);
 }
 
 const FragStore::Entry* FragStore::find(const ObjectVersionId& ov) const {
@@ -93,12 +61,12 @@ bool FragStore::contains(const ObjectVersionId& ov) const {
 void FragStore::put_fragment(const ObjectVersionId& ov, const Metadata& meta,
                              int frag_index, Bytes data,
                              const Sha256::Digest& digest, uint8_t disk) {
-  Entry& entry = upsert(ov, meta);
+  upsert(ov, meta);
   StoredFragment frag;
   frag.data = std::move(data);
   frag.digest = digest;
   frag.disk = disk;
-  entry.fragments[frag_index] = std::move(frag);
+  by_ov_.find(ov)->second.fragments[frag_index] = std::move(frag);
 }
 
 const StoredFragment* FragStore::fragment_if_intact(const ObjectVersionId& ov,
@@ -127,33 +95,15 @@ size_t FragStore::destroy_disk(uint8_t disk) {
 }
 
 bool FragStore::corrupt_fragment(const ObjectVersionId& ov, int frag_index) {
-  Entry* entry = find(ov);
-  if (entry == nullptr) return false;
-  auto it = entry->fragments.find(frag_index);
-  if (it == entry->fragments.end() || it->second.data.empty()) return false;
+  auto entry = by_ov_.find(ov);
+  if (entry == by_ov_.end()) return false;
+  auto it = entry->second.fragments.find(frag_index);
+  if (it == entry->second.fragments.end() || it->second.data.empty()) {
+    return false;
+  }
   it->second.data[it->second.data.size() / 2] ^= 0xff;
   it->second.invalidate_intact_cache();
   return true;
-}
-
-std::vector<int> FragStore::corrupt_fragments(const ObjectVersionId& ov) const {
-  std::vector<int> out;
-  const Entry* entry = find(ov);
-  if (entry == nullptr) return out;
-  for (const auto& [index, frag] : entry->fragments) {
-    if (!frag.intact()) out.push_back(index);
-  }
-  return out;
-}
-
-std::vector<ObjectVersionId> FragStore::all_versions() const {
-  std::vector<ObjectVersionId> out;
-  out.reserve(by_ov_.size());
-  for (const auto& [ov, entry] : by_ov_) {
-    (void)entry;
-    out.push_back(ov);
-  }
-  return out;
 }
 
 }  // namespace pahoehoe::storage

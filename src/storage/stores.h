@@ -1,11 +1,11 @@
 // Persistent server-side stores (paper §3.2).
 //
 // KLSs keep a timestamp store (key → object versions) and a metadata store
-// (object version → (policy, locations)). FSs keep a metadata store — their
-// convergence work-list — and a fragment store (object version →
-// (metadata, sibling fragments)). All of these model *stable storage*: they
-// survive the crash-and-recover process (§3.1), so server classes keep them
-// separate from volatile per-operation state.
+// (object version → (policy, locations)). FSs keep a fragment store (object
+// version → (metadata, sibling fragments)); their convergence work-list is a
+// key set over it, kept by the FS itself. All of these model *stable
+// storage*: they survive the crash-and-recover process (§3.1), so server
+// classes keep them separate from volatile per-operation state.
 //
 // Fragments are stored with a SHA-256 digest and a disk id, supporting the
 // corruption-detection and disk-rebuild behaviours the paper mentions but
@@ -38,21 +38,17 @@ class TimestampStore {
   std::unordered_map<Key, std::set<Timestamp>> by_key_;
 };
 
-/// KLS and FS: object version → metadata, with union-merge semantics
+/// KLS only: object version → metadata, with union-merge semantics
 /// (locations accumulate; they are never removed — AMR is stable, §3.6).
 class MetaStore {
  public:
-  /// Union `meta` into the stored entry (creating it if absent).
-  /// Returns true if the stored entry changed.
+  /// Union `meta` into the stored entry (creating it if absent) by
+  /// Metadata::merge. Returns true if the stored entry changed.
   bool merge(const ObjectVersionId& ov, const Metadata& meta);
   const Metadata* find(const ObjectVersionId& ov) const;
   bool contains(const ObjectVersionId& ov) const;
-  void erase(const ObjectVersionId& ov);
-  size_t size() const { return by_ov_.size(); }
-
-  /// Stable iteration order (by key then timestamp) so convergence rounds
-  /// are deterministic.
-  std::vector<ObjectVersionId> all_versions() const;
+  /// Every entry, in stable (key, timestamp) order.
+  const std::map<ObjectVersionId, Metadata>& entries() const { return by_ov_; }
 
  private:
   std::map<ObjectVersionId, Metadata> by_ov_;
@@ -83,13 +79,14 @@ class FragStore {
     std::map<int, StoredFragment> fragments;
   };
 
-  /// Fetch-or-create the entry for `ov`, initializing metadata from `meta`
-  /// on creation and union-merging it otherwise.
-  Entry& upsert(const ObjectVersionId& ov, const Metadata& meta);
-  Entry* find(const ObjectVersionId& ov);
+  /// Create the entry for `ov` with metadata `meta`, or Metadata::merge
+  /// `meta` into the existing one. Returns true if the entry was created or
+  /// its metadata changed.
+  bool upsert(const ObjectVersionId& ov, const Metadata& meta);
   const Entry* find(const ObjectVersionId& ov) const;
   bool contains(const ObjectVersionId& ov) const;
-  size_t size() const { return by_ov_.size(); }
+  /// Every entry, in stable (key, timestamp) order.
+  const std::map<ObjectVersionId, Entry>& entries() const { return by_ov_; }
 
   /// Store one fragment (overwrites a prior copy of the same index).
   void put_fragment(const ObjectVersionId& ov, const Metadata& meta,
@@ -108,11 +105,6 @@ class FragStore {
   /// Flip a byte of a stored fragment (corruption injection for tests).
   /// Returns false if the fragment is absent or empty.
   bool corrupt_fragment(const ObjectVersionId& ov, int frag_index);
-
-  /// Scrub: indices of stored-but-corrupt fragments for `ov`.
-  std::vector<int> corrupt_fragments(const ObjectVersionId& ov) const;
-
-  std::vector<ObjectVersionId> all_versions() const;
 
  private:
   std::map<ObjectVersionId, Entry> by_ov_;

@@ -93,7 +93,7 @@ TEST_F(FsTest, StoreFragmentPersistsAndAcks) {
   EXPECT_EQ(reps[0].frag_index, 0);
   EXPECT_NE(fs->frag_store().fragment_if_intact(ov("k"), 0), nullptr);
   // The version entered the convergence work-list (Fig 2 fs lines 3–5).
-  EXPECT_TRUE(fs->meta_store().contains(ov("k")));
+  EXPECT_EQ(fs->pending_versions(), 1u);
 }
 
 TEST_F(FsTest, StoreFragmentRejectsBadDigest) {
@@ -153,7 +153,7 @@ TEST_F(FsTest, ConvergeRequestForUnknownVersionCreatesWork) {
   const Metadata meta = complete_meta(4096);
   deliver(fs->id(), MessageType::kFsConvergeReq,
           wire::FsConvergeReq{ov("k"), meta, false}.encode());
-  EXPECT_TRUE(fs->meta_store().contains(ov("k")));
+  EXPECT_EQ(fs->pending_versions(), 1u);
   EXPECT_TRUE(fs->frag_store().contains(ov("k")));
   auto reps =
       probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
@@ -262,7 +262,6 @@ TEST_F(FsTest, SiblingStorePersistsFragment) {
 TEST_F(FsTest, KlsLocsNotifyCreatesWork) {
   deliver(fs->id(), MessageType::kKlsLocsNotify,
           wire::KlsLocsNotify{ov("k"), complete_meta(4096)}.encode());
-  EXPECT_TRUE(fs->meta_store().contains(ov("k")));
   EXPECT_EQ(fs->pending_versions(), 1u);
 }
 
@@ -287,6 +286,37 @@ TEST_F(FsTest, FragmentsSurviveCrashRecover) {
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_TRUE(reps[0].found);
   // The convergence work-list is persistent too (§3.1).
+  EXPECT_EQ(fs->pending_versions(), 1u);
+}
+
+TEST_F(FsTest, CrashKeepsWorkListButResetsBackoff) {
+  // One version with incomplete metadata whose KLSs never answer: every
+  // convergence step is a dropped FSDecideLocsReq, so the version's
+  // backoff grows for hours.
+  for (int dc = 0; dc < 2; ++dc) {
+    for (int index = 0; index < 2; ++index) {
+      tc.blackout_kls(dc, index, 0, testing::hours(24));
+    }
+  }
+  Metadata meta{Policy{}, 4096};
+  meta.locs[0] = Location{fs->id(), 0};
+  deliver(fs->id(), MessageType::kKlsLocsNotify,
+          wire::KlsLocsNotify{ov("k"), meta}.encode());
+  const auto probes = [this] {
+    return tc.net.stats().of(MessageType::kFsDecideLocsReq).sent_count;
+  };
+  tc.run_for(testing::hours(8));
+  const uint64_t backed_off = probes();
+  ASSERT_GT(backed_off, 0u);
+  tc.run_for(seconds(60));  // one synchronized round period
+  ASSERT_EQ(probes(), backed_off) << "the version must be deep in backoff";
+
+  // The work-list entry survives the crash; its backoff does not.
+  fs->crash();
+  fs->recover();
+  tc.run_for(seconds(60));
+  EXPECT_GT(probes(), backed_off)
+      << "a recovered FS must retry its work at the next round";
   EXPECT_EQ(fs->pending_versions(), 1u);
 }
 

@@ -57,6 +57,8 @@ TEST(TimestampStoreTest, KeysAreIndependent) {
 
 TEST(MetaStoreTest, MergeCreatesEntry) {
   MetaStore store;
+  EXPECT_EQ(store.find(ov("k", 1)), nullptr);
+  EXPECT_FALSE(store.contains(ov("k", 1)));
   EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{0, 5}})));
   ASSERT_NE(store.find(ov("k", 1)), nullptr);
   EXPECT_EQ(store.find(ov("k", 1))->decided_count(), 1);
@@ -95,25 +97,16 @@ TEST(MetaStoreTest, MergeFillsValueSizeOnce) {
   EXPECT_EQ(store.find(ov("k", 1))->value_size, 777u);
 }
 
-TEST(MetaStoreTest, EraseRemovesEntry) {
-  MetaStore store;
-  store.merge(ov("k", 1), meta_with({}));
-  store.erase(ov("k", 1));
-  EXPECT_EQ(store.find(ov("k", 1)), nullptr);
-  EXPECT_FALSE(store.contains(ov("k", 1)));
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(MetaStoreTest, AllVersionsStableOrder) {
+TEST(MetaStoreTest, EntriesStableOrder) {
   MetaStore store;
   store.merge(ov("b", 1), meta_with({}));
   store.merge(ov("a", 2), meta_with({}));
   store.merge(ov("a", 1), meta_with({}));
-  const auto versions = store.all_versions();
-  ASSERT_EQ(versions.size(), 3u);
-  EXPECT_EQ(versions[0].key.value, "a");
-  EXPECT_EQ(versions[0].ts.wall_micros, 1);
-  EXPECT_EQ(versions[2].key.value, "b");
+  ASSERT_EQ(store.entries().size(), 3u);
+  auto it = store.entries().begin();
+  EXPECT_EQ(it->first.key.value, "a");
+  EXPECT_EQ(it->first.ts.wall_micros, 1);
+  EXPECT_EQ(std::next(it, 2)->first.key.value, "b");
 }
 
 // --- FragStore -----------------------------------------------------------------
@@ -145,7 +138,6 @@ TEST(FragStoreTest, CorruptFragmentReadsAsBottom) {
                      0);
   ASSERT_TRUE(store.corrupt_fragment(ov("k", 1), 3));
   EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 3), nullptr);
-  EXPECT_EQ(store.corrupt_fragments(ov("k", 1)), (std::vector<int>{3}));
 }
 
 TEST(FragStoreTest, CorruptMissingFragmentReturnsFalse) {
@@ -179,26 +171,29 @@ TEST(FragStoreTest, DestroyDiskRemovesOnlyThatDisk) {
   EXPECT_EQ(store.fragment_if_intact(ov("k2", 2), 5), nullptr);
 }
 
+// upsert's result says whether the entry was created or changed; the FS
+// wakes pending convergence work on it.
 TEST(FragStoreTest, UpsertMergesMetadata) {
   FragStore store;
-  store.upsert(ov("k", 1), meta_with({{0, 5}}));
-  store.upsert(ov("k", 1), meta_with({{1, 6}}));
+  EXPECT_TRUE(store.upsert(ov("k", 1), meta_with({{0, 5}})));
+  EXPECT_TRUE(store.upsert(ov("k", 1), meta_with({{1, 6}})));
+  EXPECT_FALSE(store.upsert(ov("k", 1), meta_with({{1, 6}})));
   EXPECT_EQ(store.find(ov("k", 1))->meta.decided_count(), 2);
 }
 
 TEST(FragStoreTest, UpsertFillsValueSize) {
   FragStore store;
-  store.upsert(ov("k", 1), Metadata{Policy{}, 0});
-  store.upsert(ov("k", 1), Metadata{Policy{}, 555});
+  EXPECT_TRUE(store.upsert(ov("k", 1), Metadata{Policy{}, 0}));
+  EXPECT_TRUE(store.upsert(ov("k", 1), Metadata{Policy{}, 555}));
+  EXPECT_FALSE(store.upsert(ov("k", 1), Metadata{Policy{}, 555}));
   EXPECT_EQ(store.find(ov("k", 1))->meta.value_size, 555u);
 }
 
-TEST(FragStoreTest, AllVersionsEnumerates) {
+TEST(FragStoreTest, EntriesEnumerates) {
   FragStore store;
   store.upsert(ov("a", 1), meta_with({}));
   store.upsert(ov("b", 1), meta_with({}));
-  EXPECT_EQ(store.all_versions().size(), 2u);
-  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.entries().size(), 2u);
 }
 
 TEST(StoredFragmentTest, IntactChecksDigestWithCache) {

@@ -33,7 +33,7 @@ class Archive {
       acked_[Key{key}] = Sha256::hash(value);
       last_acked_ts_[Key{key}] = r.ov.ts;
     }
-    all_versions_.push_back(r.ov);
+    put_versions_.push_back(r.ov);
   }
 
   void verify_every_acked_readable() {
@@ -57,7 +57,7 @@ class Archive {
   }
 
   void verify_all_durable_amr_at_quiescence() {
-    for (const auto& ov : all_versions_) {
+    for (const auto& ov : put_versions_) {
       EXPECT_NE(tc_.cluster.classify(ov), VersionStatus::kDurableNotAmr)
           << to_string(ov);
     }
@@ -71,7 +71,7 @@ class Archive {
   std::map<Key, Sha256::Digest> acked_;
   std::map<Key, Timestamp> last_acked_ts_;
   std::map<Key, Timestamp> observed_ts_;
-  std::vector<ObjectVersionId> all_versions_;
+  std::vector<ObjectVersionId> put_versions_;
 };
 
 TEST(SystemTest, RollingFailuresLongWorkload) {
