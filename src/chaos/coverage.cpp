@@ -87,16 +87,21 @@ Coverage extract_coverage(const core::RunResult& run,
   // note; those notes are part of the state, unlike free-form ones
   // ("attempt 3").
   std::map<std::string, uint64_t> span_counts;
+  std::string stem;  // reused per span: the map copies it only on insert
   bool scrub_past_giveup = false;
   bool durable_scrub_late = false;
   run.spans.visit_spans([&](const ObjectVersionId& ov,
                             const obs::Span& span) {
-    std::string kind = span.name;
-    if (span.name == "recovery" || span.name == "give_up") {
-      if (!span.note.empty()) kind += ":" + span.note;
+    stem = "span:";
+    stem += role_of(config.topology, span.node);
+    stem += ':';
+    stem += span.name;
+    if ((span.name == "recovery" || span.name == "give_up") &&
+        !span.note.empty()) {
+      stem += ':';
+      stem += span.note;
     }
-    ++span_counts["span:" + std::string(role_of(config.topology, span.node)) +
-                  ":" + kind];
+    ++span_counts[stem];
     if (span.name == "scrub_readd") {
       // Judge the re-add against *its class's* horizon (the span note
       // carries the class, mirroring give_up): a durable-class repair past

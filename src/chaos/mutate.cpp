@@ -10,6 +10,15 @@ namespace {
 
 using core::FaultSpec;
 
+/// Widened windows are capped at this length.
+constexpr SimTime kMaxWindow = 60LL * 60 * kMicrosPerSecond;
+/// Whole-run iid loss stays below this under escalation (1.0 would blind
+/// the run entirely and teach the search nothing).
+constexpr double kMaxLossRate = 0.5;
+constexpr double kMaxDuplicationRate = 1.0;
+/// Mutation operators applied per child (1..kMaxOps, rng-chosen).
+constexpr int kMaxOps = 3;
+
 bool instant(const FaultSpec& spec) {
   return spec.kind == FaultSpec::Kind::kFragCorrupt ||
          spec.kind == FaultSpec::Kind::kDiskDestroy;
@@ -29,44 +38,43 @@ size_t pick(Rng& rng, size_t size) {
       rng.uniform_int(0, static_cast<int64_t>(size) - 1));
 }
 
-void clamp_times(FaultSpec& spec, const MutateOptions& options) {
-  spec.start = std::clamp<SimTime>(spec.start, 0, options.horizon - 1);
+void clamp_times(FaultSpec& spec) {
+  spec.start = std::clamp<SimTime>(spec.start, 0, kMutateHorizon - 1);
   if (instant(spec)) {
     spec.end = spec.start;
   } else if (windowed(spec)) {
-    spec.end = std::clamp<SimTime>(spec.end, spec.start,
-                                   spec.start + options.max_window);
+    spec.end =
+        std::clamp<SimTime>(spec.end, spec.start, spec.start + kMaxWindow);
   }
 }
 
 /// Move a fault in time, keeping its window length.
-void op_shift(Rng& rng, FaultSpec& spec, const MutateOptions& options) {
+void op_shift(Rng& rng, FaultSpec& spec) {
   if (spec.kind == FaultSpec::Kind::kUniformLoss) return;
   const SimTime len = spec.end - spec.start;
-  const SimTime range = options.horizon / 4;
+  const SimTime range = kMutateHorizon / 4;
   spec.start += rng.uniform_int(-range, range);
-  spec.start = std::clamp<SimTime>(spec.start, 0, options.horizon - 1);
+  spec.start = std::clamp<SimTime>(spec.start, 0, kMutateHorizon - 1);
   spec.end = spec.start + len;
-  clamp_times(spec, options);
+  clamp_times(spec);
 }
 
 /// Stretch a window (or re-place an instant fault anywhere in the horizon —
 /// the only way a corruption escapes the generator's 30-minute box).
-void op_widen(Rng& rng, FaultSpec& spec, const MutateOptions& options) {
+void op_widen(Rng& rng, FaultSpec& spec) {
   if (instant(spec)) {
-    spec.start = rng.uniform_int(0, options.horizon - 1);
+    spec.start = rng.uniform_int(0, kMutateHorizon - 1);
     spec.end = spec.start;
     return;
   }
   if (!windowed(spec)) return;
-  spec.end += rng.uniform_int(30 * kMicrosPerSecond, options.max_window);
-  clamp_times(spec, options);
+  spec.end += rng.uniform_int(30 * kMicrosPerSecond, kMaxWindow);
+  clamp_times(spec);
 }
 
 /// Align one fault's window to overlap another's (concurrent faults are
 /// where the §4.2 races live).
-void op_overlap(Rng& rng, std::vector<FaultSpec>& schedule,
-                const MutateOptions& options) {
+void op_overlap(Rng& rng, std::vector<FaultSpec>& schedule) {
   if (schedule.size() < 2) return;
   const size_t a = pick(rng, schedule.size());
   size_t b = pick(rng, schedule.size() - 1);
@@ -81,7 +89,7 @@ void op_overlap(Rng& rng, std::vector<FaultSpec>& schedule,
   moved.start = rng.uniform_int(anchor.start, std::max(anchor.start,
                                                        anchor.end));
   moved.end = moved.start + len;
-  clamp_times(moved, options);
+  clamp_times(moved);
 }
 
 /// Point the fault at a different node / data center / disk.
@@ -119,31 +127,29 @@ void op_retarget(Rng& rng, FaultSpec& spec,
 
 /// Turn the intensity up: raise a rate toward its cap, or duplicate a
 /// non-rated fault at a shifted time.
-void op_escalate(Rng& rng, std::vector<FaultSpec>& schedule, size_t i,
-                 const MutateOptions& options) {
+void op_escalate(Rng& rng, std::vector<FaultSpec>& schedule, size_t i) {
   FaultSpec& spec = schedule[i];
   if (rated(spec)) {
     const double cap = spec.kind == FaultSpec::Kind::kUniformLoss
-                           ? options.max_loss_rate
-                           : options.max_duplication_rate;
+                           ? kMaxLossRate
+                           : kMaxDuplicationRate;
     spec.rate = std::min(cap, spec.rate * (1.2 + rng.uniform01()));
     return;
   }
-  if (static_cast<int>(schedule.size()) >= options.max_faults) return;
+  if (static_cast<int>(schedule.size()) >= kMutateMaxFaults) return;
   FaultSpec copy = spec;
-  op_shift(rng, copy, options);
+  op_shift(rng, copy);
   schedule.push_back(copy);
 }
 
 /// Copy one fault from a donor schedule (crossover).
 void op_splice(Rng& rng, std::vector<FaultSpec>& schedule,
-               const std::vector<std::vector<FaultSpec>>& corpus,
-               const MutateOptions& options) {
+               const std::vector<std::vector<FaultSpec>>& corpus) {
   if (corpus.empty()) return;
   const std::vector<FaultSpec>& donor = corpus[pick(rng, corpus.size())];
   if (donor.empty()) return;
   const FaultSpec& gene = donor[pick(rng, donor.size())];
-  if (static_cast<int>(schedule.size()) < options.max_faults) {
+  if (static_cast<int>(schedule.size()) < kMutateMaxFaults) {
     schedule.push_back(gene);
   } else {
     schedule[pick(rng, schedule.size())] = gene;
@@ -161,24 +167,23 @@ void op_drop(Rng& rng, std::vector<FaultSpec>& schedule) {
 std::vector<FaultSpec> mutate_schedule(
     const std::vector<FaultSpec>& parent,
     const std::vector<std::vector<FaultSpec>>& corpus, uint64_t seed,
-    const core::ClusterTopology& topology, const MutateOptions& options) {
+    const core::ClusterTopology& topology) {
   // Same seed-whitening as generate_schedule so child streams do not
   // correlate with run seeds.
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0xa17eULL);
   std::vector<FaultSpec> child = parent;
   if (child.empty()) return child;
 
-  const int ops =
-      static_cast<int>(rng.uniform_int(1, std::max(1, options.max_ops)));
+  const int ops = static_cast<int>(rng.uniform_int(1, kMaxOps));
   for (int op = 0; op < ops; ++op) {
     const size_t i = pick(rng, child.size());
     switch (rng.uniform_int(0, 6)) {
-      case 0: op_shift(rng, child[i], options); break;
-      case 1: op_widen(rng, child[i], options); break;
-      case 2: op_overlap(rng, child, options); break;
+      case 0: op_shift(rng, child[i]); break;
+      case 1: op_widen(rng, child[i]); break;
+      case 2: op_overlap(rng, child); break;
       case 3: op_retarget(rng, child[i], topology); break;
-      case 4: op_escalate(rng, child, i, options); break;
-      case 5: op_splice(rng, child, corpus, options); break;
+      case 4: op_escalate(rng, child, i); break;
+      case 5: op_splice(rng, child, corpus); break;
       case 6: op_drop(rng, child); break;
     }
   }

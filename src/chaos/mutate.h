@@ -22,22 +22,13 @@ namespace pahoehoe::chaos {
 /// Bounds for mutated schedules. Wider than ScheduleOptions on purpose:
 /// the generator's bounds keep uniform sweeps converging comfortably, the
 /// mutator's bounds define how far guided search may push beyond them.
-struct MutateOptions {
-  /// Mutated faults may move anywhere in [0, horizon). Defaults to 4 h —
-  /// past chaos_default_config's 2 h give-up age, so mutation (and only
-  /// mutation) can reach the scrub-after-give-up-window states.
-  SimTime horizon = 4LL * 3600 * kMicrosPerSecond;
-  /// Widened windows are capped at this length.
-  SimTime max_window = 60LL * 60 * kMicrosPerSecond;
-  /// Whole-run iid loss stays below this under escalation (1.0 would
-  /// blind the run entirely and teach the search nothing).
-  double max_loss_rate = 0.5;
-  double max_duplication_rate = 1.0;
-  /// Schedules never grow beyond this many faults.
-  int max_faults = 16;
-  /// Mutation operators applied per child (1..max, rng-chosen).
-  int max_ops = 3;
-};
+///
+/// Mutated faults may move anywhere in [0, kMutateHorizon): 4 h, past
+/// chaos_default_config's 2 h give-up age, so mutation (and only mutation)
+/// can reach the scrub-after-give-up-window states.
+inline constexpr SimTime kMutateHorizon = 4LL * 3600 * kMicrosPerSecond;
+/// Schedules never grow beyond this many faults.
+inline constexpr int kMutateMaxFaults = 16;
 
 /// Produce one child schedule from `parent`. `corpus` supplies splice
 /// donors (may be empty; may include the parent itself). Deterministic in
@@ -45,6 +36,6 @@ struct MutateOptions {
 std::vector<core::FaultSpec> mutate_schedule(
     const std::vector<core::FaultSpec>& parent,
     const std::vector<std::vector<core::FaultSpec>>& corpus, uint64_t seed,
-    const core::ClusterTopology& topology, const MutateOptions& options = {});
+    const core::ClusterTopology& topology);
 
 }  // namespace pahoehoe::chaos

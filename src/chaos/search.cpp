@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 
+#include "chaos/mutate.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/prof.h"
@@ -25,10 +28,10 @@ struct CandidateOutcome {
   std::string forensics;
 };
 
-/// Same digest the sweep attaches to failures (kept textually identical so
-/// forensics read the same across both drivers).
-std::string build_forensics(const core::RunResult& run,
-                            size_t trace_dump_lines) {
+/// Compact digest of the convergence counters that matter when diagnosing a
+/// violated invariant, then the trailing trace window, the span tree of the
+/// first violating version, and the tail attribution.
+std::string build_forensics(const core::RunResult& run) {
   const auto sum = [&run](const char* name) {
     return static_cast<unsigned long long>(run.metrics.counter_sum(name));
   };
@@ -45,7 +48,7 @@ std::string build_forensics(const core::RunResult& run,
   if (!run.trace_tail.empty()) {
     std::snprintf(line, sizeof(line),
                   "trace tail (last %zu lines, %llu overflowed):\n",
-                  trace_dump_lines,
+                  core::kTraceTailLines,
                   static_cast<unsigned long long>(run.trace_overflowed));
     out += line;
     out += run.trace_tail;
@@ -53,6 +56,12 @@ std::string build_forensics(const core::RunResult& run,
   if (!run.span_forensics.empty()) {
     out += "span tree of first violating version:\n";
     out += run.span_forensics;
+  }
+  if (!run.attribution.empty()) {
+    // Names the component that inflated the tail of this failing run
+    // ("83% of the gap is recovery_backoff") with concrete exemplar
+    // versions to chase in version_inspector --worst.
+    out += run.attribution.to_text();
   }
   return out;
 }
@@ -72,7 +81,6 @@ uint64_t candidate_seed(uint64_t base, int round, int index) {
 /// sequential merge.
 struct CorpusState {
   std::vector<CorpusEntry> entries;
-  Coverage global;
   /// feature hash -> number of corpus entries whose signature contains it
   /// (rarity denominator for parent selection).
   std::map<uint64_t, int> feature_counts;
@@ -176,8 +184,10 @@ std::string SearchResult::summary() const {
 SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
   const std::vector<core::FaultSpec> base_faults = config.faults;
   config.telemetry.trace_capacity = options.trace_capacity;
-  config.telemetry.trace_dump_lines = options.trace_dump_lines;
-  config.telemetry.spans = true;  // signatures need the span walk
+  // Signatures need the span walk, and exemplars give every failure its
+  // tail attribution. Both are pure observers.
+  config.telemetry.spans = true;
+  config.telemetry.exemplars = true;
 
   SearchResult result;
   CorpusState state;
@@ -185,11 +195,11 @@ SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
   // One candidate run, worker-side: everything here is a pure function of
   // (schedule, run seed, config), so slots are independent of claim order.
   const auto run_candidate = [&](std::vector<core::FaultSpec> schedule,
-                                 uint64_t run_seed) -> CandidateOutcome {
+                                 uint64_t seed) -> CandidateOutcome {
     CandidateOutcome outcome;
-    outcome.seed = run_seed;
+    outcome.seed = seed;
     core::RunConfig candidate_config = config;
-    candidate_config.seed = run_seed;
+    candidate_config.seed = seed;
     candidate_config.faults = base_faults;
     candidate_config.faults.insert(candidate_config.faults.end(),
                                    schedule.begin(), schedule.end());
@@ -199,8 +209,7 @@ SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
     outcome.audit = run.audit;
     outcome.passed = run.audit.passed();
     if (!outcome.passed) {
-      outcome.forensics =
-          build_forensics(run, options.trace_dump_lines);
+      outcome.forensics = build_forensics(run);
       if (options.shrink_failures) {
         ShrinkResult shrunk = shrink_schedule(
             candidate_config, candidate_config.faults, options.shrink);
@@ -211,66 +220,64 @@ SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
     return outcome;
   };
 
-  // Sequential slot-order merge of one round's outcomes. This is the only
-  // place corpus/coverage/failure state changes, so the search trajectory
-  // is independent of worker scheduling.
-  const auto merge_round = [&](int round,
-                               std::vector<CandidateOutcome>& outcomes) {
-    for (CandidateOutcome& outcome : outcomes) {
-      ++result.runs;
-      result.shrink_runs += outcome.shrink_runs;
-      Coverage fresh;
-      for (const auto& [hash, name] : outcome.coverage.features) {
-        if (result.coverage.features.count(hash) == 0) {
-          fresh.features.emplace(hash, name);
-        }
-      }
-      result.coverage.merge(outcome.coverage);
-      if (!outcome.passed) {
-        SearchFailure failure;
-        failure.round = round;
-        failure.seed = outcome.seed;
-        failure.schedule = outcome.schedule;
-        failure.audit = std::move(outcome.audit);
-        failure.shrunk = std::move(outcome.shrunk);
-        failure.shrink_runs = outcome.shrink_runs;
-        failure.new_features = fresh.names();
-        failure.forensics = std::move(outcome.forensics);
-        result.failures.push_back(std::move(failure));
-      }
-      if (!fresh.features.empty()) {
-        CorpusEntry entry;
-        entry.schedule = std::move(outcome.schedule);
-        entry.coverage = std::move(outcome.coverage);
-        entry.round = round;
-        entry.new_features = fresh.features.size();
-        state.admit(std::move(entry));
+  // Sequential slot-order merge of one outcome. This is the only place
+  // corpus/coverage/failure state changes, so the search trajectory is
+  // independent of worker scheduling.
+  const auto merge_outcome = [&](int round, CandidateOutcome& outcome) {
+    ++result.runs;
+    result.shrink_runs += outcome.shrink_runs;
+    Coverage fresh;
+    for (const auto& [hash, name] : outcome.coverage.features) {
+      if (result.coverage.features.count(hash) == 0) {
+        fresh.features.emplace(hash, name);
       }
     }
-    SearchRound point;
-    point.round = round;
-    point.runs = result.runs;
-    point.features = result.coverage.size();
-    point.corpus = state.entries.size();
-    point.failures = static_cast<int>(result.failures.size());
-    result.growth.push_back(point);
-    if (options.on_round) options.on_round(point);
+    result.coverage.merge(outcome.coverage);
+    if (!outcome.passed) {
+      SearchFailure failure;
+      failure.round = round;
+      failure.seed = outcome.seed;
+      failure.schedule = outcome.schedule;
+      failure.audit = std::move(outcome.audit);
+      failure.shrunk = std::move(outcome.shrunk);
+      failure.shrink_runs = outcome.shrink_runs;
+      failure.new_features = fresh.names();
+      failure.forensics = std::move(outcome.forensics);
+      result.failures.push_back(std::move(failure));
+    }
+    if (!fresh.features.empty()) {
+      CorpusEntry entry;
+      entry.schedule = std::move(outcome.schedule);
+      entry.coverage = std::move(outcome.coverage);
+      entry.round = round;
+      entry.new_features = fresh.features.size();
+      state.admit(std::move(entry));
+    }
   };
 
-  // Round 0: the initial corpus (if any) plus uniformly generated seeds.
+  // The seed rule: a generated schedule runs under the seed it was
+  // generated from; a loaded or mutated one under its candidate seed.
+  const size_t loaded = options.initial_corpus.size();
+  const auto run_seed = [&](int round, size_t slot) -> uint64_t {
+    if (round == 0 && slot >= loaded) {
+      return options.base_seed + (slot - loaded);
+    }
+    return candidate_seed(options.base_seed, round, static_cast<int>(slot));
+  };
+
+  // Round 0: the loaded corpus, then the generated schedules.
   std::vector<std::vector<core::FaultSpec>> candidates =
       options.initial_corpus;
-  const int seed_corpus = std::max(1, options.seed_corpus);
-  for (int i = 0; i < seed_corpus; ++i) {
+  for (int i = 0; i < options.seeds; ++i) {
     candidates.push_back(generate_schedule(
-        options.base_seed + static_cast<uint64_t>(i), config.topology,
+        run_seed(0, loaded + static_cast<size_t>(i)), config.topology,
         options.schedule));
   }
 
   for (int round = 0; round <= options.rounds; ++round) {
-    // One wall-clock phase per search round: breeding, the candidate runs
-    // (inline when jobs <= 1; workers account to their own threads
-    // otherwise), and the sequential merge.
+    // One wall-clock phase per search round: breeding, then the candidate
+    // runs and their merge (inline when jobs <= 1; workers account to their
+    // own threads otherwise).
     obs::ProfScope prof_round("chaos_search_round");
     if (round > 0) {
       // Breed this round's candidates from the corpus as it stood after
@@ -282,51 +289,51 @@ SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
         donor_pool.push_back(e.schedule);
       }
       for (int i = 0; i < options.batch; ++i) {
-        const uint64_t sub_seed =
-            candidate_seed(options.base_seed, round, i);
+        const uint64_t sub_seed = run_seed(round, static_cast<size_t>(i));
         Rng select_rng(sub_seed);
         const CorpusEntry& parent = state.select_parent(select_rng);
         candidates.push_back(mutate_schedule(parent.schedule, donor_pool,
-                                             sub_seed, config.topology,
-                                             options.mutate));
+                                             sub_seed, config.topology));
       }
     }
-    if (candidates.empty()) break;  // rounds > 0 with an unseedable corpus
+    // An empty round ends the search (after an empty seeding round there
+    // is no corpus to breed from).
+    if (candidates.empty()) break;
 
-    std::vector<CandidateOutcome> outcomes(candidates.size());
+    // Slots finish in any order. A finished slot waits only until every
+    // earlier slot has been merged, so the merge is one slot-order pass for
+    // every jobs value and holds just the out-of-order outcomes, not the
+    // whole round's coverage signatures.
+    std::vector<std::optional<CandidateOutcome>> finished(candidates.size());
+    size_t next_merge = 0;
+    std::mutex merge_mutex;
     parallel_for(static_cast<int>(candidates.size()), options.jobs,
                  [&](int i) {
-                   outcomes[static_cast<size_t>(i)] = run_candidate(
-                       candidates[static_cast<size_t>(i)],
-                       candidate_seed(options.base_seed, round, i));
+                   const size_t slot = static_cast<size_t>(i);
+                   CandidateOutcome outcome =
+                       run_candidate(candidates[slot], run_seed(round, slot));
+                   const std::lock_guard<std::mutex> lock(merge_mutex);
+                   finished[slot] = std::move(outcome);
+                   for (; next_merge < finished.size() &&
+                          finished[next_merge].has_value();
+                        ++next_merge) {
+                     merge_outcome(round, *finished[next_merge]);
+                     finished[next_merge].reset();
+                   }
                  });
-    merge_round(round, outcomes);
+
+    SearchRound point;
+    point.round = round;
+    point.runs = result.runs;
+    point.features = result.coverage.size();
+    point.corpus = state.entries.size();
+    point.failures = static_cast<int>(result.failures.size());
+    result.growth.push_back(point);
+    if (options.on_round) options.on_round(point);
   }
 
-  result.corpus = state.entries;
+  result.corpus = std::move(state.entries);
   return result;
-}
-
-Coverage uniform_coverage(core::RunConfig config, int runs,
-                          uint64_t base_seed, const ScheduleOptions& schedule,
-                          int jobs) {
-  const std::vector<core::FaultSpec> base_faults = config.faults;
-  config.telemetry.spans = true;
-  std::vector<Coverage> slots(static_cast<size_t>(std::max(0, runs)));
-  parallel_for(runs, jobs, [&](int i) {
-    core::RunConfig seed_config = config;
-    seed_config.seed = base_seed + static_cast<uint64_t>(i);
-    seed_config.faults = base_faults;
-    std::vector<core::FaultSpec> generated = generate_schedule(
-        seed_config.seed, config.topology, schedule);
-    seed_config.faults.insert(seed_config.faults.end(), generated.begin(),
-                              generated.end());
-    const core::RunResult run = core::run_experiment(seed_config);
-    slots[static_cast<size_t>(i)] = extract_coverage(run, seed_config);
-  });
-  Coverage out;
-  for (const Coverage& c : slots) out.merge(c);
-  return out;
 }
 
 Bytes encode_corpus(const std::vector<std::vector<core::FaultSpec>>& corpus) {

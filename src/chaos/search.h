@@ -1,23 +1,29 @@
-// Coverage-guided schedule search: an AFL-style corpus loop over fault
-// schedules.
+// The chaos driver: randomized fault schedules through the invariant
+// auditor, as a uniform sweep or as an AFL-style coverage-guided search.
 //
-// The uniform chaos sweep (chaos/sweep.h) samples schedules independently,
-// so after the easy convergence paths are covered, additional seeds mostly
-// re-measure known states. The search closes the loop instead: run a
+// Round 0, the seeding round, runs any loaded corpus and then `seeds`
+// independently generated schedules; with `rounds = 0` that is the whole
+// run, a uniform sweep. Each mutation round closes the loop: run a
 // candidate, extract its coverage signature (chaos/coverage.h), keep it in
 // the corpus iff it reached a feature no earlier schedule did, and breed
 // the next batch by mutating corpus parents (chaos/mutate.h) — parents
 // holding rare features are picked more often. Any candidate that violates
 // an audited invariant is fed straight into the ddmin shrinker and reported
-// with the features it newly reached, tying the violation to the protocol
-// state that triggered it.
+// with its forensics and the features it newly reached, tying the
+// violation to the protocol state that triggered it.
+//
+// Seed rule: generated schedule i runs under the seed it was generated
+// from, base_seed + i, so a sweep failure replays from a small seed. A
+// loaded or mutated schedule runs under candidate_seed(base_seed, round,
+// index), the same seed that bred it.
 //
 // Determinism contract (DESIGN.md §9): one round's candidates are fully
 // determined before the round starts (parent selection and mutation draw
 // from per-candidate seeded RNGs over the *previous* round's corpus);
 // candidates run on the worker pool into per-candidate slots; admission,
 // rarity updates, the growth curve, and all reporting happen in a
-// sequential slot-order merge. The SearchResult — and therefore the CLI's
+// sequential slot-order merge, which takes each slot as soon as every
+// earlier one is merged. The SearchResult — and therefore the CLI's
 // stdout — is byte-identical for every --jobs value.
 #pragma once
 
@@ -27,7 +33,6 @@
 #include <vector>
 
 #include "chaos/coverage.h"
-#include "chaos/mutate.h"
 #include "chaos/schedule.h"
 #include "chaos/shrink.h"
 #include "core/harness.h"
@@ -35,27 +40,28 @@
 namespace pahoehoe::chaos {
 
 struct SearchOptions {
-  /// Mutation rounds after the seeding round.
-  int rounds = 10;
+  /// Generated schedules in the seeding round (round 0).
+  int seeds = 50;
+  uint64_t base_seed = 1;
+  /// Mutation rounds after the seeding round; 0 is a uniform sweep.
+  int rounds = 0;
   /// Candidates per mutation round.
   int batch = 16;
-  /// Uniformly generated schedules seeding the corpus (round 0).
-  int seed_corpus = 8;
-  uint64_t base_seed = 1;
-  /// Schedules to run ahead of the generated seed corpus (a corpus file
-  /// from a previous search, --corpus-in). Each is run and admitted under
-  /// the same new-feature rule as every other candidate.
+  /// Schedules to run ahead of the generated ones in round 0 (a corpus
+  /// file from a previous search, --corpus-in). Each is run and admitted
+  /// under the same new-feature rule as every other candidate.
   std::vector<std::vector<core::FaultSpec>> initial_corpus;
   /// Worker threads (<= 0: one per hardware thread). Results are merged in
   /// candidate order; every jobs value yields byte-identical output.
   int jobs = 1;
   ScheduleOptions schedule;  ///< generator knobs for the seeding round
-  MutateOptions mutate;
   bool shrink_failures = true;
   ShrinkOptions shrink;
-  /// Forensics knobs, as in SweepOptions.
+  /// Trace ring capacity installed into every run (0 disables); a failure's
+  /// forensics then carry the trailing trace window. Kept modest: the
+  /// window is for "what happened right before the violation", not
+  /// whole-run capture.
   size_t trace_capacity = 512;
-  size_t trace_dump_lines = 40;
   /// Progress hook, called sequentially after each round's merge (round 0
   /// is the seeding round). Deterministic call order and content.
   std::function<void(const struct SearchRound&)> on_round;
@@ -80,6 +86,9 @@ struct SearchFailure {
   /// Features this schedule reached that no earlier run had (the protocol
   /// state that triggered the violation).
   std::vector<std::string> new_features;
+  /// Of the unshrunk failing run, for debugging without a re-run: a
+  /// convergence-counter digest, the trailing trace window, the span tree
+  /// of the first violating version, and the tail attribution.
   std::string forensics;
 };
 
@@ -101,6 +110,10 @@ struct SearchResult {
   std::vector<SearchRound> growth;  ///< one point per round, in order
 
   bool passed() const { return failures.empty(); }
+  /// Process exit code for CLI drivers: 0 only when every audited invariant
+  /// held in every run. ANY violation — including a run-global one such as
+  /// a blown message budget while every version resolved — is non-zero, so
+  /// CI cannot green-light a run that converged too expensively.
   int exit_code() const { return passed() ? 0 : 1; }
   /// Deterministic human-readable report: the coverage-growth curve
   /// (features vs. runs, plateaus visible), rare-feature hits, and every
@@ -108,16 +121,11 @@ struct SearchResult {
   std::string summary() const;
 };
 
-/// Run the search. `config` supplies everything but the seed and faults
-/// (as in run_sweep); `config.faults` is carried into every candidate.
+/// Run the search. `config` supplies everything but the seed and the
+/// generated faults; faults already present in config.faults run in every
+/// candidate and are shrunk together with the candidate's own when it
+/// fails.
 SearchResult run_search(core::RunConfig config, const SearchOptions& options);
-
-/// Coverage reached by `runs` uniformly generated schedules on the same
-/// worker pool — the unguided baseline the CI smoke compares the search
-/// against (equal run budget, no feedback).
-Coverage uniform_coverage(core::RunConfig config, int runs,
-                          uint64_t base_seed, const ScheduleOptions& schedule,
-                          int jobs);
 
 /// On-disk corpus format (--corpus-in / --corpus-out): u32 schedule count,
 /// then each schedule as a u32-length-prefixed encode_schedule() frame.

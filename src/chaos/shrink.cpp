@@ -116,9 +116,7 @@ ShrinkResult shrink_schedule(core::RunConfig config,
   }
 
   schedule = minimize_faults(prober, std::move(schedule));
-  if (options.shrink_windows) {
-    schedule = minimize_params(prober, std::move(schedule));
-  }
+  schedule = minimize_params(prober, std::move(schedule));
 
   result.schedule = std::move(schedule);
   result.runs = prober.runs;

@@ -16,9 +16,6 @@ struct ShrinkOptions {
   /// Hard cap on simulation re-runs; shrinking stops (keeping the best
   /// schedule so far) when the budget is exhausted.
   int max_runs = 400;
-  /// After fault removal converges, also try halving fault windows and
-  /// loss/duplication rates toward minimal parameters.
-  bool shrink_windows = true;
 };
 
 struct ShrinkResult {

@@ -305,8 +305,7 @@ static RunResult run_experiment_impl(const RunConfig& config) {
                   static_cast<double>(cluster.total_pending_versions()),
                   static_cast<double>(net.stats().total_sent_count()),
                   static_cast<double>(net.stats().total_sent_bytes())};
-        },
-        config.telemetry.max_samples);
+        });
   }
 
   {
@@ -437,7 +436,7 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   result.amr_backlog_peak = tel.amr.backlog_peak();
   if (sampler.has_value()) result.timeline = sampler->series();
   if (!result.audit.passed() && net.tracer().enabled()) {
-    result.trace_tail = net.tracer().dump(config.telemetry.trace_dump_lines);
+    result.trace_tail = net.tracer().dump(kTraceTailLines);
     result.trace_overflowed = net.tracer().overflowed();
   }
   for (const obs::VersionCriticalPath& path : tel.spans.critical_paths()) {
@@ -457,13 +456,6 @@ static RunResult run_experiment_impl(const RunConfig& config) {
   if (config.telemetry.exemplars) {
     // Built from already-recorded telemetry after the simulation quiesced:
     // a pure side channel, so exemplars on vs. off cannot change the run.
-    const TelemetryOptions& topt = config.telemetry;
-    result.amr_exemplars =
-        obs::ExemplarStore(topt.exemplar_worst_k, topt.exemplar_reservoir);
-    result.put_op_exemplars =
-        obs::ExemplarStore(topt.exemplar_worst_k, topt.exemplar_reservoir);
-    result.get_op_exemplars =
-        obs::ExemplarStore(topt.exemplar_worst_k, topt.exemplar_reservoir);
     for (const obs::VersionCriticalPath& path : result.critical_paths) {
       obs::Exemplar e;
       e.ov = path.ov;
@@ -525,15 +517,6 @@ AggregateResult run_many(RunConfig config, int num_seeds, uint64_t base_seed,
 
   AggregateResult agg;
   agg.seeds = num_seeds;
-  if (config.telemetry.exemplars) {
-    // Match per-run store caps so the seed-order merges below are legal.
-    agg.amr_exemplars = obs::ExemplarStore(config.telemetry.exemplar_worst_k,
-                                           config.telemetry.exemplar_reservoir);
-    agg.put_op_exemplars = obs::ExemplarStore(
-        config.telemetry.exemplar_worst_k, config.telemetry.exemplar_reservoir);
-    agg.get_op_exemplars = obs::ExemplarStore(
-        config.telemetry.exemplar_worst_k, config.telemetry.exemplar_reservoir);
-  }
   for (const RunResult& r : results) {
     agg.msg_count.add(static_cast<double>(r.stats.total_sent_count()));
     agg.msg_bytes.add(static_cast<double>(r.stats.total_sent_bytes()));

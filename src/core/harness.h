@@ -69,6 +69,9 @@ struct FaultSpec {
 /// RunConfig's fault list (the shrinker's repro output).
 std::string to_repro_string(const FaultSpec& spec);
 
+/// Trace lines kept in the forensics dump of a failed run.
+inline constexpr size_t kTraceTailLines = 40;
+
 /// Observability knobs for one run. Everything defaults off: the figure
 /// benches and chaos sweeps opt in to exactly what they need, and a run
 /// with telemetry off is event-for-event identical to the pre-telemetry
@@ -80,13 +83,10 @@ struct TelemetryOptions {
   /// events are counted by RunResult::events and can extend end_time by up
   /// to one interval (see DESIGN.md).
   SimTime sample_interval = 0;
-  size_t max_samples = 4096;
   /// Enable net::Tracer with this ring capacity; 0 disables. When on, a
   /// failed audit attaches the trailing trace window to the RunResult.
   /// Message counts and bytes come from NetworkStats either way.
   size_t trace_capacity = 0;
-  /// Trace lines kept in the forensics dump of a failed run.
-  size_t trace_dump_lines = 40;
   /// Causal span tracing (obs/span.h): per-version lifecycle trees and
   /// put-ack → AMR critical-path attribution. The tracer is a pure
   /// observer (no events, no RNG draws), so enabling it never perturbs
@@ -100,8 +100,6 @@ struct TelemetryOptions {
   /// telemetry after the run, so enabling this never perturbs a run
   /// (exemplar_test digests runs with it on vs. off).
   bool exemplars = false;
-  size_t exemplar_worst_k = obs::ExemplarStore::kDefaultWorstK;
-  size_t exemplar_reservoir = obs::ExemplarStore::kDefaultReservoir;
 };
 
 struct RunConfig {

@@ -31,8 +31,6 @@ void Tracer::enable(size_t capacity) {
   capacity_ = capacity == 0 ? 1 : capacity;
 }
 
-void Tracer::disable() { enabled_ = false; }
-
 void Tracer::record(SimTime time, TraceEvent event, NodeId from, NodeId to,
                     wire::MessageType type, size_t wire_bytes) {
   if (!enabled_) return;
@@ -42,26 +40,6 @@ void Tracer::record(SimTime time, TraceEvent event, NodeId from, NodeId to,
   }
   records_.push_back(TraceRecord{time, event, from, to, type,
                                  static_cast<uint32_t>(wire_bytes)});
-}
-
-void Tracer::clear() {
-  records_.clear();
-  overflowed_ = 0;
-}
-
-std::vector<TraceRecord> Tracer::filter(
-    const std::function<bool(const TraceRecord&)>& predicate) const {
-  std::vector<TraceRecord> out;
-  for (const TraceRecord& record : records_) {
-    if (predicate(record)) out.push_back(record);
-  }
-  return out;
-}
-
-std::vector<TraceRecord> Tracer::for_node(NodeId node) const {
-  return filter([node](const TraceRecord& record) {
-    return record.from == node || record.to == node;
-  });
 }
 
 std::string Tracer::dump(size_t max_lines) const {

@@ -8,9 +8,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "wire/messages.h"
@@ -42,7 +40,6 @@ class Tracer {
  public:
   /// Start recording, keeping at most `capacity` most-recent records.
   void enable(size_t capacity = 65536);
-  void disable();
   bool enabled() const { return enabled_; }
 
   void record(SimTime time, TraceEvent event, NodeId from, NodeId to,
@@ -51,13 +48,6 @@ class Tracer {
   const std::deque<TraceRecord>& records() const { return records_; }
   /// Records discarded because the ring was full.
   uint64_t overflowed() const { return overflowed_; }
-  void clear();
-
-  /// Records matching a predicate (e.g., one node's conversation).
-  std::vector<TraceRecord> filter(
-      const std::function<bool(const TraceRecord&)>& predicate) const;
-  /// All traffic seen by one node (as sender or receiver).
-  std::vector<TraceRecord> for_node(NodeId node) const;
 
   /// The most recent `max_lines` records, one line each.
   std::string dump(size_t max_lines = 100) const;

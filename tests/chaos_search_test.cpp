@@ -85,19 +85,17 @@ TEST(Mutation, DeterministicInSeedAndDistinctAcrossSeeds) {
 
 TEST(Mutation, ChildrenStayWithinBounds) {
   const core::ClusterTopology topology;
-  chaos::MutateOptions options;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const auto parent =
         chaos::generate_schedule(seed % 7 + 1, topology, {});
     const std::vector<std::vector<FaultSpec>> corpus = {
         parent, chaos::generate_schedule(99, topology, {})};
-    const auto child =
-        chaos::mutate_schedule(parent, corpus, seed, topology, options);
+    const auto child = chaos::mutate_schedule(parent, corpus, seed, topology);
     ASSERT_FALSE(child.empty());
-    ASSERT_LE(child.size(), static_cast<size_t>(options.max_faults));
+    ASSERT_LE(child.size(), static_cast<size_t>(chaos::kMutateMaxFaults));
     for (const FaultSpec& spec : child) {
       EXPECT_GE(spec.start, 0);
-      EXPECT_LE(spec.start, options.horizon);
+      EXPECT_LE(spec.start, chaos::kMutateHorizon);
       EXPECT_GE(spec.end, spec.start);
       EXPECT_GE(spec.rate, 0.0);
       EXPECT_LE(spec.rate, 1.0);
@@ -112,12 +110,10 @@ TEST(Mutation, ReachesBeyondTheGeneratorHorizon) {
   // ever places them; widening/shifting must be able to get there.
   const core::ClusterTopology topology;
   const chaos::ScheduleOptions gen;
-  chaos::MutateOptions options;
   bool past_generator_horizon = false;
   for (uint64_t seed = 1; seed <= 300 && !past_generator_horizon; ++seed) {
     auto child = chaos::mutate_schedule(
-        chaos::generate_schedule(seed, topology, gen), {}, seed, topology,
-        options);
+        chaos::generate_schedule(seed, topology, gen), {}, seed, topology);
     for (const FaultSpec& spec : child) {
       if (spec.start > gen.fault_horizon) past_generator_horizon = true;
     }
@@ -148,33 +144,36 @@ TEST(CorpusSerde, RoundTripsAndRejectsMalformed) {
 
 // The determinism acceptance criterion: the search trajectory — corpus,
 // growth curve, failures, and the rendered summary — is byte-identical for
-// every worker count (also exercised under TSan in CI).
+// every worker count (also exercised under TSan in CI), for a uniform sweep
+// (rounds = 0) and for a guided search alike.
 TEST(Search, ByteIdenticalForAnyJobs) {
   chaos::SearchOptions options;
-  options.rounds = 2;
   options.batch = 4;
-  options.seed_corpus = 3;
+  options.seeds = 3;
   options.base_seed = 7;
 
-  std::string first;
-  for (int jobs : {1, 2, 8}) {
-    options.jobs = jobs;
-    const chaos::SearchResult result =
-        chaos::run_search(small_config(), options);
-    if (first.empty()) {
-      first = result.summary();
-      EXPECT_GT(result.coverage.size(), 0u);
-      EXPECT_FALSE(result.growth.empty());
-    } else {
-      EXPECT_EQ(result.summary(), first) << "jobs=" << jobs;
+  for (int rounds : {0, 2}) {
+    options.rounds = rounds;
+    std::string first;
+    for (int jobs : {1, 2, 8}) {
+      options.jobs = jobs;
+      const chaos::SearchResult result =
+          chaos::run_search(small_config(), options);
+      EXPECT_EQ(result.growth.size(), static_cast<size_t>(rounds + 1));
+      if (first.empty()) {
+        first = result.summary();
+        EXPECT_GT(result.coverage.size(), 0u);
+      } else {
+        EXPECT_EQ(result.summary(), first)
+            << "rounds=" << rounds << " jobs=" << jobs;
+      }
     }
   }
 }
 
 TEST(Search, InitialCorpusSchedulesAreReplayed) {
   chaos::SearchOptions options;
-  options.rounds = 0;
-  options.seed_corpus = 1;
+  options.seeds = 1;
   options.initial_corpus = {
       {FaultSpec::frag_corrupt(0, 1, minutes(10))},
   };
@@ -184,6 +183,55 @@ TEST(Search, InitialCorpusSchedulesAreReplayed) {
   EXPECT_EQ(result.runs, 2);
   ASSERT_FALSE(result.corpus.empty());
   EXPECT_EQ(result.corpus[0].schedule, options.initial_corpus[0]);
+}
+
+// A replay of a saved corpus (--seeds=0 --corpus-in=...) runs exactly the
+// loaded schedules, no generated one beside them.
+TEST(Search, ZeroSeedsReplaysOnlyTheLoadedCorpus) {
+  chaos::SearchOptions options;
+  options.seeds = 0;
+  options.initial_corpus = {
+      {FaultSpec::frag_corrupt(0, 1, minutes(10))},
+  };
+  const chaos::SearchResult result =
+      chaos::run_search(small_config(), options);
+  EXPECT_EQ(result.runs, 1);
+}
+
+// The seed rule: a generated schedule runs under the seed it was generated
+// from, so a failure replays with nothing but its seed and the config.
+// Corruption without scrub guarantees failures.
+TEST(Search, GeneratedSchedulesRunUnderTheirOwnSeed) {
+  core::RunConfig config = small_config();
+  config.convergence.scrub_interval = 0;
+
+  chaos::SearchOptions options;
+  options.seeds = 3;
+  options.base_seed = 5;
+  options.shrink_failures = false;
+  options.schedule.blackouts = false;
+  options.schedule.partitions = false;
+  options.schedule.loss = false;
+  options.schedule.crashes = false;
+  options.schedule.proxy_crashes = false;
+  options.schedule.duplication = false;
+  options.schedule.disk_destroys = false;  // corruption only
+
+  const chaos::SearchResult result = chaos::run_search(config, options);
+  ASSERT_FALSE(result.passed());
+  for (const chaos::SearchFailure& failure : result.failures) {
+    EXPECT_GE(failure.seed, 5u);
+    EXPECT_LE(failure.seed, 7u);
+    EXPECT_EQ(failure.schedule,
+              chaos::generate_schedule(failure.seed, config.topology,
+                                       options.schedule));
+    core::RunConfig replay = config;
+    replay.seed = failure.seed;
+    replay.faults = failure.schedule;
+    EXPECT_EQ(core::run_experiment(replay).audit.to_string(),
+              failure.audit.to_string())
+        << "seed " << failure.seed;
+  }
 }
 
 // The feedback acceptance criterion (the committed CI smoke): on an equal
@@ -196,16 +244,17 @@ TEST(Search, GuidedBeatsUniformOnEqualBudgetAndReachesRareStates) {
   chaos::SearchOptions options;
   options.rounds = 6;
   options.batch = 8;
-  options.seed_corpus = 8;
+  options.seeds = 8;
   options.base_seed = 1;
   options.jobs = 0;  // one worker per hardware thread
   const chaos::SearchResult guided = chaos::run_search(config, options);
   EXPECT_TRUE(guided.passed()) << guided.summary();
 
-  const chaos::Coverage uniform = chaos::uniform_coverage(
-      config, guided.runs, options.base_seed, options.schedule, 0);
+  options.rounds = 0;
+  options.seeds = guided.runs;
+  const chaos::SearchResult uniform = chaos::run_search(config, options);
 
-  EXPECT_GT(guided.coverage.size(), uniform.size())
+  EXPECT_GT(guided.coverage.size(), uniform.coverage.size())
       << "guided search must strictly beat the uniform sweep on "
       << guided.runs << " runs";
 

@@ -1,13 +1,13 @@
-// Chaos engine: schedule generation, serde, the invariant auditor, the
-// sweep driver, and schedule shrinking.
+// Chaos engine: schedule generation, serde, the invariant auditor, uniform
+// sweeps through the chaos driver, and schedule shrinking.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "chaos/mutate.h"
 #include "chaos/schedule.h"
+#include "chaos/search.h"
 #include "chaos/shrink.h"
-#include "chaos/sweep.h"
 #include "core/harness.h"
 #include "test_util.h"
 
@@ -215,11 +215,11 @@ TEST(Auditor, CleanRunPasses) {
 // The acceptance sweep, sized for ctest (chaos_cli --seeds=50 runs the full
 // version): every seed of composed faults must satisfy every invariant.
 TEST(ChaosSweep, DefaultIntensityHoldsAllInvariants) {
-  chaos::SweepOptions options;
+  chaos::SearchOptions options;
   options.seeds = 12;
   options.shrink_failures = true;
-  const chaos::SweepResult result =
-      chaos::run_sweep(chaos::chaos_default_config(), options);
+  const chaos::SearchResult result =
+      chaos::run_search(chaos::chaos_default_config(), options);
   EXPECT_TRUE(result.passed()) << result.summary();
 }
 
@@ -369,11 +369,11 @@ TEST(ClassGiveup, LateCorruptionViolatesUnderSingleAge) {
 // versions still leave the work-lists at giveup_age (quiescence) while
 // durable ones are never dropped.
 TEST(ClassGiveup, RandomSchedulesHoldAllInvariants) {
-  chaos::SweepOptions options;
+  chaos::SearchOptions options;
   options.seeds = 8;
   options.base_seed = 101;  // disjoint from the acceptance sweep's seeds
-  const chaos::SweepResult result =
-      chaos::run_sweep(chaos::chaos_default_config(), options);
+  const chaos::SearchResult result =
+      chaos::run_search(chaos::chaos_default_config(), options);
   EXPECT_TRUE(result.passed()) << result.summary();
 }
 

@@ -1,15 +1,13 @@
 // Determinism lock-down for the parallel seed-sweep engine: a T-thread run
-// must be byte-identical to the serial run, for both the chaos sweeper
-// (SeedOutcome sequences incl. schedules, audit reports, and shrunk repros)
-// and the bench harness aggregation (AggregateResult).
+// must be byte-identical to the serial run, for both the chaos driver's
+// failures (schedules, audit reports, and shrunk repros) and the bench
+// harness aggregation (AggregateResult).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
-#include "chaos/schedule.h"
-#include "chaos/sweep.h"
+#include "chaos/search.h"
 #include "common/parallel.h"
 #include "core/harness.h"
 
@@ -44,55 +42,24 @@ TEST(ParallelFor, ResolveJobsClampsToWork) {
   EXPECT_GE(resolve_jobs(0, 100), 1);  // hardware default, at least 1
 }
 
-void expect_same_outcome(const chaos::SeedOutcome& a,
-                         const chaos::SeedOutcome& b) {
+void expect_same_failure(const chaos::SearchFailure& a,
+                         const chaos::SearchFailure& b) {
   EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.passed, b.passed);
   EXPECT_EQ(a.schedule, b.schedule);
   EXPECT_EQ(a.audit.to_string(), b.audit.to_string());
   EXPECT_EQ(a.shrunk, b.shrunk);
   EXPECT_EQ(a.shrink_runs, b.shrink_runs);
 }
 
-chaos::SweepOptions small_sweep(int jobs) {
-  chaos::SweepOptions options;
-  options.seeds = 6;
-  options.jobs = jobs;
-  options.shrink_failures = true;
-  return options;
-}
-
-core::RunConfig small_chaos_config() {
-  core::RunConfig config = chaos::chaos_default_config();
-  config.workload.num_puts = 8;
-  return config;
-}
-
-TEST(ParallelSweep, SweepIsByteIdenticalAcrossJobCounts) {
-  const chaos::SweepResult serial =
-      chaos::run_sweep(small_chaos_config(), small_sweep(1));
-  ASSERT_EQ(serial.outcomes.size(), 6u);
-  for (int jobs : {2, 8}) {
-    const chaos::SweepResult parallel =
-        chaos::run_sweep(small_chaos_config(), small_sweep(jobs));
-    EXPECT_EQ(parallel.runs, serial.runs) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.failures, serial.failures) << "jobs=" << jobs;
-    ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
-    for (size_t i = 0; i < serial.outcomes.size(); ++i) {
-      expect_same_outcome(parallel.outcomes[i], serial.outcomes[i]);
-    }
-    EXPECT_EQ(parallel.summary(), serial.summary()) << "jobs=" << jobs;
-  }
-}
-
 // Seeds with failures exercise the shrinker inside worker threads; the
 // shrunk repros and per-seed run counts must be reproduced exactly. Scrub
 // off + corruption on guarantees failures (corruption is never repaired).
 TEST(ParallelSweep, FailingSweepShrinksIdenticallyAcrossJobCounts) {
-  core::RunConfig config = small_chaos_config();
+  core::RunConfig config = chaos::chaos_default_config();
+  config.workload.num_puts = 8;
   config.convergence.scrub_interval = 0;
 
-  chaos::SweepOptions options = small_sweep(1);
+  chaos::SearchOptions options;
   options.seeds = 4;
   options.schedule.blackouts = false;
   options.schedule.partitions = false;
@@ -102,31 +69,18 @@ TEST(ParallelSweep, FailingSweepShrinksIdenticallyAcrossJobCounts) {
   options.schedule.duplication = false;
   options.schedule.disk_destroys = false;  // corruption only
 
-  const chaos::SweepResult serial = chaos::run_sweep(config, options);
-  EXPECT_GT(serial.failures, 0);
+  const chaos::SearchResult serial = chaos::run_search(config, options);
+  EXPECT_FALSE(serial.passed());
 
   options.jobs = 8;
-  const chaos::SweepResult parallel = chaos::run_sweep(config, options);
+  const chaos::SearchResult parallel = chaos::run_search(config, options);
   EXPECT_EQ(parallel.runs, serial.runs);
-  EXPECT_EQ(parallel.failures, serial.failures);
-  ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
-  for (size_t i = 0; i < serial.outcomes.size(); ++i) {
-    expect_same_outcome(parallel.outcomes[i], serial.outcomes[i]);
+  EXPECT_EQ(parallel.shrink_runs, serial.shrink_runs);
+  ASSERT_EQ(parallel.failures.size(), serial.failures.size());
+  for (size_t i = 0; i < serial.failures.size(); ++i) {
+    expect_same_failure(parallel.failures[i], serial.failures[i]);
   }
   EXPECT_EQ(parallel.summary(), serial.summary());
-}
-
-// The progress hook fires exactly once per seed whatever the job count
-// (order is completion order, so compare as a set of seeds).
-TEST(ParallelSweep, OnSeedFiresOncePerSeed) {
-  chaos::SweepOptions options = small_sweep(4);
-  std::vector<uint64_t> seen;
-  options.on_seed = [&seen](const chaos::SeedOutcome& outcome) {
-    seen.push_back(outcome.seed);  // hook is called under the sweep lock
-  };
-  chaos::run_sweep(small_chaos_config(), options);
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
 }
 
 void expect_same_stats(const SampleStats& a, const SampleStats& b) {

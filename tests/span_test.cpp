@@ -3,13 +3,13 @@
 // attribution against the AmrTracker, presence of the lifecycle spans under
 // a long FS blackout, byte-identical aggregation for every --jobs value,
 // Perfetto export round-tripping through the JSON parser, the pure-observer
-// guarantee, and the chaos sweep's forensics + exit-code contracts.
+// guarantee, and the chaos driver's forensics + exit-code contracts.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
 
-#include "chaos/sweep.h"
+#include "chaos/search.h"
 #include "core/harness.h"
 #include "obs/json.h"
 #include "test_util.h"
@@ -180,7 +180,7 @@ TEST(SpanTest, SpanForensicsNameTheViolatingVersion) {
   EXPECT_NE(result.span_forensics.find("converge_round"), std::string::npos);
 }
 
-// --- chaos sweep integration ------------------------------------------------
+// --- chaos driver integration -----------------------------------------------
 
 TEST(ChaosSpanTest, BudgetOnlyFailureMakesTheSweepExitNonZero) {
   // No faults at all: every version resolves, and a one-message budget
@@ -190,7 +190,7 @@ TEST(ChaosSpanTest, BudgetOnlyFailureMakesTheSweepExitNonZero) {
   core::RunConfig config = traced_config(2);
   config.message_budget = 1;
 
-  chaos::SweepOptions options;
+  chaos::SearchOptions options;
   options.seeds = 2;
   options.shrink_failures = false;  // the budget is not a schedule property
   options.schedule.corruption = false;
@@ -202,18 +202,18 @@ TEST(ChaosSpanTest, BudgetOnlyFailureMakesTheSweepExitNonZero) {
   options.schedule.duplication = false;
   options.schedule.disk_destroys = false;
 
-  const chaos::SweepResult result = chaos::run_sweep(config, options);
-  EXPECT_EQ(result.failures, 2);
+  const chaos::SearchResult result = chaos::run_search(config, options);
+  EXPECT_EQ(result.failures.size(), 2u);
   EXPECT_FALSE(result.passed());
   EXPECT_NE(result.exit_code(), 0);
-  for (const chaos::SeedOutcome& outcome : result.outcomes) {
-    ASSERT_EQ(outcome.audit.violations.size(), 1u);
-    EXPECT_EQ(outcome.audit.violations[0].kind,
+  for (const chaos::SearchFailure& failure : result.failures) {
+    ASSERT_EQ(failure.audit.violations.size(), 1u);
+    EXPECT_EQ(failure.audit.violations[0].kind,
               core::InvariantViolation::Kind::kMessageBudget);
   }
   // Sanity: without the budget the same sweep passes with exit code 0.
   config.message_budget = 0;
-  const chaos::SweepResult clean = chaos::run_sweep(config, options);
+  const chaos::SearchResult clean = chaos::run_search(config, options);
   EXPECT_TRUE(clean.passed());
   EXPECT_EQ(clean.exit_code(), 0);
 }
@@ -225,7 +225,7 @@ TEST(ChaosSpanTest, FailingSeedForensicsIncludeTheSpanTree) {
   config.convergence.giveup_age = testing::minutes(7);
   config.telemetry.trace_capacity = 256;
 
-  chaos::SweepOptions options;
+  chaos::SearchOptions options;
   options.seeds = 1;
   options.shrink_failures = false;
   options.schedule.corruption = false;
@@ -237,18 +237,12 @@ TEST(ChaosSpanTest, FailingSeedForensicsIncludeTheSpanTree) {
   options.schedule.duplication = false;
   options.schedule.disk_destroys = false;
 
-  const chaos::SweepResult result = chaos::run_sweep(config, options);
-  ASSERT_EQ(result.failures, 1);
-  const std::string& forensics = result.outcomes[0].forensics;
+  const chaos::SearchResult result = chaos::run_search(config, options);
+  ASSERT_EQ(result.failures.size(), 1u);
+  const std::string& forensics = result.failures[0].forensics;
   EXPECT_NE(forensics.find("span tree of first violating version"),
             std::string::npos);
   EXPECT_NE(forensics.find("converge_round"), std::string::npos);
-  // And turning spans off removes only the forensics detail, not the
-  // verdict.
-  options.spans = false;
-  const chaos::SweepResult plain = chaos::run_sweep(config, options);
-  ASSERT_EQ(plain.failures, 1);
-  EXPECT_EQ(plain.outcomes[0].forensics.find("span tree"), std::string::npos);
 }
 
 TEST(ChaosSpanTest, FailingSeedForensicsIncludeTailAttribution) {
@@ -262,7 +256,7 @@ TEST(ChaosSpanTest, FailingSeedForensicsIncludeTailAttribution) {
       core::FaultSpec::fs_blackout(0, 0, 0, testing::minutes(10)));
   config.message_budget = 1;
 
-  chaos::SweepOptions options;
+  chaos::SearchOptions options;
   options.seeds = 1;
   options.shrink_failures = false;
   options.schedule.corruption = false;
@@ -274,19 +268,12 @@ TEST(ChaosSpanTest, FailingSeedForensicsIncludeTailAttribution) {
   options.schedule.duplication = false;
   options.schedule.disk_destroys = false;
 
-  const chaos::SweepResult result = chaos::run_sweep(config, options);
-  ASSERT_EQ(result.failures, 1);
-  const std::string& forensics = result.outcomes[0].forensics;
+  const chaos::SearchResult result = chaos::run_search(config, options);
+  ASSERT_EQ(result.failures.size(), 1u);
+  const std::string& forensics = result.failures[0].forensics;
   EXPECT_NE(forensics.find("tail attribution:"), std::string::npos);
   EXPECT_NE(forensics.find("of gap"), std::string::npos);
   EXPECT_NE(forensics.find("top exemplar key="), std::string::npos);
-  // Exemplars ride the spans knob: off means no attribution forensics,
-  // same verdict.
-  options.spans = false;
-  const chaos::SweepResult plain = chaos::run_sweep(config, options);
-  ASSERT_EQ(plain.failures, 1);
-  EXPECT_EQ(plain.outcomes[0].forensics.find("tail attribution"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -44,25 +44,6 @@ TEST(TracerTest, RingBufferKeepsMostRecent) {
   EXPECT_EQ(tracer.overflowed(), 7u);
 }
 
-TEST(TracerTest, FilterAndForNode) {
-  Tracer tracer;
-  tracer.enable();
-  tracer.record(1, TraceEvent::kSend, NodeId{1}, NodeId{2},
-                MessageType::kAmrIndication, 1);
-  tracer.record(2, TraceEvent::kSend, NodeId{3}, NodeId{4},
-                MessageType::kFsConvergeReq, 1);
-  tracer.record(3, TraceEvent::kSend, NodeId{4}, NodeId{1},
-                MessageType::kFsConvergeRep, 1);
-  EXPECT_EQ(tracer.for_node(NodeId{1}).size(), 2u);
-  EXPECT_EQ(tracer.for_node(NodeId{4}).size(), 2u);
-  EXPECT_EQ(tracer
-                .filter([](const TraceRecord& r) {
-                  return r.type == MessageType::kFsConvergeReq;
-                })
-                .size(),
-            1u);
-}
-
 TEST(TracerTest, DumpFormatsLines) {
   Tracer tracer;
   tracer.enable();
@@ -85,18 +66,6 @@ TEST(TracerTest, DumpHonorsLineLimit) {
   const std::string dump = tracer.dump(/*max_lines=*/5);
   EXPECT_EQ(static_cast<size_t>(std::count(dump.begin(), dump.end(), '\n')),
             5u);
-}
-
-TEST(TracerTest, ClearResets) {
-  Tracer tracer;
-  tracer.enable(2);
-  for (int i = 0; i < 5; ++i) {
-    tracer.record(i, TraceEvent::kSend, NodeId{1}, NodeId{2},
-                  MessageType::kAmrIndication, 1);
-  }
-  tracer.clear();
-  EXPECT_TRUE(tracer.records().empty());
-  EXPECT_EQ(tracer.overflowed(), 0u);
 }
 
 TEST(TraceDeterminismTest, IdenticalTraceForSameSeed) {
