@@ -4,8 +4,9 @@
 //
 // Two modes:
 //  - google-benchmark (default, or any --benchmark_* flag): the historical
-//    BM_* suite under whatever GF(2^8) kernel the dispatcher selected
-//    (override with PAHOEHOE_GF256_KERNEL).
+//    BM_* suite under whatever GF(2^8) and SHA-256 kernels the dispatchers
+//    selected (override with PAHOEHOE_GF256_KERNEL and
+//    PAHOEHOE_SHA256_KERNEL).
 //  - JSON mode (any of --out / --selfcheck / --target-ms / --kernels):
 //    measures encode / decode-from-parity / raw mul_acc throughput for
 //    every supported kernel per (k, n, fragment_size) case, verifies the
@@ -123,6 +124,7 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(size));
+  state.SetLabel(sha256::to_string(sha256::active_kernel()));
 }
 BENCHMARK(BM_Sha256)->Arg(25600)->Arg(100 * 1024);
 

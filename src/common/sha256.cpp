@@ -1,89 +1,24 @@
 #include "common/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
+#include "common/cpu_dispatch.h"
+#include "common/sha256_kernels.h"
 
 namespace pahoehoe {
 namespace {
 
-constexpr std::array<uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+using sha256::detail::kRoundConstants;
 
 constexpr uint32_t rotr(uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::update(std::span<const uint8_t> data) {
-  PAHOEHOE_CHECK_MSG(!finished_, "Sha256::update after finish");
-  total_bytes_ += data.size();
-  size_t offset = 0;
-  if (buffered_ > 0) {
-    size_t take = std::min(data.size(), buffer_.size() - buffered_);
-    std::memcpy(buffer_.data() + buffered_, data.data(), take);
-    buffered_ += take;
-    offset = take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
-  }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
-  }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
-  }
-}
-
-Sha256::Digest Sha256::finish() {
-  PAHOEHOE_CHECK_MSG(!finished_, "Sha256::finish called twice");
-  finished_ = true;
-
-  // Append 0x80, then zeros until 8 bytes remain in the block, then the
-  // big-endian bit length.
-  const uint64_t bit_length = total_bytes_ * 8;
-  buffer_[buffered_++] = 0x80;
-  if (buffered_ > 56) {
-    while (buffered_ < 64) buffer_[buffered_++] = 0;
-    process_block(buffer_.data());
-    buffered_ = 0;
-  }
-  while (buffered_ < 56) buffer_[buffered_++] = 0;
-  for (int i = 7; i >= 0; --i) {
-    buffer_[buffered_++] = static_cast<uint8_t>(bit_length >> (i * 8));
-  }
-  process_block(buffer_.data());
-
-  Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[i * 4 + 0] = static_cast<uint8_t>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
-  }
-  return digest;
-}
-
-void Sha256::process_block(const uint8_t* block) {
+/// The portable reference compression function (FIPS 180-4 §6.2.2), one
+/// 64-byte block.
+void process_block(uint32_t* state, const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
@@ -97,8 +32,8 @@ void Sha256::process_block(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     uint32_t ch = (e & f) ^ (~e & g);
@@ -115,14 +50,86 @@ void Sha256::process_block(const uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void compress_scalar(uint32_t* state, const uint8_t* blocks, size_t count) {
+  for (size_t i = 0; i < count; ++i) process_block(state, blocks + 64 * i);
+}
+
+cpu_dispatch::Dispatch<sha256::detail::CompressFn>& dispatch() {
+  static cpu_dispatch::Dispatch<sha256::detail::CompressFn> d(
+      "PAHOEHOE_SHA256_KERNEL",
+      {{"scalar", &compress_scalar, 0},
+       {"shani", sha256::detail::shani_impl(),
+        cpu_dispatch::kSha | cpu_dispatch::kSse41 | cpu_dispatch::kSsse3}});
+  return d;
+}
+
+}  // namespace
+
+Sha256::Sha256()
+    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+
+void Sha256::update(std::span<const uint8_t> data) {
+  PAHOEHOE_CHECK_MSG(!finished_, "Sha256::update after finish");
+  const sha256::detail::CompressFn compress = dispatch().fn();
+  total_bytes_ += data.size();
+  size_t offset = 0;
+  if (buffered_ > 0) {
+    size_t take = std::min(data.size(), buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, data.data(), take);
+    buffered_ += take;
+    offset = take;
+    if (buffered_ == buffer_.size()) {
+      compress(state_.data(), buffer_.data(), 1);
+      buffered_ = 0;
+    }
+  }
+  const size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(state_.data(), data.data() + offset, blocks);
+    offset += blocks * 64;
+  }
+  if (offset < data.size()) {
+    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
+    buffered_ = data.size() - offset;
+  }
+}
+
+Sha256::Digest Sha256::finish() {
+  PAHOEHOE_CHECK_MSG(!finished_, "Sha256::finish called twice");
+  finished_ = true;
+
+  // Append 0x80, then zeros until 8 bytes remain in the last block, then
+  // the big-endian bit length: one padding block, or two when the 0x80 and
+  // the length do not both fit after the buffered tail.
+  std::array<uint8_t, 128> padding{};
+  std::memcpy(padding.data(), buffer_.data(), buffered_);
+  padding[buffered_] = 0x80;
+  const size_t blocks = buffered_ < 56 ? 1 : 2;
+  const uint64_t bit_length = total_bytes_ * 8;
+  for (size_t i = 0; i < 8; ++i) {
+    padding[blocks * 64 - 1 - i] = static_cast<uint8_t>(bit_length >> (i * 8));
+  }
+  dispatch().fn()(state_.data(), padding.data(), blocks);
+
+  Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    digest[i * 4 + 0] = static_cast<uint8_t>(state_[i] >> 24);
+    digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
+    digest[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
+    digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
+  }
+  return digest;
 }
 
 Sha256::Digest Sha256::hash(std::span<const uint8_t> data) {
@@ -142,4 +149,40 @@ std::string Sha256::hex(const Digest& digest) {
   return out;
 }
 
+namespace sha256 {
+namespace {
+
+int index(Kernel k) { return static_cast<int>(k); }
+
+}  // namespace
+
+const char* to_string(Kernel k) { return dispatch().name(index(k)); }
+
+std::optional<Kernel> parse_kernel(std::string_view name) {
+  const std::optional<int> k = dispatch().parse(name);
+  if (!k.has_value()) return std::nullopt;
+  return static_cast<Kernel>(*k);
+}
+
+bool kernel_compiled(Kernel k) { return dispatch().compiled(index(k)); }
+
+bool kernel_supported(Kernel k) { return dispatch().supported(index(k)); }
+
+std::vector<Kernel> supported_kernels() {
+  std::vector<Kernel> out;
+  for (int k : dispatch().supported_kernels()) {
+    out.push_back(static_cast<Kernel>(k));
+  }
+  return out;
+}
+
+Kernel best_kernel() { return static_cast<Kernel>(dispatch().best()); }
+
+Kernel active_kernel() { return static_cast<Kernel>(dispatch().active()); }
+
+void force_kernel(Kernel k) { dispatch().force(index(k)); }
+
+void reset_kernel() { dispatch().reset(); }
+
+}  // namespace sha256
 }  // namespace pahoehoe

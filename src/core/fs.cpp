@@ -164,18 +164,45 @@ void FragmentServer::wake_work(const ObjectVersionId& ov) {
   ensure_round_scheduled();
 }
 
+uint8_t FragmentServer::disk_for(const ObjectVersionId& ov,
+                                 const Metadata& meta, int frag_index) const {
+  const Metadata& best = work_.count(ov) > 0 ? meta_of(ov) : meta;
+  if (frag_index < static_cast<int>(best.locs.size()) &&
+      best.locs[static_cast<size_t>(frag_index)].has_value()) {
+    return best.locs[static_cast<size_t>(frag_index)]->disk;
+  }
+  return 0;
+}
+
 void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
                                           const Metadata& meta,
                                           int frag_index, Bytes data,
                                           const Sha256::Digest& digest) {
-  const Metadata& best = work_.count(ov) > 0 ? meta_of(ov) : meta;
-  uint8_t disk = 0;
-  if (frag_index < static_cast<int>(best.locs.size()) &&
-      best.locs[static_cast<size_t>(frag_index)].has_value()) {
-    disk = best.locs[static_cast<size_t>(frag_index)]->disk;
-  }
   store_frag_.put_fragment(ov, meta, frag_index, std::move(data), digest,
-                           disk);
+                           disk_for(ov, meta, frag_index));
+}
+
+bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
+                                      const Metadata& meta, int frag_index,
+                                      const Bytes& fragment,
+                                      const Sha256::Digest& digest) {
+  // The proxy re-sends the first DC's fragments once the second DC's
+  // locations are decided (Fig 2 lines 9–10). A copy this FS already holds
+  // intact, under the same digest and byte for byte, needs no hash: its
+  // cached verdict already proves the digest check.
+  const storage::StoredFragment* held =
+      store_frag_.fragment_if_intact(ov, frag_index);
+  const bool held_identical =
+      held != nullptr && held->digest == digest && held->data == fragment;
+  const uint8_t held_disk = held_identical ? held->disk : 0;
+  if (!held_identical && Sha256::hash(fragment) != digest) return false;
+  merge_meta(ov, meta, /*create_work=*/true);
+  // Nor a store, when the copy already sits on the disk a store would pick.
+  if (!held_identical || held_disk != disk_for(ov, meta, frag_index)) {
+    store_fragment_local(ov, meta, frag_index, fragment, digest);
+  }
+  wake_work(ov);  // a fragment arriving is progress worth acting on
+  return true;
 }
 
 // --- round machinery --------------------------------------------------------
@@ -602,32 +629,20 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
 
 void FragmentServer::on_store_fragment(NodeId from,
                                        const wire::StoreFragmentReq& req) {
-  if (Sha256::hash(req.fragment) != req.digest) {
-    send(from, wire::StoreFragmentRep{req.ov, req.frag_index,
-                                      wire::Status::kFailure});
-    return;
-  }
-  merge_meta(req.ov, req.meta, /*create_work=*/true);
-  store_fragment_local(req.ov, req.meta, req.frag_index, req.fragment,
-                       req.digest);
-  wake_work(req.ov);  // a fragment arriving is progress worth acting on
-  send(from,
-       wire::StoreFragmentRep{req.ov, req.frag_index, wire::Status::kSuccess});
+  const bool ok = receive_fragment(req.ov, req.meta, req.frag_index,
+                                   req.fragment, req.digest);
+  send(from, wire::StoreFragmentRep{
+                 req.ov, req.frag_index,
+                 ok ? wire::Status::kSuccess : wire::Status::kFailure});
 }
 
 void FragmentServer::on_sibling_store(NodeId from,
                                       const wire::SiblingStoreReq& req) {
-  if (Sha256::hash(req.fragment) != req.digest) {
-    send(from, wire::SiblingStoreRep{req.ov, req.frag_index,
-                                     wire::Status::kFailure});
-    return;
-  }
-  merge_meta(req.ov, req.meta, /*create_work=*/true);
-  store_fragment_local(req.ov, req.meta, req.frag_index, req.fragment,
-                       req.digest);
-  wake_work(req.ov);
-  send(from,
-       wire::SiblingStoreRep{req.ov, req.frag_index, wire::Status::kSuccess});
+  const bool ok = receive_fragment(req.ov, req.meta, req.frag_index,
+                                   req.fragment, req.digest);
+  send(from, wire::SiblingStoreRep{
+                 req.ov, req.frag_index,
+                 ok ? wire::Status::kSuccess : wire::Status::kFailure});
 }
 
 void FragmentServer::on_retrieve_frag(NodeId from,

@@ -148,9 +148,20 @@ class FragmentServer : public Server {
   bool local_verify(const ObjectVersionId& ov) const;
   /// Locally assigned fragment indices that are missing or corrupt.
   std::vector<int> missing_local_fragments(const ObjectVersionId& ov) const;
+  /// The disk fragment `frag_index` of `ov` goes on, by the best metadata
+  /// this FS knows (the stored entry while work is pending, else `meta`).
+  uint8_t disk_for(const ObjectVersionId& ov, const Metadata& meta,
+                   int frag_index) const;
   void store_fragment_local(const ObjectVersionId& ov, const Metadata& meta,
                             int frag_index, Bytes data,
                             const Sha256::Digest& digest);
+  /// Receipt of a pushed fragment (Fig 2, fs side, and a recovering
+  /// sibling's §4.2 push): verify it against its digest, store it, merge
+  /// the metadata and wake the version's work. False, with nothing changed,
+  /// when the fragment does not match its digest.
+  bool receive_fragment(const ObjectVersionId& ov, const Metadata& meta,
+                        int frag_index, const Bytes& fragment,
+                        const Sha256::Digest& digest);
   void bump_backoff(Work& work);
   SimTime version_age(const ObjectVersionId& ov) const;
   /// Per-durability-class give-up (see ConvergenceOptions): certify what we

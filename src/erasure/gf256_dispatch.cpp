@@ -1,177 +1,58 @@
-// Runtime kernel selection for gf256::mul_acc.
-//
-// The choice is made once — $PAHOEHOE_GF256_KERNEL if set, otherwise the
-// widest kernel both compiled in and supported by CPUID — and installed in
-// an atomic function pointer that the hot path reads relaxed (any published
-// value is a valid, bit-exact kernel, so no ordering is needed).
-// force_kernel/reset_kernel reinstall it for tests and benches; they must
-// not race with concurrent encoders, which is fine for their use (set once
-// before a sweep / between measurement sections).
-#include <atomic>
-#include <cstdio>
-
-#include "common/check.h"
-#include "common/env.h"
+// Runtime kernel selection for gf256::mul_acc, through the shared CPU
+// dispatch (common/cpu_dispatch.h): $PAHOEHOE_GF256_KERNEL if set,
+// otherwise the widest kernel both compiled in and supported by CPUID.
+#include "common/cpu_dispatch.h"
 #include "erasure/gf256.h"
 #include "erasure/gf256_kernels.h"
 
 namespace pahoehoe::gf256 {
 namespace {
 
-bool cpu_supports_ssse3() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("ssse3");
-#else
-  return false;
-#endif
+cpu_dispatch::Dispatch<detail::MulAccFn>& dispatch() {
+  static cpu_dispatch::Dispatch<detail::MulAccFn> d(
+      "PAHOEHOE_GF256_KERNEL",
+      {{"scalar", &detail::mul_acc_scalar, 0},
+       {"ssse3", detail::ssse3_impl(), cpu_dispatch::kSsse3},
+       {"avx2", detail::avx2_impl(), cpu_dispatch::kAvx2}});
+  return d;
 }
 
-bool cpu_supports_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-detail::MulAccFn fn_for(Kernel k) {
-  switch (k) {
-    case Kernel::kSsse3:
-      return detail::ssse3_impl();
-    case Kernel::kAvx2:
-      return detail::avx2_impl();
-    case Kernel::kScalar:
-      break;
-  }
-  return &detail::mul_acc_scalar;
-}
-
-std::atomic<detail::MulAccFn> g_fn{nullptr};
-std::atomic<int> g_active{static_cast<int>(Kernel::kScalar)};
-
-void install(Kernel k) {
-  // Order matters for active_kernel() readers racing a (test-only) install:
-  // publish the name first, then the function pointer that gates first-use
-  // initialization. Both values are always individually valid.
-  g_active.store(static_cast<int>(k), std::memory_order_relaxed);
-  g_fn.store(fn_for(k), std::memory_order_relaxed);
-}
-
-Kernel default_kernel() {
-  const std::optional<std::string> override =
-      env::override_value("PAHOEHOE_GF256_KERNEL");
-  if (!override.has_value() || *override == "auto") {
-    return best_kernel();
-  }
-  const std::optional<Kernel> requested = parse_kernel(*override);
-  if (!requested.has_value()) {
-    std::fprintf(stderr,
-                 "pahoehoe: unknown PAHOEHOE_GF256_KERNEL=\"%s\" "
-                 "(want scalar|ssse3|avx2|auto); using %s\n",
-                 override->c_str(), to_string(best_kernel()));
-    return best_kernel();
-  }
-  if (!kernel_supported(*requested)) {
-    std::fprintf(stderr,
-                 "pahoehoe: PAHOEHOE_GF256_KERNEL=%s is not %s on this host; "
-                 "using %s\n",
-                 override->c_str(),
-                 kernel_compiled(*requested) ? "supported" : "compiled in",
-                 to_string(best_kernel()));
-    return best_kernel();
-  }
-  return *requested;
-}
-
-void init_dispatch() {
-  // Function-local static: exactly one thread runs the initializer, any
-  // racing threads block until the install is visible.
-  static const bool initialized = [] {
-    install(default_kernel());
-    return true;
-  }();
-  (void)initialized;
-}
+int index(Kernel k) { return static_cast<int>(k); }
 
 }  // namespace
 
 namespace detail {
 
-MulAccFn active_mul_acc() {
-  MulAccFn fn = g_fn.load(std::memory_order_relaxed);
-  if (fn == nullptr) {
-    init_dispatch();
-    fn = g_fn.load(std::memory_order_relaxed);
-  }
-  return fn;
-}
+MulAccFn active_mul_acc() { return dispatch().fn(); }
 
 }  // namespace detail
 
-const char* to_string(Kernel k) {
-  switch (k) {
-    case Kernel::kScalar:
-      return "scalar";
-    case Kernel::kSsse3:
-      return "ssse3";
-    case Kernel::kAvx2:
-      return "avx2";
-  }
-  return "?";
-}
+const char* to_string(Kernel k) { return dispatch().name(index(k)); }
 
 std::optional<Kernel> parse_kernel(std::string_view name) {
-  if (name == "scalar") return Kernel::kScalar;
-  if (name == "ssse3") return Kernel::kSsse3;
-  if (name == "avx2") return Kernel::kAvx2;
-  return std::nullopt;
+  const std::optional<int> k = dispatch().parse(name);
+  if (!k.has_value()) return std::nullopt;
+  return static_cast<Kernel>(*k);
 }
 
-bool kernel_compiled(Kernel k) {
-  return fn_for(k) != nullptr;
-}
+bool kernel_compiled(Kernel k) { return dispatch().compiled(index(k)); }
 
-bool kernel_supported(Kernel k) {
-  switch (k) {
-    case Kernel::kScalar:
-      return true;
-    case Kernel::kSsse3:
-      return kernel_compiled(k) && cpu_supports_ssse3();
-    case Kernel::kAvx2:
-      return kernel_compiled(k) && cpu_supports_avx2();
-  }
-  return false;
-}
+bool kernel_supported(Kernel k) { return dispatch().supported(index(k)); }
 
 std::vector<Kernel> supported_kernels() {
   std::vector<Kernel> out;
-  for (Kernel k : {Kernel::kScalar, Kernel::kSsse3, Kernel::kAvx2}) {
-    if (kernel_supported(k)) out.push_back(k);
+  for (int k : dispatch().supported_kernels()) {
+    out.push_back(static_cast<Kernel>(k));
   }
   return out;
 }
 
-Kernel best_kernel() {
-  if (kernel_supported(Kernel::kAvx2)) return Kernel::kAvx2;
-  if (kernel_supported(Kernel::kSsse3)) return Kernel::kSsse3;
-  return Kernel::kScalar;
-}
+Kernel best_kernel() { return static_cast<Kernel>(dispatch().best()); }
 
-Kernel active_kernel() {
-  init_dispatch();
-  return static_cast<Kernel>(g_active.load(std::memory_order_relaxed));
-}
+Kernel active_kernel() { return static_cast<Kernel>(dispatch().active()); }
 
-void force_kernel(Kernel k) {
-  PAHOEHOE_CHECK_MSG(kernel_supported(k),
-                     "force_kernel: kernel not supported on this host");
-  init_dispatch();
-  install(k);
-}
+void force_kernel(Kernel k) { dispatch().force(index(k)); }
 
-void reset_kernel() {
-  init_dispatch();
-  install(default_kernel());
-}
+void reset_kernel() { dispatch().reset(); }
 
 }  // namespace pahoehoe::gf256

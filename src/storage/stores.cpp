@@ -66,6 +66,7 @@ void FragStore::put_fragment(const ObjectVersionId& ov, const Metadata& meta,
   frag.data = std::move(data);
   frag.digest = digest;
   frag.disk = disk;
+  frag.intact_cache_ = true;
   by_ov_.find(ov)->second.fragments[frag_index] = std::move(frag);
 }
 

@@ -60,13 +60,16 @@ struct StoredFragment {
   Sha256::Digest digest{};
   uint8_t disk = 0;
 
-  /// True iff the data still matches the digest. The verification is
-  /// cached (convergence consults it per message); fault injection that
-  /// mutates the data invalidates the cache.
+  /// True iff the data still matches the digest. The verdict is cached
+  /// (convergence consults it per message). FragStore::put_fragment sets
+  /// it at store time, from the check its caller just made, so a stored
+  /// fragment is never re-hashed until fault injection that mutates the
+  /// data invalidates the cache.
   bool intact() const;
   void invalidate_intact_cache() { intact_cache_.reset(); }
 
  private:
+  friend class FragStore;
   mutable std::optional<bool> intact_cache_;
 };
 
@@ -88,7 +91,13 @@ class FragStore {
   /// Every entry, in stable (key, timestamp) order.
   const std::map<ObjectVersionId, Entry>& entries() const { return by_ov_; }
 
-  /// Store one fragment (overwrites a prior copy of the same index).
+  /// Store one fragment (overwrites a prior copy of the same index). The
+  /// caller guarantees `digest == Sha256::hash(data)`, having just checked
+  /// it (a verified receipt) or computed it (a regenerated fragment), and
+  /// the fragment starts out with that verdict cached as intact. Stored
+  /// fragments are handed out only through const views, so the only
+  /// writers that can falsify the verdict are this class's own fault
+  /// injectors, and corrupt_fragment resets it.
   void put_fragment(const ObjectVersionId& ov, const Metadata& meta,
                     int frag_index, Bytes data, const Sha256::Digest& digest,
                     uint8_t disk);

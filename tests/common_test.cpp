@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/sha256.h"
 #include "common/stats.h"
@@ -153,20 +160,41 @@ TEST(MetadataTest, MergeLocsReportsNoChange) {
 
 // --- SHA-256 ----------------------------------------------------------------------
 
-TEST(Sha256Test, EmptyInputVector) {
+/// Every case runs once per SHA-256 block kernel; a kernel this host cannot
+/// run is skipped.
+class Sha256Test : public ::testing::TestWithParam<sha256::Kernel> {
+ protected:
+  void SetUp() override {
+    if (!sha256::kernel_supported(GetParam())) {
+      GTEST_SKIP() << sha256::to_string(GetParam())
+                   << " is not supported on this host";
+    }
+    sha256::force_kernel(GetParam());
+  }
+  void TearDown() override { sha256::reset_kernel(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256Test,
+    ::testing::Values(sha256::Kernel::kScalar, sha256::Kernel::kShaNi),
+    [](const ::testing::TestParamInfo<sha256::Kernel>& info) {
+      return std::string(sha256::to_string(info.param));
+    });
+
+TEST_P(Sha256Test, EmptyInputVector) {
   // FIPS 180-4 test vector.
   EXPECT_EQ(Sha256::hex(Sha256::hash({})),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
-TEST(Sha256Test, AbcVector) {
+TEST_P(Sha256Test, AbcVector) {
   const std::string abc = "abc";
   Bytes data(abc.begin(), abc.end());
   EXPECT_EQ(Sha256::hex(Sha256::hash(data)),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
-TEST(Sha256Test, TwoBlockVector) {
+TEST_P(Sha256Test, TwoBlockVector) {
   const std::string msg =
       "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
   Bytes data(msg.begin(), msg.end());
@@ -174,13 +202,13 @@ TEST(Sha256Test, TwoBlockVector) {
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
-TEST(Sha256Test, MillionAVector) {
+TEST_P(Sha256Test, MillionAVector) {
   Bytes data(1'000'000, static_cast<uint8_t>('a'));
   EXPECT_EQ(Sha256::hex(Sha256::hash(data)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256Test, IncrementalMatchesOneShot) {
+TEST_P(Sha256Test, IncrementalMatchesOneShot) {
   Bytes data;
   for (int i = 0; i < 1000; ++i) data.push_back(static_cast<uint8_t>(i));
   Sha256 incremental;
@@ -195,12 +223,92 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(incremental.finish(), Sha256::hash(data));
 }
 
-TEST(Sha256Test, SingleBitChangesDigest) {
+TEST_P(Sha256Test, SingleBitChangesDigest) {
   Bytes data(100, 0xab);
   auto d1 = Sha256::hash(data);
   data[50] ^= 1;
   auto d2 = Sha256::hash(data);
   EXPECT_NE(d1, d2);
+}
+
+/// Hash `data` in chunks of 1, 63, 64, 65 and 130 bytes, in turn, so that
+/// both the buffered path and the whole-block path straddle block edges.
+Sha256::Digest hash_chunked(std::span<const uint8_t> data) {
+  static constexpr size_t kChunks[] = {1, 63, 64, 65, 130};
+  Sha256 hasher;
+  size_t offset = 0;
+  for (size_t i = 0; offset < data.size(); ++i) {
+    const size_t take = std::min(kChunks[i % 5], data.size() - offset);
+    hasher.update(data.subspan(offset, take));
+    offset += take;
+  }
+  return hasher.finish();
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesScalarOnEveryLengthAndAlignment) {
+  if (!sha256::kernel_supported(sha256::Kernel::kShaNi)) {
+    GTEST_SKIP() << "SHA-NI is not supported on this host";
+  }
+  struct KernelGuard {
+    ~KernelGuard() { sha256::reset_kernel(); }
+  } guard;
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 193; ++len) lengths.push_back(len);
+  lengths.push_back(25 * 1024);
+  lengths.push_back(25 * 1024 + 7);
+  Rng rng(61);
+  Bytes pool(25 * 1024 + 7 + 15);
+  for (auto& b : pool) b = static_cast<uint8_t>(rng.next_u64());
+  // Start offsets 0..15 leave the input at every alignment.
+  for (size_t start = 0; start < 16; ++start) {
+    for (size_t len : lengths) {
+      const std::span<const uint8_t> data(pool.data() + start, len);
+      sha256::force_kernel(sha256::Kernel::kScalar);
+      const Sha256::Digest expected = Sha256::hash(data);
+      sha256::force_kernel(sha256::Kernel::kShaNi);
+      EXPECT_EQ(Sha256::hash(data), expected)
+          << "one-shot, start " << start << " length " << len;
+      EXPECT_EQ(hash_chunked(data), expected)
+          << "chunked, start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(Sha256KernelTest, KernelNamesRoundTrip) {
+  for (sha256::Kernel k : {sha256::Kernel::kScalar, sha256::Kernel::kShaNi}) {
+    EXPECT_EQ(sha256::parse_kernel(sha256::to_string(k)), k);
+  }
+  EXPECT_FALSE(sha256::parse_kernel("auto").has_value());
+  EXPECT_FALSE(sha256::parse_kernel("SHANI").has_value());
+}
+
+TEST(Sha256KernelTest, EnvOverrideSelectsKernelAndFallsBack) {
+  // setenv runs before any other thread exists in this process. The
+  // caller's own setting (CI forces kernels through it) is put back.
+  static constexpr const char* kVar = "PAHOEHOE_SHA256_KERNEL";
+  struct EnvGuard {
+    std::optional<std::string> saved = env::get(kVar);
+    ~EnvGuard() {
+      if (saved.has_value()) {
+        ::setenv(kVar, saved->c_str(), /*overwrite=*/1);
+      } else {
+        ::unsetenv(kVar);
+      }
+      sha256::reset_kernel();
+    }
+  } guard;
+  EXPECT_TRUE(sha256::kernel_compiled(sha256::Kernel::kScalar));
+  EXPECT_TRUE(sha256::kernel_supported(sha256::Kernel::kScalar));
+  ::setenv(kVar, "scalar", /*overwrite=*/1);
+  sha256::reset_kernel();
+  EXPECT_EQ(sha256::active_kernel(), sha256::Kernel::kScalar);
+  // An unknown name warns on stderr and falls back to the best kernel.
+  ::setenv(kVar, "sha-ni", /*overwrite=*/1);
+  sha256::reset_kernel();
+  EXPECT_EQ(sha256::active_kernel(), sha256::best_kernel());
+  ::setenv(kVar, "auto", /*overwrite=*/1);
+  sha256::reset_kernel();
+  EXPECT_EQ(sha256::active_kernel(), sha256::best_kernel());
 }
 
 // --- Rng ------------------------------------------------------------------------

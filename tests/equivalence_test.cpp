@@ -6,6 +6,7 @@
 // KLSs. The cluster state digest makes this a one-line assertion.
 #include <gtest/gtest.h>
 
+#include "common/sha256.h"
 #include "test_util.h"
 
 namespace pahoehoe {
@@ -76,6 +77,22 @@ TEST(EquivalenceTest, DigestIsSeedInvariantForConvergedState) {
   // the stored state, not on the path that built it.
   EXPECT_EQ(run_and_digest(ConvergenceOptions::all_opts(), 1, 21),
             run_and_digest(ConvergenceOptions::all_opts(), 1, 22));
+}
+
+TEST(EquivalenceTest, DigestIdenticalAcrossSha256Kernels) {
+  // The archive, and the digest over it, must not depend on which SHA-256
+  // block kernel hashed the fragments.
+  if (!sha256::kernel_supported(sha256::Kernel::kShaNi)) {
+    GTEST_SKIP() << "no SHA-NI on this host";
+  }
+  struct KernelGuard {
+    ~KernelGuard() { sha256::reset_kernel(); }
+  } guard;
+  sha256::force_kernel(sha256::Kernel::kScalar);
+  const Sha256::Digest scalar =
+      run_and_digest(ConvergenceOptions::all_opts(), 2, 12);
+  sha256::force_kernel(sha256::Kernel::kShaNi);
+  EXPECT_EQ(run_and_digest(ConvergenceOptions::all_opts(), 2, 12), scalar);
 }
 
 TEST(EquivalenceTest, DigestDetectsContentDifference) {

@@ -2,6 +2,9 @@
 // through a probe node (no proxy involved).
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "common/rng.h"
 #include "common/sha256.h"
 #include "erasure/reed_solomon.h"
 #include "test_util.h"
@@ -259,6 +262,116 @@ TEST_F(FsTest, SiblingStorePersistsFragment) {
   EXPECT_NE(fs->frag_store().fragment_if_intact(ov("k"), 6), nullptr);
 }
 
+// --- fragment receipt ----------------------------------------------------------
+
+/// Proxy stores and sibling pushes share one receipt path; every case runs
+/// through both messages.
+class FsReceiptTest : public FsTest,
+                      public ::testing::WithParamInterface<MessageType> {
+ protected:
+  static constexpr int kSlot = 6;  // FS (0,0) holds slot 6 on disk 1
+
+  FsReceiptTest() : frag(codec->encode(tc.make_value(4096))[kSlot]) {}
+
+  /// Push `fragment` under `digest` for slot kSlot of ov("k"), as the
+  /// message under test with `meta` (complete metadata by default), and
+  /// return the reply's status.
+  wire::Status push(const Bytes& fragment, const Sha256::Digest& digest,
+                    std::optional<Metadata> meta = std::nullopt) {
+    probe.received.clear();
+    if (!meta.has_value()) meta = complete_meta(4096);
+    if (GetParam() == MessageType::kStoreFragmentReq) {
+      return push_as<wire::StoreFragmentReq, wire::StoreFragmentRep>(
+          fragment, digest, *meta, MessageType::kStoreFragmentRep);
+    }
+    return push_as<wire::SiblingStoreReq, wire::SiblingStoreRep>(
+        fragment, digest, *meta, MessageType::kSiblingStoreRep);
+  }
+
+  template <typename Req, typename Rep>
+  wire::Status push_as(const Bytes& fragment, const Sha256::Digest& digest,
+                       const Metadata& meta, MessageType rep_type) {
+    Req req;
+    req.ov = ov("k");
+    req.meta = meta;
+    req.frag_index = kSlot;
+    req.fragment = fragment;
+    req.digest = digest;
+    deliver(fs->id(), Req::kType, req.encode());
+    const auto reps = probe.decode_all<Rep>(rep_type);
+    EXPECT_EQ(reps.size(), 1u);
+    return reps.empty() ? wire::Status::kFailure : reps.back().status;
+  }
+
+  const storage::StoredFragment* held() {
+    return fs->frag_store().fragment_if_intact(ov("k"), kSlot);
+  }
+
+  Bytes frag;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Messages, FsReceiptTest,
+    ::testing::Values(MessageType::kStoreFragmentReq,
+                      MessageType::kSiblingStoreReq),
+    [](const ::testing::TestParamInfo<MessageType>& info) {
+      return std::string(info.param == MessageType::kStoreFragmentReq
+                             ? "StoreFragment"
+                             : "SiblingStore");
+    });
+
+TEST_P(FsReceiptTest, IdenticalResendOfHeldCopyAcksAndChangesNothing) {
+  ASSERT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
+  ASSERT_NE(fs->frag_store().find(ov("k")), nullptr);
+  const storage::FragStore::Entry before = *fs->frag_store().find(ov("k"));
+  EXPECT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
+  const storage::FragStore::Entry& after = *fs->frag_store().find(ov("k"));
+  EXPECT_EQ(after.meta, before.meta);
+  ASSERT_EQ(after.fragments.size(), 1u);
+  ASSERT_EQ(before.fragments.size(), 1u);
+  const storage::StoredFragment& first = before.fragments.at(kSlot);
+  const storage::StoredFragment& second = after.fragments.at(kSlot);
+  EXPECT_EQ(second.data, first.data);
+  EXPECT_EQ(second.digest, first.digest);
+  EXPECT_EQ(second.disk, first.disk);
+  EXPECT_EQ(second.disk, 1);
+  EXPECT_TRUE(second.intact());
+}
+
+TEST_P(FsReceiptTest, IdenticalResendRepairsCorruptedHeldCopy) {
+  ASSERT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
+  ASSERT_TRUE(fs->corrupt_fragment(ov("k"), kSlot));
+  ASSERT_EQ(held(), nullptr);
+  EXPECT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
+  ASSERT_NE(held(), nullptr);
+  EXPECT_EQ(held()->data, frag);
+}
+
+TEST_P(FsReceiptTest, SameDigestDifferentBytesIsRejectedAndHeldCopyKept) {
+  const Sha256::Digest digest = Sha256::hash(frag);
+  ASSERT_EQ(push(frag, digest), wire::Status::kSuccess);
+  Bytes altered = frag;
+  altered[0] ^= 0x01;
+  EXPECT_EQ(push(altered, digest), wire::Status::kFailure);
+  ASSERT_NE(held(), nullptr);
+  EXPECT_EQ(held()->data, frag);
+  EXPECT_EQ(held()->digest, digest);
+}
+
+TEST_P(FsReceiptTest, IdenticalResendMovesHeldCopyToTheDiskItsMetadataNames) {
+  // Stored before this FS knew the slot's location, the copy went to disk
+  // 0. The re-send carries the location, so the copy moves to disk 1, as a
+  // fresh store would put it.
+  ASSERT_EQ(push(frag, Sha256::hash(frag), Metadata{Policy{}, 4096}),
+            wire::Status::kSuccess);
+  ASSERT_NE(held(), nullptr);
+  ASSERT_EQ(held()->disk, 0);
+  EXPECT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
+  ASSERT_NE(held(), nullptr);
+  EXPECT_EQ(held()->disk, 1);
+  EXPECT_EQ(held()->data, frag);
+}
+
 TEST_F(FsTest, KlsLocsNotifyCreatesWork) {
   deliver(fs->id(), MessageType::kKlsLocsNotify,
           wire::KlsLocsNotify{ov("k"), complete_meta(4096)}.encode());
@@ -407,6 +520,58 @@ TEST(FsScrubTest, PeriodicScrubRepairsCorruption) {
   tc.run_for(testing::minutes(30));
   EXPECT_EQ(tc.cluster.classify(r.ov), core::VersionStatus::kAmr);
   EXPECT_GT(victim->scrubs_run(), 0u);
+}
+
+TEST(FsScrubTest, CachedIntactVerdictNeverLiesUnderFaults) {
+  // A stored fragment's verdict is cached from the moment it is stored.
+  // Through corruption (which must reset it), disk loss and the sibling
+  // recoveries that blackouts force (whose pushes store fresh copies), it
+  // must always equal a fresh hash check.
+  uint64_t recoveries = 0;
+  for (uint64_t seed : {3ull, 4ull, 5ull}) {
+    core::ConvergenceOptions conv = core::ConvergenceOptions::all_opts();
+    conv.scrub_interval = testing::minutes(5);
+    SimCluster tc(conv, {}, seed);
+    Rng rng(seed);
+    const auto check_every_fragment = [&tc, seed](const char* when) {
+      for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+        for (const auto& [ov, entry] :
+             tc.cluster.fs(i).frag_store().entries()) {
+          for (const auto& [slot, frag] : entry.fragments) {
+            EXPECT_EQ(frag.intact(), Sha256::hash(frag.data) == frag.digest)
+                << when << ", seed " << seed << ", fs " << i << ", "
+                << ov.key.value << " slot " << slot;
+          }
+        }
+      }
+    };
+    tc.blackout_fs(0, 1, 0, testing::minutes(20));
+    tc.blackout_fs(1, 2, 0, testing::minutes(20));
+    for (int p = 0; p < 6; ++p) {
+      tc.put(Key{"v" + std::to_string(p)},
+             tc.make_value(6000, static_cast<uint8_t>(p)));
+    }
+    tc.run_for(testing::minutes(2));
+    check_every_fragment("after the puts");
+    const auto random_fs = [&tc, &rng]() -> core::FragmentServer& {
+      return tc.cluster.fs(
+          static_cast<int>(rng.uniform_int(0, tc.cluster.num_fs() - 1)));
+    };
+    for (int round = 0; round < 4; ++round) {
+      for (int c = 0; c < 4; ++c) random_fs().corrupt_random_fragment(rng);
+      if (round == 1) {
+        random_fs().destroy_disk(static_cast<uint8_t>(rng.uniform_int(0, 1)));
+      }
+      if (round == 2) tc.blackout_fs(0, 0, 0, testing::minutes(20));
+      check_every_fragment("after the faults");
+      tc.run_for(testing::minutes(40));
+      check_every_fragment("after repair");
+    }
+    for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+      recoveries += tc.cluster.fs(i).recoveries_completed();
+    }
+  }
+  EXPECT_GT(recoveries, 0u) << "the schedules must exercise recovery";
 }
 
 TEST(FsScrubTest, ScrubWithNothingDamagedAddsNoWork) {

@@ -1,15 +1,17 @@
-// Determinism lock-down for the GF(2^8) kernel dispatch: the whole
-// simulation's output must not depend on which mul_acc kernel ran. A
-// `run_many` sweep executed under the scalar kernel and under the best
-// available SIMD kernel must produce byte-identical RunResult digests for
-// any --jobs (reusing the jobs-identity machinery of parallel_sweep_test) —
-// the only permitted difference is the erasure_kernel_runs_total metric
-// label, which records which path a run took.
+// Determinism lock-down for the kernel dispatches: the whole simulation's
+// output must not depend on which GF(2^8) mul_acc kernel or SHA-256 block
+// kernel ran. A `run_many` sweep executed under the scalar kernel and under
+// the best available hardware kernel must produce byte-identical RunResult
+// digests for any --jobs (reusing the jobs-identity machinery of
+// parallel_sweep_test). For GF(2^8) the only permitted difference is the
+// erasure_kernel_runs_total metric label, which records which path a run
+// took; the SHA-256 kernel leaves no trace at all.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "common/sha256.h"
 #include "core/harness.h"
 #include "erasure/gf256.h"
 
@@ -17,7 +19,10 @@ namespace pahoehoe {
 namespace {
 
 struct KernelGuard {
-  ~KernelGuard() { gf256::reset_kernel(); }
+  ~KernelGuard() {
+    gf256::reset_kernel();
+    sha256::reset_kernel();
+  }
 };
 
 /// Registry text minus the one line that names the kernel.
@@ -145,6 +150,43 @@ TEST(KernelDeterminism, RunManyDigestIdenticalScalarVsSimdForAnyJobs) {
         std::string("counter erasure_kernel_runs_total{kernel=") +
         gf256::to_string(best) + "} 4\n";
     EXPECT_NE(simd.metrics.to_text().find(expected_line), std::string::npos)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(KernelDeterminism, RunResultDigestIdenticalAcrossSha256Kernels) {
+  KernelGuard guard;
+  if (!sha256::kernel_supported(sha256::Kernel::kShaNi)) {
+    GTEST_SKIP() << "no SHA-NI on this host";
+  }
+  const core::RunConfig config = small_config();
+  for (uint64_t seed : {1ull, 7ull}) {
+    core::RunConfig c = config;
+    c.seed = seed;
+    sha256::force_kernel(sha256::Kernel::kScalar);
+    const core::RunResult scalar = core::run_experiment(c);
+    sha256::force_kernel(sha256::Kernel::kShaNi);
+    const core::RunResult shani = core::run_experiment(c);
+    EXPECT_EQ(digest(shani), digest(scalar)) << "seed " << seed;
+    // No exempt metric line: the whole registry must match.
+    EXPECT_EQ(shani.metrics.to_text(), scalar.metrics.to_text())
+        << "seed " << seed;
+  }
+}
+
+TEST(KernelDeterminism, RunManyDigestIdenticalAcrossSha256KernelsForAnyJobs) {
+  KernelGuard guard;
+  if (!sha256::kernel_supported(sha256::Kernel::kShaNi)) {
+    GTEST_SKIP() << "no SHA-NI on this host";
+  }
+  const core::RunConfig config = small_config();
+  sha256::force_kernel(sha256::Kernel::kScalar);
+  const core::AggregateResult scalar = core::run_many(config, 4, 42, 1);
+  for (int jobs : {1, 2}) {
+    sha256::force_kernel(sha256::Kernel::kShaNi);
+    const core::AggregateResult shani = core::run_many(config, 4, 42, jobs);
+    EXPECT_EQ(digest(shani), digest(scalar)) << "jobs=" << jobs;
+    EXPECT_EQ(shani.metrics.to_text(), scalar.metrics.to_text())
         << "jobs=" << jobs;
   }
 }
