@@ -47,10 +47,15 @@ const erasure::ReedSolomon& FragmentServer::codec(const Policy& policy) {
   return *it->second;
 }
 
-const Metadata& FragmentServer::meta_of(const ObjectVersionId& ov) const {
+const storage::FragStore::Entry& FragmentServer::entry_of(
+    const ObjectVersionId& ov) const {
   const storage::FragStore::Entry* entry = store_frag_.find(ov);
   PAHOEHOE_CHECK(entry != nullptr);
-  return entry->meta;
+  return *entry;
+}
+
+const Metadata& FragmentServer::meta_of(const ObjectVersionId& ov) const {
+  return entry_of(ov).meta;
 }
 
 SimTime FragmentServer::version_age(const ObjectVersionId& ov) const {
@@ -73,11 +78,10 @@ bool FragmentServer::durable_class(const ObjectVersionId& ov, Work* work) {
   if (work->durable_evidence) return true;
   // Certify what local state proves right now: our own intact fragments
   // plus anything a recovery attempt has gathered.
+  const storage::FragStore::Entry& entry = entry_of(ov);
   std::vector<int> intact;
-  for (int slot : meta_of(ov).fragments_for(id())) {
-    if (store_frag_.fragment_if_intact(ov, slot) != nullptr) {
-      intact.push_back(slot);
-    }
+  for (int slot : entry.meta.fragments_for(id())) {
+    if (entry.intact_fragment(slot) != nullptr) intact.push_back(slot);
   }
   for (const auto& [slot, data] : work->gathered) intact.push_back(slot);
   certify_slots(ov, *work, intact);
@@ -98,7 +102,7 @@ void FragmentServer::revoke_durable_evidence(const ObjectVersionId& ov,
   amr_history_.erase(ov);
 }
 
-void FragmentServer::bump_backoff(Work& work) {
+void FragmentServer::bump_backoff(const ObjectVersionId& ov, Work& work) {
   // Exponential backoff with jitter (§3.5): the longer a version fails to
   // converge, the less often we retry.
   double delay = static_cast<double>(options_.backoff_base);
@@ -110,21 +114,20 @@ void FragmentServer::bump_backoff(Work& work) {
   const double jitter = 0.5 + sim_.rng().uniform01();  // [0.5, 1.5)
   work.attempts += 1;
   work.next_attempt = sim_.now() + static_cast<SimTime>(delay * jitter);
+  reindex(ov, work);
 }
 
 bool FragmentServer::local_verify(const ObjectVersionId& ov) const {
   const storage::FragStore::Entry* entry = store_frag_.find(ov);
   return entry != nullptr && entry->meta.complete() &&
-         missing_local_fragments(ov).empty();
+         missing_local_fragments(*entry).empty();
 }
 
 std::vector<int> FragmentServer::missing_local_fragments(
-    const ObjectVersionId& ov) const {
+    const storage::FragStore::Entry& entry) const {
   std::vector<int> missing;
-  for (int slot : meta_of(ov).fragments_for(id())) {
-    if (store_frag_.fragment_if_intact(ov, slot) == nullptr) {
-      missing.push_back(slot);
-    }
+  for (int slot : entry.meta.fragments_for(id())) {
+    if (entry.intact_fragment(slot) == nullptr) missing.push_back(slot);
   }
   return missing;
 }
@@ -143,12 +146,14 @@ void FragmentServer::merge_meta(const ObjectVersionId& ov,
     if (!create_work) return;
     store_frag_.upsert(ov, meta);
     it = work_.try_emplace(ov).first;  // new work: eligible at the next round
+    reindex(ov, it->second);
   } else if (store_frag_.upsert(ov, meta)) {
     // Genuinely new information (fresh locations) accelerates the next
     // attempt — post-heal catch-up. Unchanged metadata must NOT reset the
     // exponential backoff, or sibling converge traffic would keep every
     // FS retrying at full cadence forever.
     it->second.next_attempt = std::min(it->second.next_attempt, sim_.now());
+    reindex(ov, it->second);
   }
   telemetry().spans.report_work(ov, id(), it->second.next_attempt,
                                 it->second.recovering);
@@ -159,6 +164,7 @@ void FragmentServer::wake_work(const ObjectVersionId& ov) {
   auto it = work_.find(ov);
   if (it == work_.end()) return;
   it->second.next_attempt = std::min(it->second.next_attempt, sim_.now());
+  reindex(ov, it->second);
   telemetry().spans.report_work(ov, id(), it->second.next_attempt,
                                 it->second.recovering);
   ensure_round_scheduled();
@@ -207,6 +213,86 @@ bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
 
 // --- round machinery --------------------------------------------------------
 
+SimTime FragmentServer::eligible_at(const ObjectVersionId& ov,
+                                    const Work& work) const {
+  const SimTime min_age = options_.effective_min_age();
+  if (min_age <= 0) return work.next_attempt;
+  return std::max(work.next_attempt, ov.ts.wall_micros + min_age);
+}
+
+void FragmentServer::reindex(const ObjectVersionId& ov, Work& work) {
+  std::optional<SimTime> key;
+  if (!work.recovering) key = eligible_at(ov, work);
+  // Most calls come from converge chatter that moved nothing.
+  if (key == work.indexed_at) return;
+  unindex(ov, work);
+  if (key.has_value()) eligible_.emplace(*key, ov);
+  work.indexed_at = key;
+}
+
+void FragmentServer::unindex(const ObjectVersionId& ov, Work& work) {
+  if (!work.indexed_at.has_value()) return;
+  eligible_.erase({*work.indexed_at, ov});
+  work.indexed_at.reset();
+}
+
+void FragmentServer::erase_work(std::map<ObjectVersionId, Work>::iterator it) {
+  unindex(it->first, it->second);
+  work_.erase(it);
+}
+
+std::vector<ObjectVersionId> FragmentServer::due_versions(SimTime at) const {
+  std::vector<ObjectVersionId> due;
+  for (const auto& [when, ov] : eligible_) {
+    if (when > at) break;
+    due.push_back(ov);
+  }
+  std::sort(due.begin(), due.end());
+  return due;
+}
+
+std::string FragmentServer::check_eligibility_index() const {
+  size_t indexed = 0;
+  for (const auto& [ov, work] : work_) {
+    if (work.recovering) {
+      if (work.indexed_at.has_value()) {
+        return "recovering entry " + to_string(ov) + " is indexed";
+      }
+      continue;
+    }
+    ++indexed;
+    const SimTime key = eligible_at(ov, work);
+    if (work.indexed_at != key || eligible_.count({key, ov}) == 0) {
+      return "entry " + to_string(ov) + " is not indexed under eligible_at " +
+             std::to_string(key);
+    }
+  }
+  if (eligible_.size() != indexed) {
+    return "index holds " + std::to_string(eligible_.size()) +
+           " keys for " + std::to_string(indexed) + " eligible entries";
+  }
+  // The full walk the index replaces, for a round starting at `at`.
+  const auto walk = [this](SimTime at) {
+    std::vector<ObjectVersionId> due;
+    for (const auto& [ov, work] : work_) {
+      if (work.recovering || at < work.next_attempt) continue;
+      if (options_.effective_min_age() > 0 &&
+          at - ov.ts.wall_micros < options_.effective_min_age()) {
+        continue;
+      }
+      due.push_back(ov);
+    }
+    return due;
+  };
+  for (const SimTime at : {sim_.now(), round_timer_ != 0 ? round_timer_when_
+                                                         : sim_.now()}) {
+    if (due_versions(at) != walk(at)) {
+      return "due list at " + std::to_string(at) + " differs from the walk";
+    }
+  }
+  return "";
+}
+
 void FragmentServer::ensure_round_scheduled() {
   if (crashed() || work_.empty()) return;
   SimTime when;
@@ -221,18 +307,12 @@ void FragmentServer::ensure_round_scheduled() {
   }
   // If every pending version is waiting on backoff or min-age, skip the
   // no-op rounds and wake when the earliest version becomes eligible.
-  SimTime earliest = std::numeric_limits<SimTime>::max();
-  for (const auto& [ov, work] : work_) {
-    if (work.recovering) continue;  // will re-arm when it resolves
-    earliest = std::min(
-        earliest, std::max(ov.ts.wall_micros + options_.effective_min_age(),
-                           work.next_attempt));
-  }
-  if (earliest == std::numeric_limits<SimTime>::max()) {
+  if (eligible_.empty()) {
     // Everything is mid-recovery; those paths re-arm the timer themselves.
     return;
   }
-  when = std::max(when, earliest);
+  ++entries_scanned_;
+  when = std::max(when, eligible_.begin()->first);
   if (round_timer_ != 0) {
     // Keep the earlier of the existing and newly computed round times, so
     // fresh work pulls a far-skipped round back in without letting message
@@ -248,16 +328,16 @@ void FragmentServer::start_round() {
   obs::ProfScope prof("fs_round");
   round_timer_ = 0;
   m_rounds_->inc();
-  // Fig 4: a convergence step for every object version not yet verified AMR.
-  // A step erases at most its own entry and never inserts one, so the walk
-  // moves past an entry before acting on it.
-  for (auto next = work_.begin(); next != work_.end();) {
-    const auto it = next++;
-    const ObjectVersionId& ov = it->first;
+  // Fig 4: a convergence step for every object version not yet verified AMR
+  // that is due, in version order. A step changes only its own entry (it
+  // may erase it, but never inserts one or moves another's key) and the
+  // clock stands still, so the due set fixed here is the one a walk of the
+  // whole work-list would select as it went.
+  const std::vector<ObjectVersionId> due = due_versions(sim_.now());
+  entries_scanned_ += due.size();
+  for (const ObjectVersionId& ov : due) {
+    const auto it = work_.find(ov);
     Work& work = it->second;
-    if (work.recovering) continue;  // a recovery for this version is active
-    if (sim_.now() < work.next_attempt) continue;
-    if (version_age(ov) < options_.effective_min_age()) continue;
     if (version_age(ov) > giveup_horizon(ov, &work)) {
       // §3.5: stop convergence work for hopeless versions after a long
       // horizon (fragments are kept; only the work-list entry goes). With
@@ -270,7 +350,7 @@ void FragmentServer::start_round() {
                                  durable ? "class=durable"
                                          : "class=non-durable");
       telemetry().spans.report_work_done(ov, id());
-      work_.erase(it);
+      erase_work(it);
       continue;
     }
     converge_step(ov, work);
@@ -279,9 +359,10 @@ void FragmentServer::start_round() {
 }
 
 void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
-  const Metadata& meta = meta_of(ov);
+  const storage::FragStore::Entry& entry = entry_of(ov);
+  const Metadata& meta = entry.meta;
   m_steps_->inc();
-  bump_backoff(work);
+  bump_backoff(ov, work);
 
   // One span per convergence round; the messages this step sends become
   // its children. The backoff_wait interval records the wait this step
@@ -312,7 +393,7 @@ void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
     return;
   }
 
-  if (!missing_local_fragments(ov).empty()) {
+  if (!missing_local_fragments(entry).empty()) {
     // Fig 4 line 8: recover missing local fragments.
     if (options_.sibling_recovery) {
       begin_sibling_recovery(ov, work);
@@ -345,13 +426,14 @@ void FragmentServer::start_recovery(const ObjectVersionId& ov, Work& work,
                                     bool plain) {
   work.recovering = true;
   work.plain_recovery = plain;
+  unindex(ov, work);
   telemetry().spans.report_work(ov, id(), work.next_attempt, true,
                                 plain ? "plain" : "sibling");
   arm_recovery_deadline(ov, work);
   arm_recovery_retry(ov, work);
-  for (int slot : meta_of(ov).fragments_for(id())) {
-    if (const storage::StoredFragment* frag =
-            store_frag_.fragment_if_intact(ov, slot);
+  const storage::FragStore::Entry& entry = entry_of(ov);
+  for (int slot : entry.meta.fragments_for(id())) {
+    if (const storage::StoredFragment* frag = entry.intact_fragment(slot);
         frag != nullptr) {
       work.gathered.emplace(slot, frag->data);
     }
@@ -459,14 +541,15 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
 
 void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
                                            Work& work) {
-  const Metadata& meta = meta_of(ov);
+  const storage::FragStore::Entry& entry = entry_of(ov);
+  const Metadata& meta = entry.meta;
   const int k = meta.policy.k;
   if (static_cast<int>(work.gathered.size()) < k) return;
   obs::ProfScope prof("fs_recovery");
 
   // Regenerate my missing fragments plus (sibling recovery) everything the
   // siblings reported missing.
-  std::vector<int> targets = missing_local_fragments(ov);
+  std::vector<int> targets = missing_local_fragments(entry);
   if (!work.plain_recovery) {
     for (const auto& [fs, needs] : work.sibling_needs) {
       (void)fs;
@@ -511,8 +594,8 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
     }
   }
   m_recoveries_->inc();
-  clear_recovery_state(work);
   work.next_attempt = sim_.now();  // verify at the next round
+  clear_recovery_state(ov, work);
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(
         ov, "recovery_complete", id(), sim_.now(), sim_.now(),
@@ -557,7 +640,8 @@ void FragmentServer::arm_recovery_deadline(const ObjectVersionId& ov,
       });
 }
 
-void FragmentServer::clear_recovery_state(Work& work) {
+void FragmentServer::clear_recovery_state(const ObjectVersionId& ov,
+                                          Work& work) {
   work.recovering = false;
   work.plain_recovery = false;
   work.gathered.clear();
@@ -576,11 +660,12 @@ void FragmentServer::clear_recovery_state(Work& work) {
     sim_.cancel(work.recovery_retry);
     work.recovery_retry = 0;
   }
+  reindex(ov, work);
 }
 
 void FragmentServer::cancel_recovery(const ObjectVersionId& ov, Work& work) {
   if (!work.recovering) return;
-  clear_recovery_state(work);
+  clear_recovery_state(ov, work);
   m_backoffs_->inc();
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(ov, "recovery_canceled", id(), sim_.now(),
@@ -608,7 +693,7 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
   // `ov` may be the work entry's own key, so the entry is erased last.
   const auto it = work_.find(ov);
   PAHOEHOE_CHECK(it != work_.end());
-  clear_recovery_state(it->second);
+  clear_recovery_state(ov, it->second);
   m_converge_attempts_->observe(it->second.attempts);
   m_converged_->inc();
   if (options_.giveup_age_durable >= 0) amr_history_.insert(ov);
@@ -622,7 +707,7 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
       send(fs, wire::AmrIndication{ov});
     }
   }
-  work_.erase(it);
+  erase_work(it);
 }
 
 // --- message handlers --------------------------------------------------------
@@ -673,7 +758,7 @@ void FragmentServer::on_fs_converge(NodeId from,
       wit->second.recovering && from.value > id().value) {
     m_collisions_->inc();
     cancel_recovery(req.ov, wit->second);
-    bump_backoff(wit->second);
+    bump_backoff(req.ov, wit->second);
     telemetry().spans.report_work(req.ov, id(), wit->second.next_attempt,
                                   false);
   }
@@ -682,7 +767,7 @@ void FragmentServer::on_fs_converge(NodeId from,
   rep.ov = req.ov;
   rep.verified = local_verify(req.ov);
   if (req.intends_recovery) {
-    for (int slot : missing_local_fragments(req.ov)) {
+    for (int slot : missing_local_fragments(entry_of(req.ov))) {
       rep.needed_fragments.push_back(static_cast<uint16_t>(slot));
     }
   }
@@ -706,7 +791,7 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
     if (rep.also_recovering && from.value > id().value) {
       m_collisions_->inc();
       cancel_recovery(rep.ov, work);
-      bump_backoff(work);
+      bump_backoff(rep.ov, work);
       telemetry().spans.report_work(rep.ov, id(), work.next_attempt, false);
       return;
     }
@@ -740,8 +825,8 @@ void FragmentServer::on_amr_indication(const wire::AmrIndication& msg) {
     // §4.1 optimization buys are visible in the version's tree.
     telemetry().spans.interval(msg.ov, "amr_skip", id(), sim_.now(),
                                sim_.now());
-    clear_recovery_state(it->second);
-    work_.erase(it);
+    clear_recovery_state(msg.ov, it->second);
+    erase_work(it);
   }
   if (options_.giveup_age_durable >= 0) amr_history_.insert(msg.ov);
   telemetry().spans.report_work_done(msg.ov, id());
@@ -830,8 +915,7 @@ void FragmentServer::schedule_scrub() {
 size_t FragmentServer::scrub() {
   obs::ProfScope prof("fs_scrub");
   size_t readded = 0;
-  for (const auto& entry : store_frag_.entries()) {
-    const ObjectVersionId& ov = entry.first;
+  for (const auto& [ov, entry] : store_frag_.entries()) {
     if (work_.count(ov) > 0) continue;
     // Honor the give-up horizon (§3.5): resurrecting a version convergence
     // already gave up on would livelock scrub against give-up. Past the
@@ -839,8 +923,8 @@ size_t FragmentServer::scrub() {
     // With per-class horizons, versions in the AMR history get the durable
     // horizon, so scrub repairs arbitrarily old AMR-eligible versions.
     if (version_age(ov) > giveup_horizon(ov, nullptr)) continue;
-    if (missing_local_fragments(ov).empty()) continue;
-    work_.try_emplace(ov);
+    if (missing_local_fragments(entry).empty()) continue;
+    reindex(ov, work_.try_emplace(ov).first->second);
     telemetry().spans.report_work(ov, id(), 0, false);
     // The class note mirrors give_up's: coverage classifies a re-add as
     // "past the give-up window" against the class's own horizon, so a
@@ -872,9 +956,11 @@ void FragmentServer::on_crash() {
     scrub_timer_ = 0;
   }
   for (auto& [ov, work] : work_) {
-    clear_recovery_state(work);
+    clear_recovery_state(ov, work);
     telemetry().spans.report_work_done(ov, id());
+    unindex(ov, work);
     work = Work{};
+    reindex(ov, work);
   }
 }
 

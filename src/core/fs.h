@@ -23,7 +23,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/config.h"
@@ -71,6 +73,16 @@ class FragmentServer : public Server {
   uint64_t scrubs_run() const { return scrubs_run_; }
   /// Convergence work outstanding (work-list size).
   size_t pending_versions() const { return work_.size(); }
+  /// Work-list entries the round scheduler and the rounds have examined:
+  /// host work that should scale with the due entries, not the backlog.
+  /// A plain member, not a registry metric, so it changes no report.
+  uint64_t worklist_entries_scanned() const { return entries_scanned_; }
+  /// Test-only audit of the eligibility index: "" when every work entry
+  /// not mid-recovery is indexed exactly once under eligible_at, no entry
+  /// mid-recovery is indexed, and the due list a round would take now, or
+  /// at the armed round's time, equals what a full walk of the work-list
+  /// selects, in the same order. Otherwise, the first discrepancy found.
+  std::string check_eligibility_index() const;
 
  protected:
   void dispatch(const wire::Envelope& env) override;
@@ -81,6 +93,8 @@ class FragmentServer : public Server {
   /// Volatile per-version convergence state; a crash resets it.
   struct Work {
     SimTime next_attempt = 0;
+    /// This entry's key in eligible_, or nullopt while it is not indexed.
+    std::optional<SimTime> indexed_at;
     int attempts = 0;
     // Verify-step state.
     std::set<NodeId> verify_acks;
@@ -117,6 +131,18 @@ class FragmentServer : public Server {
   void on_retrieve_frag_rep(NodeId from, const wire::RetrieveFragRep& rep);
 
   // Convergence machinery.
+  /// When `work` may next take a step: its backoff deadline, raised to the
+  /// version's min-age only while min-age applies (PutAMR).
+  SimTime eligible_at(const ObjectVersionId& ov, const Work& work) const;
+  /// Bring the entry's key in eligible_ up to date after a change to its
+  /// next_attempt or recovering state: indexed under eligible_at unless
+  /// mid-recovery. No set update when the key did not move.
+  void reindex(const ObjectVersionId& ov, Work& work);
+  void unindex(const ObjectVersionId& ov, Work& work);
+  /// Drop a work-list entry (AMR or give-up), index key included.
+  void erase_work(std::map<ObjectVersionId, Work>::iterator it);
+  /// The versions a round starting at `at` steps, in version order.
+  std::vector<ObjectVersionId> due_versions(SimTime at) const;
   void ensure_round_scheduled();
   void start_round();
   void converge_step(const ObjectVersionId& ov, Work& work);
@@ -130,7 +156,7 @@ class FragmentServer : public Server {
   void recovery_maybe_finish(const ObjectVersionId& ov, Work& work);
   void arm_recovery_deadline(const ObjectVersionId& ov, Work& work);
   void arm_recovery_retry(const ObjectVersionId& ov, Work& work);
-  void clear_recovery_state(Work& work);
+  void clear_recovery_state(const ObjectVersionId& ov, Work& work);
   void cancel_recovery(const ObjectVersionId& ov, Work& work);
   void check_amr(const ObjectVersionId& ov, Work& work);
   void mark_amr(const ObjectVersionId& ov);
@@ -139,7 +165,8 @@ class FragmentServer : public Server {
   /// metadata changed. Creates the work entry if the version is new.
   void merge_meta(const ObjectVersionId& ov, const Metadata& meta,
                   bool create_work);
-  /// The stored metadata of `ov`, which must be in the fragment store.
+  /// The fragment store's record of `ov`, which must be in it.
+  const storage::FragStore::Entry& entry_of(const ObjectVersionId& ov) const;
   const Metadata& meta_of(const ObjectVersionId& ov) const;
   /// Make the version eligible at the next round (progress was observed).
   void wake_work(const ObjectVersionId& ov);
@@ -147,7 +174,8 @@ class FragmentServer : public Server {
   /// fragments present and intact.
   bool local_verify(const ObjectVersionId& ov) const;
   /// Locally assigned fragment indices that are missing or corrupt.
-  std::vector<int> missing_local_fragments(const ObjectVersionId& ov) const;
+  std::vector<int> missing_local_fragments(
+      const storage::FragStore::Entry& entry) const;
   /// The disk fragment `frag_index` of `ov` goes on, by the best metadata
   /// this FS knows (the stored entry while work is pending, else `meta`).
   uint8_t disk_for(const ObjectVersionId& ov, const Metadata& meta,
@@ -162,7 +190,7 @@ class FragmentServer : public Server {
   bool receive_fragment(const ObjectVersionId& ov, const Metadata& meta,
                         int frag_index, const Bytes& fragment,
                         const Sha256::Digest& digest);
-  void bump_backoff(Work& work);
+  void bump_backoff(const ObjectVersionId& ov, Work& work);
   SimTime version_age(const ObjectVersionId& ov) const;
   /// Per-durability-class give-up (see ConvergenceOptions): certify what we
   /// can from local state, then report whether the version has durable
@@ -189,6 +217,11 @@ class FragmentServer : public Server {
 
   /// The convergence work-list: keys persistent, values volatile.
   std::map<ObjectVersionId, Work> work_;
+  /// Eligibility index over work_: (eligible_at, ov) for every entry not
+  /// mid-recovery, so the scheduler reads the earliest and a round visits
+  /// only the due entries.
+  std::set<std::pair<SimTime, ObjectVersionId>> eligible_;
+  uint64_t entries_scanned_ = 0;
   sim::TimerId round_timer_ = 0;
   SimTime round_timer_when_ = 0;
   sim::TimerId scrub_timer_ = 0;

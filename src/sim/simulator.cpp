@@ -1,15 +1,35 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace pahoehoe::sim {
 
+namespace {
+
+constexpr int kSlotBits = 32;
+constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+
+}  // namespace
+
 TimerId Simulator::schedule_at(SimTime t, Callback fn) {
   PAHOEHOE_CHECK_MSG(t >= now_, "cannot schedule an event in the past");
   PAHOEHOE_CHECK(fn != nullptr);
-  const TimerId id = next_id_++;
-  queue_.push(Event{t, id, std::move(fn)});
-  live_.insert(id);
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    PAHOEHOE_CHECK(generations_.size() < kSlotMask);
+    slot = static_cast<uint32_t>(generations_.size());
+    generations_.push_back(0);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const uint32_t generation = ++generations_[slot];  // now odd: taken
+  const TimerId id = (uint64_t{generation} << kSlotBits) | slot;
+  heap_.push_back(Event{t, next_seq_++, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++pending_;
   return id;
 }
 
@@ -18,14 +38,30 @@ TimerId Simulator::schedule_after(SimTime delay, Callback fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-void Simulator::cancel(TimerId id) { live_.erase(id); }
+void Simulator::cancel(TimerId id) { release(id); }
+
+bool Simulator::live(TimerId id) const {
+  const uint64_t slot = id & kSlotMask;
+  const uint64_t generation = id >> kSlotBits;
+  return slot < generations_.size() && generations_[slot] == generation &&
+         generation % 2 == 1;
+}
+
+bool Simulator::release(TimerId id) {
+  if (!live(id)) return false;
+  const auto slot = static_cast<uint32_t>(id & kSlotMask);
+  ++generations_[slot];  // now even: free, and `id` is stale
+  free_slots_.push_back(slot);
+  --pending_;
+  return true;
+}
 
 bool Simulator::step() {
-  while (!queue_.empty()) {
-    // priority_queue::top is const; copy-out then pop. Callbacks are small.
-    Event event = queue_.top();
-    queue_.pop();
-    if (live_.erase(event.id) == 0) continue;  // cancelled
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event event = std::move(heap_.back());
+    heap_.pop_back();
+    if (!release(event.id)) continue;  // cancelled
     now_ = event.time;
     last_event_time_ = event.time;
     ++executed_;
@@ -37,14 +73,15 @@ bool Simulator::step() {
 
 size_t Simulator::run(SimTime until) {
   size_t count = 0;
-  while (!queue_.empty()) {
+  while (true) {
     // Reap cancelled events first so the time-limit check below sees the
     // next event that would actually execute.
-    while (!queue_.empty() && live_.count(queue_.top().id) == 0) {
-      queue_.pop();
+    while (!heap_.empty() && !live(heap_.front().id)) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
     }
-    if (queue_.empty() || queue_.top().time > until) break;
-    if (!step()) break;
+    if (heap_.empty() || heap_.front().time > until) break;
+    step();
     ++count;
   }
   // A finite horizon advances the clock to it even when no events fall in

@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,7 +16,8 @@
 
 namespace pahoehoe::sim {
 
-/// Handle for cancelling a scheduled event. 0 is never a valid id.
+/// Handle for cancelling a scheduled event: (generation << 32) | slot.
+/// 0 is never a valid id.
 using TimerId = uint64_t;
 
 class Simulator {
@@ -37,7 +36,8 @@ class Simulator {
   TimerId schedule_at(SimTime t, Callback fn);
   /// Schedule `fn` to run `delay` microseconds from now (≥ 0).
   TimerId schedule_after(SimTime delay, Callback fn);
-  /// Cancel a scheduled event; harmless if it already fired or was cancelled.
+  /// Cancel a scheduled event; harmless if it already fired, was cancelled,
+  /// or was never issued.
   void cancel(TimerId id);
 
   /// Execute the next pending event; returns false if none remain.
@@ -47,7 +47,7 @@ class Simulator {
   size_t run(SimTime until = std::numeric_limits<SimTime>::max());
 
   /// Events scheduled and still live (not executed, not cancelled).
-  size_t pending() const { return live_.size(); }
+  size_t pending() const { return pending_; }
   /// Total events executed since construction.
   uint64_t executed() const { return executed_; }
   /// Time of the most recently executed event (0 if none ran yet). Unlike
@@ -58,24 +58,40 @@ class Simulator {
  private:
   struct Event {
     SimTime time;
+    uint64_t seq;  // insertion order: the tie-break at equal times
     TimerId id;
     Callback fn;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
+  /// True iff `id` names a queued event that has not been cancelled.
+  bool live(TimerId id) const;
+  /// Free `id`'s slot if `id` is live; false if it is stale (its event
+  /// fired or was cancelled) or was never issued.
+  bool release(TimerId id);
+
   SimTime now_ = 0;
   SimTime last_event_time_ = 0;
-  TimerId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Scheduled, not fired, not cancelled: a queued event fires only if its
-  // id is still here.
-  std::unordered_set<TimerId> live_;
+  size_t pending_ = 0;
+  // A binary min-heap under Later, kept with std::push_heap/pop_heap so an
+  // event's callback is moved out, never copied. Cancelled events stay in
+  // it until they reach the top.
+  std::vector<Event> heap_;
+  // Per-slot generation: odd while the slot holds a queued event, even
+  // while it is free. Taking a slot and releasing it (the event fires or is
+  // cancelled) each bump it, so only the id issued for the queued event
+  // matches: an old id carries an older generation, and 0 or any other
+  // even-generation id never matches. Free slots are reused last-in,
+  // first-out.
+  std::vector<uint32_t> generations_;
+  std::vector<uint32_t> free_slots_;
   Rng rng_;
 };
 

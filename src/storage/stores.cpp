@@ -70,13 +70,16 @@ void FragStore::put_fragment(const ObjectVersionId& ov, const Metadata& meta,
   by_ov_.find(ov)->second.fragments[frag_index] = std::move(frag);
 }
 
+const StoredFragment* FragStore::Entry::intact_fragment(int frag_index) const {
+  auto it = fragments.find(frag_index);
+  if (it == fragments.end()) return nullptr;
+  return it->second.intact() ? &it->second : nullptr;
+}
+
 const StoredFragment* FragStore::fragment_if_intact(const ObjectVersionId& ov,
                                                     int frag_index) const {
   const Entry* entry = find(ov);
-  if (entry == nullptr) return nullptr;
-  auto it = entry->fragments.find(frag_index);
-  if (it == entry->fragments.end()) return nullptr;
-  return it->second.intact() ? &it->second : nullptr;
+  return entry == nullptr ? nullptr : entry->intact_fragment(frag_index);
 }
 
 size_t FragStore::destroy_disk(uint8_t disk) {

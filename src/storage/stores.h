@@ -80,6 +80,9 @@ class FragStore {
   struct Entry {
     Metadata meta;
     std::map<int, StoredFragment> fragments;
+
+    /// The fragment at `frag_index` if present and intact, else nullptr.
+    const StoredFragment* intact_fragment(int frag_index) const;
   };
 
   /// Create the entry for `ov` with metadata `meta`, or Metadata::merge

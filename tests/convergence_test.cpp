@@ -84,6 +84,21 @@ TEST(PutAmrIndicationTest, MinAgeDefersEarlyConvergence) {
   EXPECT_EQ(sent(tc, MessageType::kKlsConvergeReq), 0u);
 }
 
+TEST(NaiveConvergenceTest, ProxyClockAheadOfTheFssIsNoHiddenMinAge) {
+  // min_age applies only with PutAMR (DESIGN.md §7). A proxy whose clock
+  // runs 10 min ahead stamps versions in the FSs' future; without min-age
+  // that must not delay convergence past the first synchronized round.
+  core::ProxyOptions proxy_options;
+  proxy_options.clock_skew = minutes(10);
+  SimCluster tc(ConvergenceOptions::naive(), {}, 42, proxy_options);
+  const auto r = tc.put(Key{"k"}, tc.make_value(4096));
+  ASSERT_TRUE(r.success);
+  tc.sim.run(seconds(90));
+  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+    EXPECT_EQ(tc.cluster.fs(i).versions_converged(), 1u) << "fs " << i;
+  }
+}
+
 TEST(PutAmrIndicationTest, LostIndicationsOnlyCostExtraConvergenceWork) {
   // Drop every AMR indication: the optimization is not needed for
   // correctness (§4.1) — FSs fall back to running convergence steps after

@@ -1,0 +1,246 @@
+// The Fragment Server's eligibility index (DESIGN.md §7): audited after
+// every simulator event under each fault shape that moves its keys, and
+// shown to keep the scheduler's and the rounds' work proportional to the
+// due entries rather than to the backlog.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "test_util.h"
+
+namespace pahoehoe {
+namespace {
+
+using core::ConvergenceOptions;
+using testing::SimCluster;
+using testing::hours;
+using testing::minutes;
+using testing::seconds;
+using wire::MessageType;
+
+// Steps a cluster one event at a time and runs every FS's index audit
+// after each event, stopping at the first discrepancy.
+class AuditedRun {
+ public:
+  explicit AuditedRun(SimCluster& tc) : tc_(tc) {}
+
+  /// Step until the queue drains or the clock reaches now + `duration`.
+  void run_for(SimTime duration) {
+    const SimTime until = tc_.sim.now() + duration;
+    while (problem_.empty() && tc_.sim.now() < until && tc_.sim.step()) {
+      audit();
+    }
+  }
+  /// Step until the queue drains.
+  void run_to_quiescence() { run_for(hours(24 * 365)); }
+
+  /// Issue a put (its result is not awaited) and audit one second of it.
+  void put(int index) {
+    tc_.cluster.proxy(0).put(
+        Key{"key-" + std::to_string(index)},
+        tc_.make_value(1024, static_cast<uint8_t>(index)), Policy{},
+        [](const core::PutResult&) {});
+    run_for(seconds(1));
+  }
+
+  /// Run `fn` after the first audited event for which `when` holds.
+  template <typename When, typename Fn>
+  void run_until(When when, Fn fn, SimTime limit) {
+    const SimTime until = tc_.sim.now() + limit;
+    while (problem_.empty() && tc_.sim.now() < until && tc_.sim.step()) {
+      audit();
+      if (when()) {
+        fn();
+        return;
+      }
+    }
+    if (problem_.empty()) problem_ = "trigger never fired";
+  }
+
+  /// "" while every audit has passed, else the first failure.
+  const std::string& problem() const { return problem_; }
+
+ private:
+  void audit() {
+    for (int i = 0; i < tc_.cluster.num_fs() && problem_.empty(); ++i) {
+      const std::string found = tc_.cluster.fs(i).check_eligibility_index();
+      if (!found.empty()) {
+        problem_ = "fs " + std::to_string(i) + " at t=" +
+                   std::to_string(tc_.sim.now()) + ": " + found;
+      }
+    }
+  }
+
+  SimCluster& tc_;
+  std::string problem_;
+};
+
+uint64_t sent(const SimCluster& tc, MessageType type) {
+  return tc.net.stats().of(type).sent_count;
+}
+
+TEST(EligibilityIndexTest, CrashAndRecoverInTheMiddleOfARecovery) {
+  for (const auto& conv :
+       {ConvergenceOptions::all_opts(), ConvergenceOptions::fs_amr_unsync()}) {
+    SimCluster tc(conv);
+    AuditedRun run(tc);
+    // FS (0,0) misses every put, so it alone needs recovery; its first
+    // fragment fetch marks it mid-recovery.
+    tc.blackout_fs(0, 0, 0, seconds(20));
+    for (int p = 0; p < 4; ++p) run.put(p);
+    core::FragmentServer& needy = tc.cluster.fs(0, 0);
+    run.run_until(
+        [&] { return sent(tc, MessageType::kRetrieveFragReq) > 0; },
+        [&] { needy.crash(); }, hours(1));
+    EXPECT_EQ(needy.recoveries_completed(), 0u) << core::describe(conv);
+    run.run_for(minutes(3));
+    needy.recover();
+    run.run_to_quiescence();
+    EXPECT_EQ(run.problem(), "") << core::describe(conv);
+    EXPECT_EQ(tc.cluster.total_pending_versions(), 0u);
+    EXPECT_GT(needy.recoveries_completed(), 0u) << core::describe(conv);
+  }
+}
+
+TEST(EligibilityIndexTest, FsAndKlsBlackouts) {
+  for (const auto& conv :
+       {ConvergenceOptions::all_opts(), ConvergenceOptions::naive()}) {
+    SimCluster tc(conv);
+    AuditedRun run(tc);
+    tc.blackout_fs(0, 0, 0, minutes(10));
+    tc.blackout_fs(1, 1, seconds(2), minutes(12));
+    tc.blackout_kls(1, 0, 0, minutes(10));
+    tc.blackout_kls(1, 1, seconds(1), minutes(8));
+    for (int p = 0; p < 6; ++p) run.put(p);
+    run.run_to_quiescence();
+    EXPECT_EQ(run.problem(), "") << core::describe(conv);
+    EXPECT_TRUE(tc.cluster.converged_quiescent()) << core::describe(conv);
+  }
+}
+
+TEST(EligibilityIndexTest, DiskDestroyAndCorruptionWithScrub) {
+  ConvergenceOptions conv = ConvergenceOptions::all_opts();
+  conv.scrub_interval = minutes(5);
+  SimCluster tc(conv);
+  AuditedRun run(tc);
+  Rng rng(7);
+  for (int p = 0; p < 6; ++p) run.put(p);
+  run.run_for(minutes(2));
+  ASSERT_GT(tc.cluster.fs(1).destroy_disk(0), 0u);
+  for (int c = 0; c < 4; ++c) {
+    tc.cluster.fs(static_cast<int>(rng.uniform_int(0, 5)))
+        .corrupt_random_fragment(rng);
+  }
+  run.run_for(minutes(40));
+  EXPECT_EQ(run.problem(), "");
+  uint64_t recoveries = 0;
+  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+    recoveries += tc.cluster.fs(i).recoveries_completed();
+  }
+  EXPECT_GT(recoveries, 0u) << "scrub must re-add and repair the damage";
+  EXPECT_EQ(tc.cluster.total_pending_versions(), 0u);
+}
+
+TEST(EligibilityIndexTest, SiblingRecoveryStandDowns) {
+  // Synchronized rounds make both needy FSs announce recovery at once, so
+  // the §4.2 lower-id rule cancels one recovery and bumps its backoff.
+  ConvergenceOptions conv;
+  conv.sibling_recovery = true;
+  conv.unsync_rounds = false;
+  SimCluster tc(conv);
+  AuditedRun run(tc);
+  tc.blackout_fs(0, 0, 0, minutes(10));
+  tc.blackout_fs(1, 0, 0, minutes(10));
+  for (int p = 0; p < 3; ++p) run.put(p);
+  run.run_to_quiescence();
+  EXPECT_EQ(run.problem(), "");
+  uint64_t backoffs = 0;
+  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+    backoffs += tc.cluster.fs(i).recovery_backoffs();
+  }
+  EXPECT_GE(backoffs, 1u);
+}
+
+TEST(EligibilityIndexTest, FsAndPutAmrIndications) {
+  // Put and FS AMR indications on a lossy network, with a short min-age and
+  // a proxy clock ahead of the FSs: keys raised to ts + min_age, entries
+  // erased by indications, and entries erased by a verified AMR.
+  ConvergenceOptions put_amr = ConvergenceOptions::put_amr();
+  put_amr.min_age = seconds(30);
+  ConvergenceOptions all = ConvergenceOptions::all_opts();
+  all.min_age = seconds(45);
+  for (const auto& conv :
+       {put_amr, all, ConvergenceOptions::fs_amr_sync(),
+        ConvergenceOptions::fs_amr_unsync()}) {
+    core::ProxyOptions proxy_options;
+    proxy_options.clock_skew = seconds(20);
+    SimCluster tc(conv, {}, 42, proxy_options);
+    tc.net.add_fault(std::make_shared<net::UniformLoss>(0.05));
+    AuditedRun run(tc);
+    tc.blackout_fs(1, 2, 0, minutes(5));
+    for (int p = 0; p < 6; ++p) run.put(p);
+    run.run_to_quiescence();
+    EXPECT_EQ(run.problem(), "") << core::describe(conv);
+    EXPECT_TRUE(tc.cluster.converged_quiescent()) << core::describe(conv);
+  }
+}
+
+TEST(EligibilityIndexTest, GiveUpAtTheHorizon) {
+  ConvergenceOptions conv = ConvergenceOptions::all_opts();
+  conv.giveup_age = hours(2);
+  SimCluster tc(conv);
+  AuditedRun run(tc);
+  // Five FSs down past the horizon: at most two fragments ever exist.
+  for (int dc = 0; dc < 2; ++dc) {
+    for (int i = 0; i < 3; ++i) {
+      if (dc == 0 && i == 0) continue;
+      tc.blackout_fs(dc, i, 0, hours(3));
+    }
+  }
+  for (int p = 0; p < 3; ++p) run.put(p);
+  run.run_to_quiescence();
+  EXPECT_EQ(run.problem(), "");
+  uint64_t given_up = 0;
+  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+    given_up += tc.cluster.fs(i).versions_given_up();
+  }
+  EXPECT_GE(given_up, 1u);
+  EXPECT_EQ(tc.cluster.total_pending_versions(), 0u);
+}
+
+// Work-list entries the scheduler and the rounds examined, per put, in the
+// backlog regime of Figs 6–7: 1 KiB puts at 1 s spacing while FS 0 of each
+// data center is blacked out for 60 min. Each version waits out the whole
+// outage, so the work-list grows with the put count; a full walk per
+// scheduling decision scans more entries per put as it grows, the index a
+// bounded number.
+double scanned_per_put(int puts) {
+  SimCluster tc(ConvergenceOptions::all_opts());
+  tc.blackout_fs(0, 0, 0, minutes(60));
+  tc.blackout_fs(1, 0, 0, minutes(60));
+  for (int p = 0; p < puts; ++p) {
+    tc.cluster.proxy(0).put(Key{"key-" + std::to_string(p)},
+                            tc.make_value(1024, static_cast<uint8_t>(p)),
+                            Policy{}, [](const core::PutResult&) {});
+    tc.run_for(seconds(1));
+  }
+  tc.run_to_quiescence();
+  EXPECT_TRUE(tc.cluster.converged_quiescent());
+  uint64_t scanned = 0;
+  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+    scanned += tc.cluster.fs(i).worklist_entries_scanned();
+  }
+  return static_cast<double>(scanned) / puts;
+}
+
+TEST(EligibilityIndexTest, ScanWorkScalesWithDueWorkNotBacklog) {
+  const double small = scanned_per_put(100);
+  const double large = scanned_per_put(400);
+  ASSERT_GT(small, 0.0);
+  EXPECT_LE(large, 1.5 * small)
+      << "entries scanned per put: " << small << " at 100 puts, " << large
+      << " at 400";
+}
+
+}  // namespace
+}  // namespace pahoehoe
