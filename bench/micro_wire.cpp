@@ -1,7 +1,11 @@
-// Micro-benchmarks for message serialization and the simulator event loop —
-// the substrate the figure benches stand on.
+// Micro-benchmarks for message serialization, the network's send/deliver
+// path, workload value generation and the simulator event loop — the
+// substrate the figure benches stand on.
 #include <benchmark/benchmark.h>
 
+#include "core/cluster.h"
+#include "core/workload.h"
+#include "net/network.h"
 #include "sim/simulator.h"
 #include "wire/messages.h"
 
@@ -56,6 +60,70 @@ void BM_EncodeConverge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeConverge);
+
+wire::FsConvergeReq sample_converge() {
+  wire::FsConvergeReq req;
+  req.ov = ObjectVersionId{Key{"obj-42"}, Timestamp{123456, 7}};
+  req.meta = sample_store(16).meta;
+  return req;
+}
+
+void BM_DecodeConverge(benchmark::State& state) {
+  const Bytes payload = sample_converge().encode();
+  for (auto _ : state) {
+    auto req = wire::FsConvergeReq::decode(payload);
+    benchmark::DoNotOptimize(req);
+  }
+}
+BENCHMARK(BM_DecodeConverge);
+
+/// Decodes every FsConvergeReq delivered to it, as a Fragment Server does.
+class DecodingHandler : public net::MessageHandler {
+ public:
+  void handle(const wire::Envelope& env) override {
+    auto req = wire::FsConvergeReq::decode(env.payload);
+    benchmark::DoNotOptimize(req);
+  }
+};
+
+// One converge request per item: encode, Network::send (ledger, fault
+// rules, latency draw, scheduling) and delivery to a decoding handler.
+void BM_NetworkSendDeliver(benchmark::State& state) {
+  const wire::FsConvergeReq req = sample_converge();
+  sim::Simulator sim(1);
+  net::Network net(sim);
+  DecodingHandler from, to;
+  net.register_node(NodeId{1}, &from);
+  net.register_node(NodeId{2}, &to);
+  constexpr int kBatch = 1000;
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) {
+      net::send_message(net, NodeId{1}, NodeId{2}, req);
+    }
+    sim.run();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
+}
+BENCHMARK(BM_NetworkSendDeliver);
+
+void BM_WorkloadValue(benchmark::State& state) {
+  sim::Simulator sim(1);
+  net::Network net(sim);
+  core::Cluster cluster(sim, net, core::ClusterTopology{},
+                        core::ConvergenceOptions{}, core::ProxyOptions{});
+  core::WorkloadConfig config;
+  config.value_size = static_cast<size_t>(state.range(0));
+  const core::WorkloadDriver driver(sim, cluster.proxy(0), config, 1);
+  int object = 0;
+  for (auto _ : state) {
+    Bytes value = driver.value_for(object++);
+    benchmark::DoNotOptimize(value.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_WorkloadValue)->Arg(100 * 1024);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

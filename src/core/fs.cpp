@@ -62,9 +62,13 @@ SimTime FragmentServer::version_age(const ObjectVersionId& ov) const {
   return std::max<SimTime>(0, sim_.now() - ov.ts.wall_micros);
 }
 
+bool FragmentServer::collects_evidence(const Work& work) const {
+  return !work.durable_evidence && options_.giveup_age_durable >= 0;
+}
+
 void FragmentServer::certify_slots(const ObjectVersionId& ov, Work& work,
                                    const std::vector<int>& slots) {
-  if (work.durable_evidence || options_.giveup_age_durable < 0) return;
+  if (!collects_evidence(work)) return;
   for (int slot : slots) work.certified_slots.insert(slot);
   if (static_cast<int>(work.certified_slots.size()) >= meta_of(ov).policy.k) {
     work.durable_evidence = true;
@@ -120,7 +124,19 @@ void FragmentServer::bump_backoff(const ObjectVersionId& ov, Work& work) {
 bool FragmentServer::local_verify(const ObjectVersionId& ov) const {
   const storage::FragStore::Entry* entry = store_frag_.find(ov);
   return entry != nullptr && entry->meta.complete() &&
-         missing_local_fragments(*entry).empty();
+         local_fragments_intact(*entry);
+}
+
+bool FragmentServer::local_fragments_intact(
+    const storage::FragStore::Entry& entry) const {
+  const auto& locs = entry.meta.locs;
+  for (size_t slot = 0; slot < locs.size(); ++slot) {
+    if (locs[slot].has_value() && locs[slot]->fs == id() &&
+        entry.intact_fragment(static_cast<int>(slot)) == nullptr) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<int> FragmentServer::missing_local_fragments(
@@ -190,7 +206,7 @@ void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
 
 bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
                                       const Metadata& meta, int frag_index,
-                                      const Bytes& fragment,
+                                      Bytes fragment,
                                       const Sha256::Digest& digest) {
   // The proxy re-sends the first DC's fragments once the second DC's
   // locations are decided (Fig 2 lines 9–10). A copy this FS already holds
@@ -205,7 +221,7 @@ bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
   merge_meta(ov, meta, /*create_work=*/true);
   // Nor a store, when the copy already sits on the disk a store would pick.
   if (!held_identical || held_disk != disk_for(ov, meta, frag_index)) {
-    store_fragment_local(ov, meta, frag_index, fragment, digest);
+    store_fragment_local(ov, meta, frag_index, std::move(fragment), digest);
   }
   wake_work(ov);  // a fragment arriving is progress worth acting on
   return true;
@@ -393,7 +409,7 @@ void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
     return;
   }
 
-  if (!missing_local_fragments(entry).empty()) {
+  if (!local_fragments_intact(entry)) {
     // Fig 4 line 8: recover missing local fragments.
     if (options_.sibling_recovery) {
       begin_sibling_recovery(ov, work);
@@ -411,13 +427,14 @@ void FragmentServer::begin_verify(const ObjectVersionId& ov, Work& work) {
   // acks accumulate across rounds — verification is monotone (locations
   // and fragments are never removed), and requiring a full ack set within
   // one round would make convergence needlessly fragile under heavy loss.
+  // One request of each kind per step, encoded once per destination.
   const Metadata& meta = meta_of(ov);
-  for (NodeId kls : view_->all_kls) {
-    send(kls, wire::KlsConvergeReq{ov, meta});
-  }
+  const wire::KlsConvergeReq kls_req{ov, meta};
+  for (NodeId kls : view_->all_kls) send(kls, kls_req);
+  const wire::FsConvergeReq fs_req{ov, meta, /*intends_recovery=*/false};
   for (NodeId fs : meta.sibling_fs()) {
     if (fs == id()) continue;  // an FS does not message itself (§4)
-    send(fs, wire::FsConvergeReq{ov, meta, /*intends_recovery=*/false});
+    send(fs, fs_req);
   }
   check_amr(ov, work);  // degenerate topologies may need no acks
 }
@@ -677,15 +694,19 @@ void FragmentServer::cancel_recovery(const ObjectVersionId& ov, Work& work) {
 
 void FragmentServer::check_amr(const ObjectVersionId& ov, Work& work) {
   // is_amr (Fig 4 line 25): this FS verifies locally and every KLS and
-  // sibling FS replied "verified".
-  if (!local_verify(ov)) return;
+  // sibling FS replied "verified". Runs on every verified reply, so the
+  // cheap ack-set test goes first; the three tests have no side effects,
+  // so their order does not change the verdict.
   for (NodeId kls : view_->all_kls) {
     if (work.verify_acks.count(kls) == 0) return;
   }
-  for (NodeId fs : meta_of(ov).sibling_fs()) {
-    if (fs == id()) continue;
-    if (work.verify_acks.count(fs) == 0) return;
+  const storage::FragStore::Entry* entry = store_frag_.find(ov);
+  if (entry == nullptr) return;
+  for (const std::optional<Location>& loc : entry->meta.locs) {
+    if (!loc.has_value() || loc->fs == id()) continue;
+    if (work.verify_acks.count(loc->fs) == 0) return;
   }
+  if (!local_verify(ov)) return;
   mark_amr(ov);
 }
 
@@ -713,18 +734,18 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
 // --- message handlers --------------------------------------------------------
 
 void FragmentServer::on_store_fragment(NodeId from,
-                                       const wire::StoreFragmentReq& req) {
+                                       wire::StoreFragmentReq&& req) {
   const bool ok = receive_fragment(req.ov, req.meta, req.frag_index,
-                                   req.fragment, req.digest);
+                                   std::move(req.fragment), req.digest);
   send(from, wire::StoreFragmentRep{
                  req.ov, req.frag_index,
                  ok ? wire::Status::kSuccess : wire::Status::kFailure});
 }
 
 void FragmentServer::on_sibling_store(NodeId from,
-                                      const wire::SiblingStoreReq& req) {
+                                      wire::SiblingStoreReq&& req) {
   const bool ok = receive_fragment(req.ov, req.meta, req.frag_index,
-                                   req.fragment, req.digest);
+                                   std::move(req.fragment), req.digest);
   send(from, wire::SiblingStoreRep{
                  req.ov, req.frag_index,
                  ok ? wire::Status::kSuccess : wire::Status::kFailure});
@@ -800,7 +821,9 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
     work.verify_acks.insert(from);
     // A verified sibling proves its assigned fragments are intact; that is
     // durable-class evidence this FS can certify without any extra traffic.
-    certify_slots(rep.ov, work, meta_of(rep.ov).fragments_for(from));
+    if (collects_evidence(work)) {
+      certify_slots(rep.ov, work, meta_of(rep.ov).fragments_for(from));
+    }
     check_amr(rep.ov, work);
   }
 }
@@ -845,14 +868,15 @@ void FragmentServer::on_kls_locs_notify(const wire::KlsLocsNotify& msg) {
 }
 
 void FragmentServer::on_retrieve_frag_rep(NodeId /*from*/,
-                                          const wire::RetrieveFragRep& rep) {
+                                          wire::RetrieveFragRep&& rep) {
   auto it = work_.find(rep.ov);
   if (it == work_.end() || !it->second.recovering) return;
   Work& work = it->second;
   if (work.requested_slots.count(rep.frag_index) == 0) return;
   work.requested_slots.erase(rep.frag_index);
   if (rep.found) {
-    work.gathered.emplace(static_cast<int>(rep.frag_index), rep.fragment);
+    work.gathered.emplace(static_cast<int>(rep.frag_index),
+                          std::move(rep.fragment));
     recovery_maybe_finish(rep.ov, work);
   } else {
     work.failed_slots.insert(rep.frag_index);
@@ -923,7 +947,7 @@ size_t FragmentServer::scrub() {
     // With per-class horizons, versions in the AMR history get the durable
     // horizon, so scrub repairs arbitrarily old AMR-eligible versions.
     if (version_age(ov) > giveup_horizon(ov, nullptr)) continue;
-    if (missing_local_fragments(entry).empty()) continue;
+    if (local_fragments_intact(entry)) continue;
     reindex(ov, work_.try_emplace(ov).first->second);
     telemetry().spans.report_work(ov, id(), 0, false);
     // The class note mirrors give_up's: coverage classifies a re-add as

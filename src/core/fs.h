@@ -119,8 +119,8 @@ class FragmentServer : public Server {
   };
 
   // Message handlers.
-  void on_store_fragment(NodeId from, const wire::StoreFragmentReq& req);
-  void on_sibling_store(NodeId from, const wire::SiblingStoreReq& req);
+  void on_store_fragment(NodeId from, wire::StoreFragmentReq&& req);
+  void on_sibling_store(NodeId from, wire::SiblingStoreReq&& req);
   void on_retrieve_frag(NodeId from, const wire::RetrieveFragReq& req);
   void on_fs_converge(NodeId from, const wire::FsConvergeReq& req);
   void on_fs_converge_rep(NodeId from, const wire::FsConvergeRep& rep);
@@ -128,7 +128,7 @@ class FragmentServer : public Server {
   void on_amr_indication(const wire::AmrIndication& msg);
   void on_decide_locs_rep(const wire::DecideLocsRep& rep);
   void on_kls_locs_notify(const wire::KlsLocsNotify& msg);
-  void on_retrieve_frag_rep(NodeId from, const wire::RetrieveFragRep& rep);
+  void on_retrieve_frag_rep(NodeId from, wire::RetrieveFragRep&& rep);
 
   // Convergence machinery.
   /// When `work` may next take a step: its backoff deadline, raised to the
@@ -173,6 +173,9 @@ class FragmentServer : public Server {
   /// verify() from Fig 4: metadata complete and all locally assigned
   /// fragments present and intact.
   bool local_verify(const ObjectVersionId& ov) const;
+  /// Every decided slot assigned to this FS holds an intact fragment
+  /// (missing_local_fragments is empty), without building the list.
+  bool local_fragments_intact(const storage::FragStore::Entry& entry) const;
   /// Locally assigned fragment indices that are missing or corrupt.
   std::vector<int> missing_local_fragments(
       const storage::FragStore::Entry& entry) const;
@@ -188,7 +191,7 @@ class FragmentServer : public Server {
   /// the metadata and wake the version's work. False, with nothing changed,
   /// when the fragment does not match its digest.
   bool receive_fragment(const ObjectVersionId& ov, const Metadata& meta,
-                        int frag_index, const Bytes& fragment,
+                        int frag_index, Bytes fragment,
                         const Sha256::Digest& digest);
   void bump_backoff(const ObjectVersionId& ov, Work& work);
   SimTime version_age(const ObjectVersionId& ov) const;
@@ -201,6 +204,9 @@ class FragmentServer : public Server {
   /// split is off or the version is non-durable-class, giveup_age_durable
   /// otherwise.
   SimTime giveup_horizon(const ObjectVersionId& ov, Work* work);
+  /// True while certify_slots would record anything: the per-class split
+  /// is on and the version has no durable evidence yet.
+  bool collects_evidence(const Work& work) const;
   /// Certify `slots` as seen-intact and flip durable_evidence at >= k.
   void certify_slots(const ObjectVersionId& ov, Work& work,
                      const std::vector<int>& slots);

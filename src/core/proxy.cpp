@@ -383,7 +383,7 @@ void Proxy::get_next_ts(GetOp& op) {
 }
 
 void Proxy::on_retrieve_frag_rep(NodeId /*from*/,
-                                 const wire::RetrieveFragRep& rep) {
+                                 wire::RetrieveFragRep&& rep) {
   auto it = gets_.find(rep.ov.key);
   if (it == gets_.end()) return;
   GetOp& op = *it->second;
@@ -392,7 +392,7 @@ void Proxy::on_retrieve_frag_rep(NodeId /*from*/,
   const Metadata& meta = op.meta_by_ts.at(op.current);
   op.replied_slots.insert(rep.frag_index);
   if (rep.found) {
-    op.found_frags.emplace(rep.frag_index, rep.fragment);
+    op.found_frags.emplace(rep.frag_index, std::move(rep.fragment));
   } else {
     op.bot_seen = true;
   }

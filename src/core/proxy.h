@@ -87,7 +87,7 @@ class Proxy : public Server {
 
   // Get plumbing.
   void on_retrieve_ts_rep(NodeId from, const wire::RetrieveTsRep& rep);
-  void on_retrieve_frag_rep(NodeId from, const wire::RetrieveFragRep& rep);
+  void on_retrieve_frag_rep(NodeId from, wire::RetrieveFragRep&& rep);
   void get_next_ts(GetOp& op);
   void finish_get(const Key& key, GetResult result);
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <memory>
-#include <random>
 
 #include "common/rng.h"
 
@@ -24,19 +23,9 @@ Key WorkloadDriver::key_for(int object_index) const {
 Bytes WorkloadDriver::value_for(int object_index) const {
   // Deterministic content, regenerable for verification without retaining
   // every value in memory. Retries re-put the identical value.
-  std::mt19937_64 gen(value_seed_ ^
-                      (0x9e3779b97f4a7c15ULL * (object_index + 1)));
+  Rng gen(value_seed_ ^ (0x9e3779b97f4a7c15ULL * (object_index + 1)));
   Bytes value(config_.value_size);
-  size_t i = 0;
-  while (i + 8 <= value.size()) {
-    const uint64_t word = gen();
-    for (int b = 0; b < 8; ++b) {
-      value[i++] = static_cast<uint8_t>(word >> (8 * b));
-    }
-  }
-  for (uint64_t word = gen(); i < value.size(); word >>= 8) {
-    value[i++] = static_cast<uint8_t>(word);
-  }
+  gen.fill(value);
   return value;
 }
 

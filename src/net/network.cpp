@@ -166,19 +166,30 @@ void Network::send(NodeId from, NodeId to, wire::MessageType type,
   const bool duplicate =
       duplication_rate_ > 0.0 && sim_.rng().chance(duplication_rate_);
   const int copies = duplicate ? 2 : 1;
-  // One envelope, shared by reference count: the payload is moved in once
-  // and a duplicated delivery does not copy it.
-  auto shared = std::make_shared<const wire::Envelope>(std::move(env));
+  // One envelope per send: the payload is moved in once and a duplicated
+  // delivery does not copy it.
+  uint32_t slot = static_cast<uint32_t>(in_flight_.size());
+  if (free_slots_.empty()) {
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot] = InFlight{std::move(env), copies};
   for (int i = 0; i < copies; ++i) {
     const SimTime latency = sample_latency();
-    sim_.schedule_after(latency, [this, shared] { deliver(*shared); });
+    sim_.schedule_after(latency, [this, slot] { deliver(slot); });
   }
 }
 
-void Network::deliver(const wire::Envelope& env) {
+void Network::deliver(uint32_t slot) {
   // Covers the receiving node's handler too — "delivery" wall time is the
   // cost of acting on the message, not just the queue pop.
   obs::ProfScope prof("net_deliver");
+  // Stays valid while the handler sends: the slot is not free yet, and the
+  // deque does not move elements when it grows.
+  InFlight& flight = in_flight_[slot];
+  const wire::Envelope& env = flight.env;
   auto it = handlers_.find(env.to);
   PAHOEHOE_CHECK(it != handlers_.end());
   stats_.record_delivered(env.type);
@@ -189,6 +200,10 @@ void Network::deliver(const wire::Envelope& env) {
   const obs::SpanTracer::Scope span_scope =
       telemetry_.spans.deliver_scope(env.span);
   it->second->handle(env);
+  if (--flight.copies == 0) {
+    flight.env = wire::Envelope{};  // frees the payload
+    free_slots_.push_back(slot);
+  }
 }
 
 }  // namespace pahoehoe::net

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -172,6 +173,10 @@ class Network {
   }
   double duplication_rate() const { return duplication_rate_; }
 
+  /// Envelopes sent and not yet delivered (each counted once, however many
+  /// copies are still scheduled). Zero once the simulator drains.
+  size_t in_flight() const { return in_flight_.size() - free_slots_.size(); }
+
   NetworkStats& stats() { return stats_; }
   const NetworkStats& stats() const { return stats_; }
   /// Message tracing (off by default; see net/trace.h).
@@ -185,7 +190,14 @@ class Network {
   sim::Simulator& simulator() { return sim_; }
 
  private:
-  void deliver(const wire::Envelope& env);
+  /// One sent envelope and the number of its scheduled copies not yet
+  /// delivered; the slot is freed after the last one.
+  struct InFlight {
+    wire::Envelope env;
+    int copies = 0;
+  };
+
+  void deliver(uint32_t slot);
   SimTime sample_latency();
 
   sim::Simulator& sim_;
@@ -194,6 +206,13 @@ class Network {
   std::unordered_map<NodeId, MessageHandler*> handlers_;
   std::vector<std::shared_ptr<FaultRule>> faults_;
   std::function<DataCenterId(NodeId)> dc_resolver_;
+  // In-flight envelopes, addressed by slot, so a scheduled delivery carries
+  // only [this, slot] and fits std::function's local buffer. A handler may
+  // send while its envelope is being delivered, so elements must keep their
+  // addresses when the table grows: a deque, not a vector. Free slots are
+  // reused last-in, first-out.
+  std::deque<InFlight> in_flight_;
+  std::vector<uint32_t> free_slots_;
   NetworkStats stats_;
   Tracer tracer_;
   obs::Telemetry telemetry_;

@@ -120,7 +120,7 @@ StoreMetadataRep StoreMetadataRep::decode(const Bytes& payload) {
 }
 
 Bytes StoreFragmentReq::encode() const {
-  Writer w;
+  Writer w(Writer::kReserve + fragment.size());
   wire::encode(w, ov);
   wire::encode(w, meta);
   w.u16(frag_index);
@@ -239,7 +239,7 @@ RetrieveFragReq RetrieveFragReq::decode(const Bytes& payload) {
 }
 
 Bytes RetrieveFragRep::encode() const {
-  Writer w;
+  Writer w(Writer::kReserve + fragment.size());
   wire::encode(w, ov);
   w.u16(frag_index);
   w.boolean(found);
@@ -332,7 +332,7 @@ FsConvergeRep FsConvergeRep::decode(const Bytes& payload) {
 }
 
 Bytes SiblingStoreReq::encode() const {
-  Writer w;
+  Writer w(Writer::kReserve + fragment.size());
   wire::encode(w, ov);
   wire::encode(w, meta);
   w.u16(frag_index);

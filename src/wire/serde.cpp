@@ -1,5 +1,6 @@
 #include "wire/serde.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace pahoehoe::wire {
@@ -8,91 +9,60 @@ namespace {
 constexpr size_t kMaxLengthPrefix = 1u << 30;  // 1 GiB sanity bound
 }
 
-void Writer::u8(uint8_t v) { out_.push_back(v); }
-
-void Writer::u16(uint16_t v) {
-  out_.push_back(static_cast<uint8_t>(v));
-  out_.push_back(static_cast<uint8_t>(v >> 8));
+Writer::Writer(size_t capacity) {
+  out_.reserve(capacity);
+  out_.resize(std::min(capacity, kReserve));
 }
 
-void Writer::u32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+void Writer::grow(size_t count) {
+  // Zero the rest of the reservation first; past it, the vector grows
+  // geometrically.
+  out_.resize(std::max(out_.capacity(), used_ + count));
 }
 
-void Writer::u64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+void Writer::append(const uint8_t* p, size_t count) {
+  if (count == 0) return;
+  if (count <= out_.size() - used_) {
+    std::memcpy(out_.data() + used_, p, count);
+    used_ += count;
+    return;
+  }
+  // A fragment: copy it in without zeroing its room first.
+  out_.resize(used_);
+  out_.insert(out_.end(), p, p + count);
+  used_ = out_.size();
 }
-
-void Writer::i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-
-void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 
 void Writer::bytes(const Bytes& v) {
   u32(static_cast<uint32_t>(v.size()));
-  out_.insert(out_.end(), v.begin(), v.end());
+  append(v.data(), v.size());
 }
 
 void Writer::str(const std::string& v) {
   u32(static_cast<uint32_t>(v.size()));
-  out_.insert(out_.end(), v.begin(), v.end());
+  append(reinterpret_cast<const uint8_t*>(v.data()), v.size());
 }
 
-const uint8_t* Reader::take(size_t count) {
-  if (pos_ + count > data_->size()) {
-    throw WireError("truncated message: need " + std::to_string(count) +
-                    " bytes at offset " + std::to_string(pos_) + " of " +
-                    std::to_string(data_->size()));
-  }
-  const uint8_t* p = data_->data() + pos_;
-  pos_ += count;
-  return p;
-}
+void Reader::fail(const char* what) { throw WireError(what); }
 
-uint8_t Reader::u8() { return *take(1); }
-
-uint16_t Reader::u16() {
-  const uint8_t* p = take(2);
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t Reader::u32() {
-  const uint8_t* p = take(4);
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t Reader::u64() {
-  const uint8_t* p = take(8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-int64_t Reader::i64() { return static_cast<int64_t>(u64()); }
-
-bool Reader::boolean() {
-  uint8_t v = u8();
-  if (v > 1) throw WireError("invalid boolean byte");
-  return v == 1;
+void Reader::fail_truncated(size_t count) const {
+  throw WireError("truncated message: need " + std::to_string(count) +
+                  " bytes at offset " + std::to_string(pos_) + " of " +
+                  std::to_string(data_->size()));
 }
 
 Bytes Reader::bytes() {
   uint32_t len = u32();
-  if (len > kMaxLengthPrefix) throw WireError("length prefix too large");
+  if (len > kMaxLengthPrefix) fail("length prefix too large");
   const uint8_t* p = take(len);
   return Bytes(p, p + len);
 }
 
 std::string Reader::str() {
   uint32_t len = u32();
-  if (len > kMaxLengthPrefix) throw WireError("length prefix too large");
+  if (len > kMaxLengthPrefix) fail("length prefix too large");
   const uint8_t* p = take(len);
   return std::string(reinterpret_cast<const char*>(p), len);
-}
-
-void Reader::expect_exhausted() const {
-  if (!exhausted()) throw WireError("trailing bytes after message");
 }
 
 void encode(Writer& w, const Key& key) { w.str(key.value); }

@@ -1,0 +1,162 @@
+// Heap allocations per message: a deterministic work counter, gated exactly
+// on any host.
+//
+// This executable replaces the global operator new/delete with versions
+// that count calls and forward to malloc/free, and counts only while a
+// core::run_experiment is on the stack. The simulated run is deterministic,
+// so the counts repeat exactly for a given build; the budgets below leave
+// headroom only for library differences between toolchains.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "core/harness.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};
+
+void count(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+}
+
+void* counted_malloc(std::size_t size) noexcept {
+  count(size);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned(std::size_t size, std::align_val_t align) noexcept {
+  count(size);
+  const auto alignment = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded =
+      (size + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
+}
+
+void* or_throw(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+// Not inlined, so the compiler does not pair an inlined free() with the
+// replaced operator new and warn of a mismatch.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return or_throw(counted_malloc(size)); }
+void* operator new[](std::size_t size) {
+  return or_throw(counted_malloc(size));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return or_throw(counted_aligned(size, align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return or_throw(counted_aligned(size, align));
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+
+namespace pahoehoe::core {
+namespace {
+
+struct Counted {
+  RunResult result;
+  uint64_t allocations = 0;
+  uint64_t bytes = 0;
+};
+
+Counted run_counted(const RunConfig& config) {
+  g_allocations.store(0);
+  g_bytes.store(0);
+  g_counting.store(true);
+  RunResult result = run_experiment(config);
+  g_counting.store(false);
+  return Counted{std::move(result), g_allocations.load(), g_bytes.load()};
+}
+
+RunConfig all_opts(int puts, size_t value_size) {
+  RunConfig config = paper_default_config();
+  config.convergence = ConvergenceOptions::all_opts();
+  config.workload.num_puts = puts;
+  config.workload.value_size = value_size;
+  config.seed = 7;
+  return config;
+}
+
+// The FS outage backlog: every put leaves convergence work for the two
+// blacked-out FSs, so the run is hundreds of small messages per put.
+TEST(AllocBudgetTest, BacklogAllocatesAboutOncePerMessage) {
+  RunConfig config = all_opts(100, 1024);
+  const SimTime hour = 60 * 60 * kMicrosPerSecond;
+  config.faults = {FaultSpec::fs_blackout(0, 0, 0, hour),
+                   FaultSpec::fs_blackout(1, 0, 0, hour)};
+  const Counted run = run_counted(config);
+  ASSERT_TRUE(run.result.audit.passed()) << run.result.audit.to_string();
+  const uint64_t sent = run.result.stats.total_sent_count();
+  ASSERT_GT(sent, 100u * 400u);
+  const double per_message =
+      static_cast<double>(run.allocations) / static_cast<double>(sent);
+  std::printf("backlog: %llu allocations / %llu messages = %.3f\n",
+              static_cast<unsigned long long>(run.allocations),
+              static_cast<unsigned long long>(sent), per_message);
+  // One for the payload, one for a decoded Metadata::locs, and the protocol
+  // state a message creates; a second copy of any per-message buffer costs
+  // about one more.
+  EXPECT_LE(per_message, 3.5);
+}
+
+// Failure-free 100 KiB puts: fragments are moved from the decoded message
+// into the store, never copied. Pinned at the measured counts with 10%
+// headroom; a copy of each stored 25 KiB fragment adds about 17% to the
+// bytes.
+TEST(AllocBudgetTest, FailureFreeLargePutsAllocationsPerPut) {
+  constexpr double kAllocationsPerPut = 329.45;
+  constexpr double kKibPerPut = 1784.6;
+  const int puts = 20;
+  const Counted run = run_counted(all_opts(puts, 100 * 1024));
+  ASSERT_TRUE(run.result.audit.passed()) << run.result.audit.to_string();
+  ASSERT_EQ(run.result.puts_attempted, puts);
+  const double per_put =
+      static_cast<double>(run.allocations) / static_cast<double>(puts);
+  const double kib_per_put =
+      static_cast<double>(run.bytes) / 1024.0 / static_cast<double>(puts);
+  std::printf("large puts: %llu allocations / %d puts = %.1f, %.1f KiB\n",
+              static_cast<unsigned long long>(run.allocations), puts,
+              per_put, kib_per_put);
+  EXPECT_LE(per_put, kAllocationsPerPut * 1.1);
+  EXPECT_LE(kib_per_put, kKibPerPut * 1.1);
+}
+
+}  // namespace
+}  // namespace pahoehoe::core

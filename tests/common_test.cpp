@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <random>
 #include <set>
 #include <span>
 #include <string>
@@ -349,6 +350,92 @@ TEST(RngTest, ChanceRoughlyCalibrated) {
   }
   const double rate = static_cast<double>(hits) / trials;
   EXPECT_NEAR(rate, 0.15, 0.02);
+}
+
+// The block engine against its oracle, std::mt19937_64: the same words for
+// the same seed, across many state refills (312 words each).
+TEST(RngTest, BlockEngineMatchesStdMt19937_64) {
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{5489},
+                              uint64_t{0x9e3779b97f4a7c15ULL}, ~uint64_t{0}}) {
+    Mt19937_64 block(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const uint64_t want = oracle();
+      const uint64_t got = block();
+      if (got != want) {
+        FAIL() << "seed " << seed << " draw " << i << ": " << got
+               << " != " << want;
+      }
+    }
+  }
+}
+
+// Distributions see only the engine's words and its min()/max(), so every
+// draw the simulator makes is unchanged by the engine swap.
+TEST(RngTest, DistributionsAndShuffleMatchUnderBothEngines) {
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{42}, uint64_t{7777}}) {
+    Mt19937_64 block(seed);
+    std::mt19937_64 oracle(seed);
+    std::vector<int> deck_block(52), deck_oracle(52);
+    for (int i = 0; i < 52; ++i) deck_block[i] = deck_oracle[i] = i;
+    for (int i = 0; i < 200'000; ++i) {
+      switch (i % 4) {
+        case 0: {
+          std::uniform_int_distribution<int64_t> d(10'000, 30'000);
+          ASSERT_EQ(d(block), d(oracle));
+          break;
+        }
+        case 1: {
+          std::uniform_int_distribution<int64_t> d(0, int64_t{1} << 62);
+          ASSERT_EQ(d(block), d(oracle));
+          break;
+        }
+        case 2: {
+          std::uniform_real_distribution<double> d(0.0, 1.0);
+          ASSERT_EQ(d(block), d(oracle));
+          break;
+        }
+        default:
+          std::shuffle(deck_block.begin(), deck_block.end(), block);
+          std::shuffle(deck_oracle.begin(), deck_oracle.end(), oracle);
+          ASSERT_EQ(deck_block, deck_oracle);
+      }
+    }
+    EXPECT_EQ(block(), oracle());
+  }
+}
+
+// Rng::fill writes the bytes of the byte-at-a-time loop workload values
+// used to be made with, at lengths around word and refill (2496-byte)
+// boundaries.
+TEST(RngTest, FillMatchesByteLoop) {
+  const auto byte_loop = [](uint64_t seed, size_t length) {
+    std::mt19937_64 gen(seed);
+    Bytes value(length);
+    size_t i = 0;
+    while (i + 8 <= value.size()) {
+      const uint64_t word = gen();
+      for (int b = 0; b < 8; ++b) {
+        value[i++] = static_cast<uint8_t>(word >> (8 * b));
+      }
+    }
+    for (uint64_t word = gen(); i < value.size(); word >>= 8) {
+      value[i++] = static_cast<uint8_t>(word);
+    }
+    return value;
+  };
+  for (const size_t length :
+       {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{2495},
+        size_t{2496}, size_t{2497}, size_t{2496 * 3 - 1}, size_t{2496 * 3 + 1},
+        size_t{100 * 1024 + 3}}) {
+    for (const uint64_t seed : {uint64_t{3}, uint64_t{0xfeedULL}}) {
+      Rng rng(seed);
+      Bytes value(length);
+      rng.fill(value);
+      EXPECT_EQ(value, byte_loop(seed, length))
+          << "length " << length << " seed " << seed;
+    }
+  }
 }
 
 // --- SampleStats -------------------------------------------------------------------

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "net/network.h"
@@ -16,10 +20,13 @@ class Recorder : public MessageHandler {
   void handle(const Envelope& env) override {
     received.push_back(env);
     times.push_back(sim != nullptr ? sim->now() : 0);
+    if (reply) reply(env);
   }
   std::vector<Envelope> received;
   std::vector<SimTime> times;
   const sim::Simulator* sim = nullptr;
+  /// Runs on each delivery, after it is recorded.
+  std::function<void(const Envelope&)> reply;
 };
 
 class NetworkTest : public ::testing::Test {
@@ -180,6 +187,134 @@ TEST_F(NetworkTest, DuplicationDeliversTwice) {
   }
   // Duplication is a channel property; it is counted once as sent.
   EXPECT_EQ(net.stats().of(MessageType::kAmrIndication).sent_count, 1u);
+}
+
+// --- in-flight slots: every send below is duplicated ------------------------
+
+class DuplicatingNetworkTest : public ::testing::Test {
+ protected:
+  static NetworkConfig duplicating() {
+    NetworkConfig config;
+    config.duplication_rate = 1.0;
+    return config;
+  }
+
+  DuplicatingNetworkTest() : sim_(3), net_(sim_, duplicating()) {
+    net_.register_node(a_, &ra_);
+    net_.register_node(b_, &rb_);
+  }
+
+  sim::Simulator sim_;
+  Network net_;
+  NodeId a_{1}, b_{2};
+  Recorder ra_, rb_;
+};
+
+// Sends made while the second copy is still queued — from the first copy's
+// handler, and right after it returns — must not take (and overwrite) the
+// slot the second copy reads.
+TEST_F(DuplicatingNetworkTest, HandlerSendDoesNotReuseALiveSlot) {
+  Recorder rc;
+  const NodeId c{3};
+  net_.register_node(c, &rc);
+  uint8_t replies = 0;
+  const auto reply = [&] {
+    net_.send(c, a_, MessageType::kFsConvergeRep, Bytes{9, 9, replies++});
+  };
+  rc.reply = [&](const Envelope&) {
+    reply();
+    sim_.schedule_after(0, reply);
+  };
+  net_.send(a_, c, MessageType::kFsConvergeReq, Bytes{1, 2, 3, 4});
+  sim_.run();
+  ASSERT_EQ(rc.received.size(), 2u);
+  for (const Envelope& env : rc.received) {
+    EXPECT_EQ(env.from, a_);
+    EXPECT_EQ(env.type, MessageType::kFsConvergeReq);
+    EXPECT_EQ(env.payload, (Bytes{1, 2, 3, 4}));
+  }
+  // Each reply is itself duplicated, and each keeps its own payload.
+  std::vector<Bytes> payloads;
+  for (const Envelope& env : ra_.received) payloads.push_back(env.payload);
+  std::sort(payloads.begin(), payloads.end());
+  std::vector<Bytes> want;
+  for (uint8_t i = 0; i < 4; ++i) want.insert(want.end(), 2, Bytes{9, 9, i});
+  EXPECT_EQ(payloads, want);
+}
+
+TEST_F(DuplicatingNetworkTest, DrainedNetworkHoldsNoSlot) {
+  for (int i = 0; i < 50; ++i) {
+    net_.send(a_, b_, MessageType::kAmrIndication, Bytes(8, 1));
+  }
+  EXPECT_EQ(net_.in_flight(), 50u);
+  sim_.run();
+  EXPECT_EQ(rb_.received.size(), 100u);
+  EXPECT_EQ(net_.in_flight(), 0u);
+}
+
+TEST_F(DuplicatingNetworkTest, DroppedMessageTakesNoSlot) {
+  net_.add_fault(std::make_shared<TypedDrop>(MessageType::kAmrIndication));
+  net_.send(a_, b_, MessageType::kAmrIndication, Bytes(8, 1));
+  EXPECT_EQ(net_.in_flight(), 0u);
+  net_.send(a_, b_, MessageType::kFsConvergeReq, Bytes(8, 2));
+  EXPECT_EQ(net_.in_flight(), 1u);
+  sim_.run();
+  EXPECT_EQ(net_.in_flight(), 0u);
+  ASSERT_EQ(rb_.received.size(), 2u);
+  EXPECT_EQ(rb_.received[0].type, MessageType::kFsConvergeReq);
+}
+
+// Duplicated and single sends interleave, handlers send more on delivery,
+// and slots are freed and reused throughout: every delivery still carries
+// exactly what was sent, as many times as it was scheduled.
+TEST_F(DuplicatingNetworkTest, InterleavedSendsDeliverWhatWasSent) {
+  struct Sent {
+    NodeId from, to;
+    MessageType type;
+    int copies;
+  };
+  std::map<Bytes, Sent> sent;
+  uint32_t next = 0;
+  const auto send = [&](NodeId from, NodeId to, MessageType type) {
+    const bool duplicate = next % 3 != 0;
+    duplicate ? net_.reset_duplication_rate() : net_.set_duplication_rate(0.0);
+    Bytes payload(4 + next % 7, static_cast<uint8_t>(next));
+    payload[0] = static_cast<uint8_t>(next >> 8);
+    payload[1] = static_cast<uint8_t>(next);
+    ++next;
+    sent[payload] = Sent{from, to, type, duplicate ? 2 : 1};
+    net_.send(from, to, type, std::move(payload));
+  };
+  Recorder ra, rb;
+  const NodeId x{10}, y{11};
+  net_.register_node(x, &ra);
+  net_.register_node(y, &rb);
+  ra.reply = [&](const Envelope&) {
+    if (next < 400) send(x, y, MessageType::kKlsConvergeReq);
+  };
+  rb.reply = [&](const Envelope&) {
+    if (next < 400) send(y, x, MessageType::kKlsConvergeRep);
+  };
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 20; ++i) send(x, y, MessageType::kRetrieveFragReq);
+    sim_.run();
+    EXPECT_EQ(net_.in_flight(), 0u);
+  }
+  std::map<Bytes, int> delivered;
+  for (const Recorder* r : {&ra, &rb}) {
+    for (const Envelope& env : r->received) {
+      const auto it = sent.find(env.payload);
+      ASSERT_NE(it, sent.end());
+      EXPECT_EQ(env.from, it->second.from);
+      EXPECT_EQ(env.to, it->second.to);
+      EXPECT_EQ(env.type, it->second.type);
+      ++delivered[env.payload];
+    }
+  }
+  ASSERT_EQ(delivered.size(), sent.size());
+  for (const auto& [payload, s] : sent) {
+    EXPECT_EQ(delivered[payload], s.copies);
+  }
 }
 
 TEST_F(NetworkTest, WanBytesTrackedWithResolver) {
