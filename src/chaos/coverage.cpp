@@ -102,20 +102,16 @@ Coverage extract_coverage(const core::RunResult& run,
       stem += span.note;
     }
     ++span_counts[stem];
-    if (span.name == "scrub_readd") {
-      // Judge the re-add against *its class's* horizon (the span note
-      // carries the class, mirroring give_up): a durable-class repair past
-      // the base give-up age is the legal state giveup_age_durable exists
-      // for, not a horizon violation.
-      const bool durable = span.note == "class=durable";
-      const SimTime age = span.start - ov.ts.wall_micros;
-      const SimTime class_horizon =
-          durable && config.convergence.giveup_age_durable >= 0
-              ? config.convergence.giveup_age_durable
-              : config.convergence.giveup_age;
-      if (age > class_horizon) scrub_past_giveup = true;
-      if (durable && age > config.convergence.giveup_age) {
+    if (span.name == "scrub_readd" &&
+        span.start - ov.ts.wall_micros > config.convergence.giveup_age) {
+      // The span note carries the class, mirroring give_up. Durable
+      // versions are never given up, so repairing one past the give-up age
+      // is the legal state the per-class policy exists for; a non-durable
+      // re-add past it is a horizon violation.
+      if (span.note == "class=durable") {
         durable_scrub_late = true;
+      } else {
+        scrub_past_giveup = true;
       }
     }
   });

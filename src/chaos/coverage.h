@@ -65,19 +65,17 @@ inline constexpr const char* kFeatureCollision =
 inline constexpr const char* kFeatureSiblingRecovery =
     "rare:sibling_recovery";  ///< a §4.2 sibling recovery attempt started
 inline constexpr const char* kFeatureScrubPastGiveup =
-    "rare:scrub_past_giveup_window";  ///< scrub re-added a version already
-                                      ///< older than *its own class's*
-                                      ///< give-up horizon (giveup_age_durable
-                                      ///< for the durable class) — scrub
-                                      ///< itself enforces that horizon, so
+    "rare:scrub_past_giveup_window";  ///< scrub re-added a non-durable
+                                      ///< version already older than the
+                                      ///< give-up age — scrub itself
+                                      ///< enforces that horizon, so
                                       ///< reaching this means the horizon
                                       ///< logic disagreed with itself
 inline constexpr const char* kFeatureDurableScrubLate =
     "rare:durable_scrub_past_base_age";  ///< a durable-class scrub re-add
-                                         ///< past the *base* (non-durable)
-                                         ///< give-up age — the state the
-                                         ///< per-class horizons exist to
-                                         ///< make legal
+                                         ///< past the (non-durable) give-up
+                                         ///< age — the state the per-class
+                                         ///< policy exists to make legal
 
 /// Extract the signature of one finished run. `config` must be the config
 /// the run executed under (topology for role mapping, convergence for the

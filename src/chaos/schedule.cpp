@@ -269,8 +269,6 @@ core::RunConfig chaos_default_config() {
   // what makes late-corruption schedules (mutated past the fault horizon)
   // auditable instead of trading a repair for a give-up violation.
   config.convergence.giveup_age = 2LL * 3600 * kMicrosPerSecond;
-  config.convergence.giveup_age_durable =
-      core::ConvergenceOptions::kNeverGiveUp;
 
   config.max_sim_time = 12LL * 3600 * kMicrosPerSecond;
   config.event_budget = 20'000'000;

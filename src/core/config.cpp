@@ -52,7 +52,6 @@ std::string describe(const ConvergenceOptions& opts) {
   append(opts.put_amr_indication, "PutAMR");
   append(opts.sibling_recovery, "Sibling");
   append(opts.unsync_rounds, "Unsync");
-  append(opts.giveup_age_durable >= 0, "ClassGiveup");
   if (out.empty()) out = "Naive";
   return out;
 }

@@ -1,7 +1,6 @@
 // Configuration knobs for the Pahoehoe protocol stack.
 #pragma once
 
-#include <limits>
 #include <string>
 
 #include "common/types.h"
@@ -30,8 +29,8 @@ struct ConvergenceOptions {
   // --- the four optimization switches the evaluation sweeps -----------------
   /// §4.1: an FS that verifies AMR sends indications to its siblings.
   bool fs_amr_indication = false;
-  /// §4.1: rounds start uniformly at random in [round_min, round_max]
-  /// instead of on a synchronized fixed-period schedule.
+  /// §4.1: rounds start uniformly at random in [30 s, 90 s] instead of on a
+  /// synchronized fixed-period schedule.
   bool unsync_rounds = false;
   /// §4.1: the proxy sends AMR indications after a fully successful put;
   /// FSs defer convergence of young versions (min_age) to let puts finish.
@@ -41,47 +40,23 @@ struct ConvergenceOptions {
   bool sibling_recovery = false;
 
   // --- timing ---------------------------------------------------------------
-  SimTime round_min = 30 * kMicrosPerSecond;   ///< unsynchronized round jitter
-  SimTime round_max = 90 * kMicrosPerSecond;
-  SimTime sync_round_period = 60 * kMicrosPerSecond;  ///< synchronized rounds
   /// Minimum version age before an FS initiates convergence (paper: 300 s);
   /// applied only when put_amr_indication is on (naïve convergence "may
   /// start convergence even before the put operation completes", §4.1).
   SimTime min_age = 300 * kMicrosPerSecond;
-  /// Stop attempting convergence for versions older than this (paper: two
-  /// months, §3.5). With per-class horizons enabled (giveup_age_durable >=
-  /// 0) this becomes the horizon of the *non-durable* class only.
+  /// Stop attempting convergence for *non-durable* versions older than this
+  /// (paper: two months for every version, §3.5). A version an FS has
+  /// evidence is durable (>= k certified intact fragments cluster-wide, or
+  /// verified AMR in the past) is never dropped from the work-list, so scrub
+  /// can repair arbitrarily old AMR-eligible versions; non-durable versions
+  /// (failed puts that can never converge) leave at this age, which is what
+  /// keeps quiescence reachable. Past it, a durable holder that a sibling
+  /// answers "not verified" must prove its evidence with a §4.2 sibling
+  /// recovery or have it revoked (DESIGN.md §9).
   SimTime giveup_age = 60LL * 24 * 3600 * kMicrosPerSecond;
-  /// Per-durability-class give-up: horizon applied to versions an FS has
-  /// evidence are durable (>= k certified intact fragments cluster-wide, or
-  /// verified AMR in the past). Negative (the default) disables the split
-  /// and `giveup_age` governs every version — the paper's single-age
-  /// behavior, kept for figure parity. Set to kNeverGiveUp so durable
-  /// versions are never dropped from the work-lists and scrub can repair
-  /// arbitrarily old AMR-eligible versions; non-durable versions (failed
-  /// puts that can never converge) still leave at `giveup_age`, which is
-  /// what keeps quiescence reachable.
-  SimTime giveup_age_durable = -1;
-  /// Effectively-infinite horizon for giveup_age_durable ("durable
-  /// versions are never dropped").
-  static constexpr SimTime kNeverGiveUp =
-      std::numeric_limits<SimTime>::max();
-  /// Exponential per-version backoff after a convergence step that did not
-  /// reach AMR: base * factor^(attempts-1), jittered, capped.
-  SimTime backoff_base = 60 * kMicrosPerSecond;
-  double backoff_factor = 2.0;
+  /// Cap of the exponential per-version backoff after a convergence step
+  /// that did not reach AMR.
   SimTime backoff_max = 7LL * 24 * 3600 * kMicrosPerSecond;
-  /// How long a sibling-recovery initiator accumulates converge replies
-  /// before fetching fragments (§4.2 "waits some time").
-  SimTime recovery_wait = 200 * kMicrosPerMilli;
-  /// Abandon a recovery attempt whose fragment fetches never complete
-  /// (sources down or replies lost); the step retries with backoff.
-  SimTime recovery_timeout = 5 * kMicrosPerSecond;
-  /// Retransmit a recovery attempt's outstanding fragment fetches at this
-  /// interval until the attempt's deadline. Without in-attempt retries, one
-  /// lost fetch fails the whole attempt, and under heavy loss a version
-  /// could exhaust its backoff schedule before ever completing a recovery.
-  SimTime recovery_retry_interval = 1500 * kMicrosPerMilli;
   /// Periodic disk scrub (§3.1 "detect disk corruption using hashes"):
   /// every interval the FS re-checks its fragments and re-enters damaged
   /// versions into convergence. 0 disables (the default — the paper's
@@ -112,8 +87,6 @@ struct ConvergenceOptions {
 
 /// Proxy behaviour.
 struct ProxyOptions {
-  SimTime put_timeout = 10 * kMicrosPerSecond;
-  SimTime get_timeout = 10 * kMicrosPerSecond;
   /// Versions per RetrieveTs page (§3.5 iterative timestamp retrieval);
   /// 0 fetches every version in one reply.
   uint16_t get_page_size = 0;

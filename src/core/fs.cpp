@@ -1,6 +1,7 @@
 #include "core/fs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/sha256.h"
 #include "obs/prof.h"
@@ -62,41 +63,24 @@ SimTime FragmentServer::version_age(const ObjectVersionId& ov) const {
   return std::max<SimTime>(0, sim_.now() - ov.ts.wall_micros);
 }
 
-bool FragmentServer::collects_evidence(const Work& work) const {
-  return !work.durable_evidence && options_.giveup_age_durable >= 0;
-}
-
-void FragmentServer::certify_slots(const ObjectVersionId& ov, Work& work,
-                                   const std::vector<int>& slots) {
-  if (!collects_evidence(work)) return;
-  for (int slot : slots) work.certified_slots.insert(slot);
+void FragmentServer::certify_slot(const ObjectVersionId& ov, Work& work,
+                                  int slot) {
+  if (work.durable_evidence) return;
+  work.certified_slots.insert(slot);
   if (static_cast<int>(work.certified_slots.size()) >= meta_of(ov).policy.k) {
     work.durable_evidence = true;
     work.certified_slots.clear();
   }
 }
 
-bool FragmentServer::durable_class(const ObjectVersionId& ov, Work* work) {
-  if (amr_history_.count(ov) > 0) return true;
-  if (work == nullptr) return false;
-  if (work->durable_evidence) return true;
-  // Certify what local state proves right now: our own intact fragments
-  // plus anything a recovery attempt has gathered.
+bool FragmentServer::durable_class(const ObjectVersionId& ov, Work& work) {
+  if (work.durable_evidence || amr_history_.count(ov) > 0) return true;
+  // Certify what local state proves right now: our own intact fragments.
   const storage::FragStore::Entry& entry = entry_of(ov);
-  std::vector<int> intact;
   for (int slot : entry.meta.fragments_for(id())) {
-    if (entry.intact_fragment(slot) != nullptr) intact.push_back(slot);
+    if (entry.intact_fragment(slot) != nullptr) certify_slot(ov, work, slot);
   }
-  for (const auto& [slot, data] : work->gathered) intact.push_back(slot);
-  certify_slots(ov, *work, intact);
-  return work->durable_evidence;
-}
-
-SimTime FragmentServer::giveup_horizon(const ObjectVersionId& ov,
-                                       Work* work) {
-  if (options_.giveup_age_durable < 0) return options_.giveup_age;
-  return durable_class(ov, work) ? options_.giveup_age_durable
-                                 : options_.giveup_age;
+  return work.durable_evidence;
 }
 
 void FragmentServer::revoke_durable_evidence(const ObjectVersionId& ov,
@@ -106,12 +90,17 @@ void FragmentServer::revoke_durable_evidence(const ObjectVersionId& ov,
   amr_history_.erase(ov);
 }
 
+/// Exponential per-version backoff after a convergence step that did not
+/// reach AMR: base * factor^(attempts-1), jittered, capped at backoff_max.
+constexpr SimTime kBackoffBase = 60 * kMicrosPerSecond;
+constexpr double kBackoffFactor = 2.0;
+
 void FragmentServer::bump_backoff(const ObjectVersionId& ov, Work& work) {
   // Exponential backoff with jitter (§3.5): the longer a version fails to
   // converge, the less often we retry.
-  double delay = static_cast<double>(options_.backoff_base);
+  double delay = static_cast<double>(kBackoffBase);
   for (int i = 0; i < std::min(work.attempts, 40); ++i) {
-    delay *= options_.backoff_factor;
+    delay *= kBackoffFactor;
     if (delay >= static_cast<double>(options_.backoff_max)) break;
   }
   delay = std::min(delay, static_cast<double>(options_.backoff_max));
@@ -309,17 +298,21 @@ std::string FragmentServer::check_eligibility_index() const {
   return "";
 }
 
+/// Unsynchronized round jitter (§4.1).
+constexpr SimTime kRoundMin = 30 * kMicrosPerSecond;
+constexpr SimTime kRoundMax = 90 * kMicrosPerSecond;
+/// Synchronized rounds.
+constexpr SimTime kSyncRoundPeriod = 60 * kMicrosPerSecond;
+
 void FragmentServer::ensure_round_scheduled() {
   if (crashed() || work_.empty()) return;
   SimTime when;
   if (options_.unsync_rounds) {
     // §4.1: uniformly random spacing desynchronizes sibling FSs.
-    when = sim_.now() +
-           sim_.rng().uniform_int(options_.round_min, options_.round_max);
+    when = sim_.now() + sim_.rng().uniform_int(kRoundMin, kRoundMax);
   } else {
     // Synchronized schedule: every FS rounds at multiples of the period.
-    const SimTime period = options_.sync_round_period;
-    when = (sim_.now() / period + 1) * period;
+    when = (sim_.now() / kSyncRoundPeriod + 1) * kSyncRoundPeriod;
   }
   // If every pending version is waiting on backoff or min-age, skip the
   // no-op rounds and wake when the earliest version becomes eligible.
@@ -354,17 +347,14 @@ void FragmentServer::start_round() {
   for (const ObjectVersionId& ov : due) {
     const auto it = work_.find(ov);
     Work& work = it->second;
-    if (version_age(ov) > giveup_horizon(ov, &work)) {
+    if (version_age(ov) > options_.giveup_age && !durable_class(ov, work)) {
       // §3.5: stop convergence work for hopeless versions after a long
-      // horizon (fragments are kept; only the work-list entry goes). With
-      // per-class horizons the durable class got the (longer) durable
-      // horizon above, so anything dropped here is non-durable-class.
-      const bool durable = durable_class(ov, &work);
+      // horizon (fragments are kept; only the work-list entry goes).
+      // Durable-class versions are never dropped, so anything given up
+      // here is non-durable.
       m_giveups_->inc();
-      given_up_versions_.push_back(ov);
       telemetry().spans.interval(ov, "give_up", id(), sim_.now(), sim_.now(),
-                                 durable ? "class=durable"
-                                         : "class=non-durable");
+                                 "class=non-durable");
       telemetry().spans.report_work_done(ov, id());
       erase_work(it);
       continue;
@@ -409,9 +399,12 @@ void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
     return;
   }
 
-  if (!local_fragments_intact(entry)) {
-    // Fig 4 line 8: recover missing local fragments.
-    if (options_.sibling_recovery) {
+  const bool prove = std::exchange(work.prove_evidence, false);
+  if (prove || !local_fragments_intact(entry)) {
+    // Fig 4 line 8: recover missing local fragments. Proving durable
+    // evidence takes a §4.2 sibling recovery whatever the options say: only
+    // that kind learns and regenerates what the siblings lack.
+    if (prove || options_.sibling_recovery) {
       begin_sibling_recovery(ov, work);
     } else {
       begin_plain_recovery(ov, work);
@@ -438,6 +431,18 @@ void FragmentServer::begin_verify(const ObjectVersionId& ov, Work& work) {
   }
   check_amr(ov, work);  // degenerate topologies may need no acks
 }
+
+/// How long a sibling-recovery initiator accumulates converge replies
+/// before fetching fragments (§4.2 "waits some time").
+constexpr SimTime kRecoveryWait = 200 * kMicrosPerMilli;
+/// Abandon a recovery attempt whose fragment fetches never complete
+/// (sources down or replies lost); the step retries with backoff.
+constexpr SimTime kRecoveryTimeout = 5 * kMicrosPerSecond;
+/// Retransmit a recovery attempt's outstanding fragment fetches at this
+/// interval until the attempt's deadline. Without in-attempt retries, one
+/// lost fetch fails the whole attempt, and under heavy loss a version
+/// could exhaust its backoff schedule before ever completing a recovery.
+constexpr SimTime kRecoveryRetryInterval = 1500 * kMicrosPerMilli;
 
 void FragmentServer::start_recovery(const ObjectVersionId& ov, Work& work,
                                     bool plain) {
@@ -484,7 +489,7 @@ void FragmentServer::begin_sibling_recovery(const ObjectVersionId& ov,
     send(fs, wire::FsConvergeReq{ov, meta, /*intends_recovery=*/true});
   }
   work.recovery_timer = sim_.schedule_after(
-      options_.recovery_wait, [this, ov] {
+      kRecoveryWait, [this, ov] {
         auto it = work_.find(ov);
         if (it == work_.end() || !it->second.recovering) return;
         it->second.recovery_timer = 0;
@@ -627,7 +632,7 @@ void FragmentServer::arm_recovery_retry(const ObjectVersionId& ov,
   // Periodically retransmit whatever fetches are still outstanding and top
   // up from fresh candidates; one lost message must not sink the attempt.
   work.recovery_retry = sim_.schedule_after(
-      options_.recovery_retry_interval, [this, ov] {
+      kRecoveryRetryInterval, [this, ov] {
         auto it = work_.find(ov);
         if (it == work_.end() || !it->second.recovering) return;
         Work& w = it->second;
@@ -648,7 +653,7 @@ void FragmentServer::arm_recovery_retry(const ObjectVersionId& ov,
 void FragmentServer::arm_recovery_deadline(const ObjectVersionId& ov,
                                            Work& work) {
   work.recovery_deadline = sim_.schedule_after(
-      options_.recovery_wait + options_.recovery_timeout, [this, ov] {
+      kRecoveryWait + kRecoveryTimeout, [this, ov] {
         auto it = work_.find(ov);
         if (it == work_.end() || !it->second.recovering) return;
         it->second.recovery_deadline = 0;
@@ -717,7 +722,7 @@ void FragmentServer::mark_amr(const ObjectVersionId& ov) {
   clear_recovery_state(ov, it->second);
   m_converge_attempts_->observe(it->second.attempts);
   m_converged_->inc();
-  if (options_.giveup_age_durable >= 0) amr_history_.insert(ov);
+  amr_history_.insert(ov);
   telemetry().amr.on_amr_confirmed(ov, sim_.now());
   telemetry().spans.on_amr_confirmed(ov, id());
   telemetry().spans.report_work_done(ov, id());
@@ -821,10 +826,18 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
     work.verify_acks.insert(from);
     // A verified sibling proves its assigned fragments are intact; that is
     // durable-class evidence this FS can certify without any extra traffic.
-    if (collects_evidence(work)) {
-      certify_slots(rep.ov, work, meta_of(rep.ov).fragments_for(from));
+    if (!work.durable_evidence) {
+      for (int slot : meta_of(rep.ov).fragments_for(from)) {
+        certify_slot(rep.ov, work, slot);
+      }
     }
     check_amr(rep.ov, work);
+  } else if (!work.recovering &&
+             version_age(rep.ov) > options_.giveup_age) {
+    // A definite "no" past the non-durable horizon, where only durable-class
+    // versions are left: prove the evidence or have it revoked. A "no"
+    // during a recovery answers its own intent and is already being served.
+    work.prove_evidence = true;
   }
 }
 
@@ -851,7 +864,7 @@ void FragmentServer::on_amr_indication(const wire::AmrIndication& msg) {
     clear_recovery_state(msg.ov, it->second);
     erase_work(it);
   }
-  if (options_.giveup_age_durable >= 0) amr_history_.insert(msg.ov);
+  amr_history_.insert(msg.ov);
   telemetry().spans.report_work_done(msg.ov, id());
 }
 
@@ -875,6 +888,8 @@ void FragmentServer::on_retrieve_frag_rep(NodeId /*from*/,
   if (work.requested_slots.count(rep.frag_index) == 0) return;
   work.requested_slots.erase(rep.frag_index);
   if (rep.found) {
+    // A source serves only a fragment it holds intact: evidence on receipt.
+    certify_slot(rep.ov, work, rep.frag_index);
     work.gathered.emplace(static_cast<int>(rep.frag_index),
                           std::move(rep.fragment));
     recovery_maybe_finish(rep.ov, work);
@@ -943,22 +958,21 @@ size_t FragmentServer::scrub() {
     if (work_.count(ov) > 0) continue;
     // Honor the give-up horizon (§3.5): resurrecting a version convergence
     // already gave up on would livelock scrub against give-up. Past the
-    // horizon, damaged versions are left to the (elided) disk rebuild.
-    // With per-class horizons, versions in the AMR history get the durable
-    // horizon, so scrub repairs arbitrarily old AMR-eligible versions.
-    if (version_age(ov) > giveup_horizon(ov, nullptr)) continue;
+    // horizon, damaged non-durable versions are left to the (elided) disk
+    // rebuild; versions in the AMR history are durable-class and never
+    // given up, so scrub repairs them no matter how old.
+    const bool durable = amr_history_.count(ov) > 0;
+    if (version_age(ov) > options_.giveup_age && !durable) continue;
     if (local_fragments_intact(entry)) continue;
     reindex(ov, work_.try_emplace(ov).first->second);
     telemetry().spans.report_work(ov, id(), 0, false);
-    // The class note mirrors give_up's: coverage classifies a re-add as
-    // "past the give-up window" against the class's own horizon, so a
-    // durable-class repair of an arbitrarily old AMR version (the whole
-    // point of giveup_age_durable) is not flagged as an anomaly.
+    // The class note mirrors give_up's: coverage tells a durable-class
+    // repair of an old AMR version (legal) from a non-durable re-add past
+    // the give-up age (a horizon violation).
     telemetry().spans.interval(ov, "scrub_readd", id(), sim_.now(),
                                sim_.now(),
-                               durable_class(ov, nullptr)
-                                   ? "class=durable"
-                                   : "class=non-durable");
+                               durable ? "class=durable"
+                                       : "class=non-durable");
     ++readded;
   }
   if (readded > 0) {

@@ -61,12 +61,6 @@ class FragmentServer : public Server {
   // Counters for tests and experiments, read from the metric registry.
   uint64_t versions_converged() const { return m_converged_->value(); }
   uint64_t versions_given_up() const { return m_giveups_->value(); }
-  /// Every version this FS dropped at the give-up horizon, in drop order
-  /// (the per-durability-class regression tests check none of them was
-  /// durable).
-  const std::vector<ObjectVersionId>& given_up_versions() const {
-    return given_up_versions_;
-  }
   uint64_t recoveries_completed() const { return m_recoveries_->value(); }
   uint64_t recovery_backoffs() const { return m_backoffs_->value(); }
   uint64_t rounds_run() const { return m_rounds_->value(); }
@@ -109,13 +103,18 @@ class FragmentServer : public Server {
     sim::TimerId recovery_deadline = 0;  // abandon a stalled recovery
     sim::TimerId recovery_retry = 0;   // retransmit outstanding fetches
     // Per-durability-class give-up evidence: distinct fragment slots this
-    // FS has seen intact somewhere (its own, gathered during recovery, or
+    // FS has seen intact somewhere (its own, fetched by a recovery, or
     // certified by a sibling's verified converge reply). Once >= k slots
     // are certified the version is treated as durable-class (sticky until
     // a recovery exhausts its sources, which is direct evidence the
     // cluster lost it).
     std::set<int> certified_slots;
     bool durable_evidence = false;
+    // Set when a sibling answers "not verified" past giveup_age, where only
+    // durable-class versions are left: the next step is a §4.2 sibling
+    // recovery that proves the evidence (regenerating what the siblings
+    // lack) or, by exhausting its sources, revokes it.
+    bool prove_evidence = false;
   };
 
   // Message handlers.
@@ -195,21 +194,12 @@ class FragmentServer : public Server {
                         const Sha256::Digest& digest);
   void bump_backoff(const ObjectVersionId& ov, Work& work);
   SimTime version_age(const ObjectVersionId& ov) const;
-  /// Per-durability-class give-up (see ConvergenceOptions): certify what we
-  /// can from local state, then report whether the version has durable
-  /// evidence. `work` may be null (the scrub path, where only AMR history
-  /// applies).
-  bool durable_class(const ObjectVersionId& ov, Work* work);
-  /// Horizon that applies to this version: giveup_age when the per-class
-  /// split is off or the version is non-durable-class, giveup_age_durable
-  /// otherwise.
-  SimTime giveup_horizon(const ObjectVersionId& ov, Work* work);
-  /// True while certify_slots would record anything: the per-class split
-  /// is on and the version has no durable evidence yet.
-  bool collects_evidence(const Work& work) const;
-  /// Certify `slots` as seen-intact and flip durable_evidence at >= k.
-  void certify_slots(const ObjectVersionId& ov, Work& work,
-                     const std::vector<int>& slots);
+  /// Per-durability-class give-up (see ConvergenceOptions): certify this
+  /// FS's own intact fragments, then report whether the version has durable
+  /// evidence or is in the AMR history.
+  bool durable_class(const ObjectVersionId& ov, Work& work);
+  /// Certify `slot` as seen intact and flip durable_evidence at >= k.
+  void certify_slot(const ObjectVersionId& ov, Work& work, int slot);
   /// A recovery ran out of sources: the cluster demonstrably cannot supply
   /// k fragments right now, so durable evidence (including AMR history) is
   /// revoked and must be re-earned.
@@ -235,7 +225,6 @@ class FragmentServer : public Server {
   std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
       codecs_;
 
-  std::vector<ObjectVersionId> given_up_versions_;
   /// Versions this FS verified AMR (or was told reached AMR). Modeled as
   /// persisted alongside the fragment store — the one-bit marker lets scrub
   /// distinguish "damaged AMR version worth repairing forever" from

@@ -141,7 +141,7 @@ void Proxy::put(const Key& key, Bytes value, const Policy& policy,
   op->callback = std::move(callback);
 
   const ObjectVersionId ov = op->ov;
-  op->timeout = sim_.schedule_after(options_.put_timeout,
+  op->timeout = sim_.schedule_after(kPutTimeout,
                                     [this, ov] { finish_put(ov); });
 
   // Root span of the version's causal tree; stays open until AMR. The
@@ -275,6 +275,9 @@ void Proxy::finish_put(const ObjectVersionId& ov) {
   puts_.erase(it);
 }
 
+/// A get still unresolved this long after it began fails.
+constexpr SimTime kGetTimeout = 10 * kMicrosPerSecond;
+
 void Proxy::get(const Key& key, GetCallback callback) {
   PAHOEHOE_CHECK(callback != nullptr);
   if (crashed()) {
@@ -290,7 +293,7 @@ void Proxy::get(const Key& key, GetCallback callback) {
   auto op = std::make_unique<GetOp>();
   op->key = key;
   op->callback = std::move(callback);
-  op->timeout = sim_.schedule_after(options_.get_timeout, [this, key] {
+  op->timeout = sim_.schedule_after(kGetTimeout, [this, key] {
     finish_get(key, GetResult{});
   });
   for (NodeId kls : view_->all_kls) {

@@ -46,6 +46,9 @@ using GetCallback = std::function<void(const GetResult&)>;
 
 class Proxy : public Server {
  public:
+  /// A put still unresolved this long after it began fails.
+  static constexpr SimTime kPutTimeout = 10 * kMicrosPerSecond;
+
   Proxy(sim::Simulator& sim, net::Network& net,
         std::shared_ptr<const ClusterView> view, NodeId id, DataCenterId dc,
         ProxyOptions options);

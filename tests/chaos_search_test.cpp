@@ -270,17 +270,13 @@ TEST(Search, GuidedBeatsUniformOnEqualBudgetAndReachesRareStates) {
 }
 
 // Regression: rare:scrub_past_giveup_window must honor the per-durability-
-// class horizon (PR 5's giveup_age_durable), judging each scrub re-add
-// against *its class's* horizon like fs.cpp does — not the base
-// giveup_age. The spans are built directly so each class/age combination
-// is exercised exactly.
+// class policy, judging each scrub re-add by its class like fs.cpp does:
+// durable versions are never given up, so only a non-durable re-add past
+// giveup_age violates the horizon. The spans are built directly so each
+// class is exercised exactly.
 TEST(Coverage, ScrubReaddJudgedAgainstItsOwnClassHorizon) {
-  core::RunConfig config = chaos::chaos_default_config();
-  // The chaos defaults this test relies on: finite base horizon, durable
-  // versions never given up.
+  const core::RunConfig config = chaos::chaos_default_config();
   ASSERT_GT(config.convergence.giveup_age, 0);
-  ASSERT_EQ(config.convergence.giveup_age_durable,
-            core::ConvergenceOptions::kNeverGiveUp);
 
   sim::Simulator sim(1);
   const NodeId fs{120};
@@ -295,29 +291,21 @@ TEST(Coverage, ScrubReaddJudgedAgainstItsOwnClassHorizon) {
     return run;
   };
 
-  // Durable-class re-add past the base age but inside its own (infinite)
-  // horizon: the celebrated PR-5 state, not a horizon violation.
+  // Durable-class re-add past the give-up age: the legal state the
+  // per-class policy exists for, not a horizon violation.
   const auto durable = run_with_readd("class=durable");
   const chaos::Coverage durable_cov = chaos::extract_coverage(*durable,
                                                               config);
   EXPECT_TRUE(durable_cov.contains(chaos::kFeatureDurableScrubLate));
   EXPECT_FALSE(durable_cov.contains(chaos::kFeatureScrubPastGiveup));
 
-  // Non-durable re-add past the base horizon: a genuine disagreement
+  // Non-durable re-add past the give-up age: a genuine disagreement
   // between scrub and the give-up logic.
   const auto non_durable = run_with_readd("class=non-durable");
   const chaos::Coverage non_durable_cov =
       chaos::extract_coverage(*non_durable, config);
   EXPECT_TRUE(non_durable_cov.contains(chaos::kFeatureScrubPastGiveup));
   EXPECT_FALSE(non_durable_cov.contains(chaos::kFeatureDurableScrubLate));
-
-  // With a finite durable horizon equal to the base age, the same durable
-  // re-add violates its own class's horizon too.
-  config.convergence.giveup_age_durable = config.convergence.giveup_age;
-  const chaos::Coverage finite_cov = chaos::extract_coverage(*durable,
-                                                             config);
-  EXPECT_TRUE(finite_cov.contains(chaos::kFeatureScrubPastGiveup));
-  EXPECT_TRUE(finite_cov.contains(chaos::kFeatureDurableScrubLate));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "chaos/mutate.h"
 #include "chaos/schedule.h"
@@ -316,18 +318,14 @@ TEST(Shrinker, ReducesCorruptionScheduleToMinimalRepro) {
   EXPECT_EQ(first.runs, second.runs);
 }
 
-// --- per-durability-class give-up horizons ----------------------------------
+// --- per-durability-class give-up -------------------------------------------
 
-// A corruption landing AFTER the give-up age: under the paper's single-age
-// behavior scrub must skip the version (see the negative control below),
-// but with per-class horizons (the chaos default) the version is in the
-// FS's AMR history, gets the durable horizon, is re-added by scrub, and is
-// repaired — the full chaos audit passes and no durable version is ever
+// A corruption landing AFTER the give-up age: the version is in the FS's
+// AMR history, so it is durable-class, scrub re-adds it and convergence
+// repairs it — the full chaos audit passes and no durable version is ever
 // dropped from a work-list.
 TEST(ClassGiveup, LateCorruptionIsRepairedUnderDurableHorizon) {
   core::RunConfig config = chaos::chaos_default_config();
-  ASSERT_EQ(config.convergence.giveup_age_durable,
-            core::ConvergenceOptions::kNeverGiveUp);
   config.workload.num_puts = 10;
   const SimTime late =
       config.convergence.giveup_age + 30LL * 60 * kMicrosPerSecond;
@@ -336,38 +334,13 @@ TEST(ClassGiveup, LateCorruptionIsRepairedUnderDurableHorizon) {
   const core::RunResult result = core::run_experiment(config);
   EXPECT_TRUE(result.audit.passed()) << result.audit.to_string();
   EXPECT_EQ(result.amr, result.versions_total);
-  // Everything stored was durable; the durable horizon dropped none of it.
+  // Everything stored was durable; none of it was given up.
   EXPECT_EQ(result.given_up, 0);
 }
 
-// Negative control: the identical schedule under the single-age behavior
-// (giveup_age_durable < 0, figure parity default) leaves the corrupted
-// version short of maximum redundancy forever — scrub must honor the one
-// horizon it has, so the damage is never repaired and the audit fails.
-TEST(ClassGiveup, LateCorruptionViolatesUnderSingleAge) {
-  core::RunConfig config = chaos::chaos_default_config();
-  config.convergence.giveup_age_durable = -1;
-  config.workload.num_puts = 10;
-  const SimTime late =
-      config.convergence.giveup_age + 30LL * 60 * kMicrosPerSecond;
-  config.faults = {FaultSpec::frag_corrupt(0, 1, late)};
-
-  const core::RunResult result = core::run_experiment(config);
-  ASSERT_FALSE(result.audit.passed());
-  bool saw_durable_not_amr = false;
-  for (const auto& v : result.audit.violations) {
-    if (v.kind == core::InvariantViolation::Kind::kDurableNotAmr ||
-        v.kind == core::InvariantViolation::Kind::kAckedNotAmr) {
-      saw_durable_not_amr = true;
-    }
-  }
-  EXPECT_TRUE(saw_durable_not_amr) << result.audit.to_string();
-}
-
-// Chaos-audited regression: randomized schedules with per-class horizons on
-// (the default) must hold every invariant — in particular, non-durable
-// versions still leave the work-lists at giveup_age (quiescence) while
-// durable ones are never dropped.
+// Chaos-audited regression: randomized schedules must hold every invariant
+// — in particular, non-durable versions still leave the work-lists at
+// giveup_age (quiescence) while durable ones are never dropped.
 TEST(ClassGiveup, RandomSchedulesHoldAllInvariants) {
   chaos::SearchOptions options;
   options.seeds = 8;
@@ -375,6 +348,72 @@ TEST(ClassGiveup, RandomSchedulesHoldAllInvariants) {
   const chaos::SearchResult result =
       chaos::run_search(chaos::chaos_default_config(), options);
   EXPECT_TRUE(result.passed()) << result.summary();
+}
+
+// Prove or revoke: past giveup_age a durable holder that a sibling answers
+// "not verified" runs a §4.2 sibling recovery. Each repro below is a shrunk
+// chaos schedule that leaves a durable holder past the horizon with a
+// version it cannot verify.
+core::RunResult run_repro(int puts, uint64_t seed,
+                          std::vector<FaultSpec> faults) {
+  core::RunConfig config = chaos::chaos_default_config();
+  config.workload.num_puts = puts;
+  config.seed = seed;
+  config.faults = std::move(faults);
+  return core::run_experiment(config);
+}
+
+// A failed put with one durable holder and fewer than k intact fragments:
+// the holder's recovery runs short of k and revokes the evidence, so the
+// version gives up like any non-durable one and the run reaches quiescence.
+TEST(ProveOrRevoke, LoneHolderOfAFailedPutRevokes) {
+  const core::RunResult result =
+      run_repro(10, 9757317561786056431ULL,
+                {FaultSpec::disk_destroy(0, 2, 0, 1484076493),
+                 FaultSpec::dc_partition(0, 0, 1000000),
+                 FaultSpec::fs_blackout(0, 0, 0, 1584074082)});
+  EXPECT_TRUE(result.audit.passed()) << result.audit.to_string();
+}
+
+// The same class under 20% loss: attempts that lose their fetches take the
+// deadline path and keep the evidence, until one exhausts its sources.
+TEST(ProveOrRevoke, LoneHolderUnderLossRevokesOnExhaustion) {
+  const core::RunResult result =
+      run_repro(12, 1073,
+                {FaultSpec::fs_blackout(1, 1, 26815475, 540728520),
+                 FaultSpec::disk_destroy(1, 2, 0, 510791690),
+                 FaultSpec::uniform_loss(0.196232)});
+  EXPECT_TRUE(result.audit.passed()) << result.audit.to_string();
+}
+
+// The repair case: FS (1,2) loses both fragments while blacked out and
+// gives up at giveup_age as non-durable; the other five hold durable
+// evidence. The first "no" past the horizon makes one of them regenerate
+// and push the two fragments, so the version reaches AMR.
+TEST(ProveOrRevoke, DurableHoldersRepairAGivenUpSibling) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const core::RunResult result = run_repro(
+        1, seed,
+        {FaultSpec::kls_blackout(0, 0, 0, minutes(180)),
+         FaultSpec::fs_blackout(1, 2, minutes(1), minutes(150)),
+         FaultSpec::disk_destroy(1, 2, 0, minutes(1) + seconds(1)),
+         FaultSpec::disk_destroy(1, 2, 1, minutes(1) + seconds(1))});
+    EXPECT_TRUE(result.audit.passed())
+        << "seed " << seed << ": " << result.audit.to_string();
+    EXPECT_EQ(result.amr, result.versions_total) << "seed " << seed;
+  }
+}
+
+// A fragment a recovery fetched certifies its slot on arrival, even when
+// the attempt later times out: under heavy loss that evidence is what lets
+// a holder reach the durable class instead of giving the version up.
+TEST(ProveOrRevoke, FetchedFragmentsCertifyTheirSlots) {
+  const core::RunResult result =
+      run_repro(12, 16187693756222617992ULL,
+                {FaultSpec::uniform_loss(0.182677),
+                 FaultSpec::uniform_loss(0.189109),
+                 FaultSpec::uniform_loss(0.170988)});
+  EXPECT_TRUE(result.audit.passed()) << result.audit.to_string();
 }
 
 // A schedule that does not fail comes back unchanged with a passing audit.

@@ -81,7 +81,7 @@ TEST(ProxyPutTest, TimesOutWhenAllKlssUnreachable) {
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.frag_acks, 0);
   // Failed via the put timeout, not instantly.
-  EXPECT_GE(tc.sim.now() - start, core::ProxyOptions{}.put_timeout);
+  EXPECT_GE(tc.sim.now() - start, core::Proxy::kPutTimeout);
 }
 
 TEST(ProxyPutTest, LateRepliesAfterTimeoutAreIgnored) {

@@ -167,12 +167,12 @@ TEST(SpanTest, PerfettoExportRoundTripsThroughJsonParse) {
 }
 
 TEST(SpanTest, SpanForensicsNameTheViolatingVersion) {
-  // Give up before the blackout lifts (but after min_age, so convergence
-  // rounds do run first): the acked version stays durable but never reaches
-  // AMR, and the audit's kDurableNotAmr violation names it, so the harness
-  // attaches its span tree as forensics.
+  // End the run before the blackout lifts (but after min_age, so
+  // convergence rounds do run first): the acked version is durable but not
+  // yet AMR, and the audit's kAckedNotAmr violation names it, so the
+  // harness attaches its span tree as forensics.
   core::RunConfig config = blackout_config();
-  config.convergence.giveup_age = testing::minutes(7);
+  config.max_sim_time = testing::minutes(7);
   const core::RunResult result = core::run_experiment(config);
   ASSERT_FALSE(result.audit.passed());
   ASSERT_FALSE(result.span_forensics.empty());
@@ -222,7 +222,7 @@ TEST(ChaosSpanTest, FailingSeedForensicsIncludeTheSpanTree) {
   core::RunConfig config = traced_config(1);
   config.faults.push_back(
       core::FaultSpec::fs_blackout(0, 0, 0, testing::minutes(10)));
-  config.convergence.giveup_age = testing::minutes(7);
+  config.max_sim_time = testing::minutes(7);  // inside the blackout
   config.telemetry.trace_capacity = 256;
 
   chaos::SearchOptions options;
