@@ -165,9 +165,10 @@ Sha256::Digest Cluster::state_digest() const {
   wire::Writer w;
   for (const auto& kls : klss_) {
     w.u32(kls->id().value);
-    const auto& entries = kls->meta_store().entries();
+    const auto entries = kls->meta_store().sorted();
     w.u32(static_cast<uint32_t>(entries.size()));
-    for (const auto& [ov, meta] : entries) {
+    for (const auto* item : entries) {
+      const auto& [ov, meta] = *item;
       wire::encode(w, ov);
       w.boolean(kls->timestamp_store().contains(ov.key, ov.ts));
       wire::encode(w, meta);
@@ -175,9 +176,10 @@ Sha256::Digest Cluster::state_digest() const {
   }
   for (const auto& fs : fss_) {
     w.u32(fs->id().value);
-    const auto& entries = fs->frag_store().entries();
+    const auto entries = fs->frag_store().sorted();
     w.u32(static_cast<uint32_t>(entries.size()));
-    for (const auto& [ov, entry] : entries) {
+    for (const auto* item : entries) {
+      const auto& [ov, entry] = *item;
       wire::encode(w, ov);
       w.u32(static_cast<uint32_t>(entry.fragments.size()));
       for (const auto& [slot, frag] : entry.fragments) {

@@ -31,6 +31,8 @@ FragmentServer::FragmentServer(sim::Simulator& sim, net::Network& net,
   m_sibling_recoveries_ =
       &metrics.counter("fs_sibling_recoveries_total", labels);
   m_converge_attempts_ = &metrics.histogram("fs_converge_attempts", labels);
+  max_acks_ = view_->all_kls.size();
+  for (const auto& fss : view_->fs_by_dc) max_acks_ += fss.size();
   schedule_scrub();
 }
 
@@ -48,46 +50,42 @@ const erasure::ReedSolomon& FragmentServer::codec(const Policy& policy) {
   return *it->second;
 }
 
-const storage::FragStore::Entry& FragmentServer::entry_of(
-    const ObjectVersionId& ov) const {
-  const storage::FragStore::Entry* entry = store_frag_.find(ov);
-  PAHOEHOE_CHECK(entry != nullptr);
-  return *entry;
-}
-
-const Metadata& FragmentServer::meta_of(const ObjectVersionId& ov) const {
-  return entry_of(ov).meta;
+FragmentServer::Records FragmentServer::find_records(
+    const ObjectVersionId& ov) {
+  Records rec;
+  rec.work = work_.find(ov);
+  rec.entry = rec.work != nullptr ? rec.work->entry : store_frag_.find(ov);
+  return rec;
 }
 
 SimTime FragmentServer::version_age(const ObjectVersionId& ov) const {
   return std::max<SimTime>(0, sim_.now() - ov.ts.wall_micros);
 }
 
-void FragmentServer::certify_slot(const ObjectVersionId& ov, Work& work,
-                                  int slot) {
+void FragmentServer::certify_slot(Work& work, int slot) {
   if (work.durable_evidence) return;
-  work.certified_slots.insert(slot);
-  if (static_cast<int>(work.certified_slots.size()) >= meta_of(ov).policy.k) {
+  work.certified_slots.set(static_cast<size_t>(slot));
+  if (static_cast<int>(work.certified_slots.count()) >=
+      work.entry->meta.policy.k) {
     work.durable_evidence = true;
-    work.certified_slots.clear();
+    work.certified_slots.reset();
   }
 }
 
-bool FragmentServer::durable_class(const ObjectVersionId& ov, Work& work) {
-  if (work.durable_evidence || amr_history_.count(ov) > 0) return true;
+bool FragmentServer::durable_class(Work& work) {
+  const Entry& entry = *work.entry;
+  if (work.durable_evidence || entry.amr) return true;
   // Certify what local state proves right now: our own intact fragments.
-  const storage::FragStore::Entry& entry = entry_of(ov);
   for (int slot : entry.meta.fragments_for(id())) {
-    if (entry.intact_fragment(slot) != nullptr) certify_slot(ov, work, slot);
+    if (entry.intact_fragment(slot) != nullptr) certify_slot(work, slot);
   }
   return work.durable_evidence;
 }
 
-void FragmentServer::revoke_durable_evidence(const ObjectVersionId& ov,
-                                             Work& work) {
-  work.certified_slots.clear();
+void FragmentServer::revoke_durable_evidence(Work& work) {
+  work.certified_slots.reset();
   work.durable_evidence = false;
-  amr_history_.erase(ov);
+  work.entry->amr = false;
 }
 
 /// Exponential per-version backoff after a convergence step that did not
@@ -110,14 +108,11 @@ void FragmentServer::bump_backoff(const ObjectVersionId& ov, Work& work) {
   reindex(ov, work);
 }
 
-bool FragmentServer::local_verify(const ObjectVersionId& ov) const {
-  const storage::FragStore::Entry* entry = store_frag_.find(ov);
-  return entry != nullptr && entry->meta.complete() &&
-         local_fragments_intact(*entry);
+bool FragmentServer::local_verify(const Entry& entry) const {
+  return entry.meta.complete() && local_fragments_intact(entry);
 }
 
-bool FragmentServer::local_fragments_intact(
-    const storage::FragStore::Entry& entry) const {
+bool FragmentServer::local_fragments_intact(const Entry& entry) const {
   const auto& locs = entry.meta.locs;
   for (size_t slot = 0; slot < locs.size(); ++slot) {
     if (locs[slot].has_value() && locs[slot]->fs == id() &&
@@ -129,7 +124,7 @@ bool FragmentServer::local_fragments_intact(
 }
 
 std::vector<int> FragmentServer::missing_local_fragments(
-    const storage::FragStore::Entry& entry) const {
+    const Entry& entry) const {
   std::vector<int> missing;
   for (int slot : entry.meta.fragments_for(id())) {
     if (entry.intact_fragment(slot) == nullptr) missing.push_back(slot);
@@ -137,61 +132,54 @@ std::vector<int> FragmentServer::missing_local_fragments(
   return missing;
 }
 
-void FragmentServer::merge_meta(const ObjectVersionId& ov,
+void FragmentServer::merge_meta(const ObjectVersionId& ov, Records& rec,
                                 const Metadata& meta, bool create_work) {
-  auto it = work_.find(ov);
-  if (it == work_.end()) {
+  if (rec.work == nullptr) {
     // Fig 4 line 17 requires ov to be absent from *both* stores before the
     // work-list entry is (re)created: a version already verified AMR keeps
     // serving fragments but is never resurrected into convergence.
-    if (store_frag_.contains(ov)) {
-      store_frag_.upsert(ov, meta);
+    if (rec.entry != nullptr) {
+      rec.entry->meta.merge(meta);
       return;
     }
     if (!create_work) return;
-    store_frag_.upsert(ov, meta);
-    it = work_.try_emplace(ov).first;  // new work: eligible at the next round
-    reindex(ov, it->second);
-  } else if (store_frag_.upsert(ov, meta)) {
+    rec.entry = &store_frag_.upsert(ov, meta).record;
+    // Eligible at the next round.
+    rec.work = work_.try_emplace(ov, *rec.entry).first;
+    reindex(ov, *rec.work);
+  } else if (rec.entry->meta.merge(meta)) {
     // Genuinely new information (fresh locations) accelerates the next
     // attempt — post-heal catch-up. Unchanged metadata must NOT reset the
     // exponential backoff, or sibling converge traffic would keep every
     // FS retrying at full cadence forever.
-    it->second.next_attempt = std::min(it->second.next_attempt, sim_.now());
-    reindex(ov, it->second);
+    rec.work->next_attempt = std::min(rec.work->next_attempt, sim_.now());
+    reindex(ov, *rec.work);
   }
-  telemetry().spans.report_work(ov, id(), it->second.next_attempt,
-                                it->second.recovering);
+  telemetry().spans.report_work(ov, id(), rec.work->next_attempt,
+                                rec.work->recovering);
   ensure_round_scheduled();
 }
 
-void FragmentServer::wake_work(const ObjectVersionId& ov) {
-  auto it = work_.find(ov);
-  if (it == work_.end()) return;
-  it->second.next_attempt = std::min(it->second.next_attempt, sim_.now());
-  reindex(ov, it->second);
-  telemetry().spans.report_work(ov, id(), it->second.next_attempt,
-                                it->second.recovering);
+void FragmentServer::wake_work(const ObjectVersionId& ov, Work& work) {
+  work.next_attempt = std::min(work.next_attempt, sim_.now());
+  reindex(ov, work);
+  telemetry().spans.report_work(ov, id(), work.next_attempt,
+                                work.recovering);
   ensure_round_scheduled();
 }
 
-uint8_t FragmentServer::disk_for(const ObjectVersionId& ov,
-                                 const Metadata& meta, int frag_index) const {
-  const Metadata& best = work_.count(ov) > 0 ? meta_of(ov) : meta;
-  if (frag_index < static_cast<int>(best.locs.size()) &&
-      best.locs[static_cast<size_t>(frag_index)].has_value()) {
-    return best.locs[static_cast<size_t>(frag_index)]->disk;
+namespace {
+
+/// The disk `meta` assigns fragment `frag_index` to (0 while undecided).
+uint8_t disk_in(const Metadata& meta, int frag_index) {
+  if (frag_index < static_cast<int>(meta.locs.size()) &&
+      meta.locs[static_cast<size_t>(frag_index)].has_value()) {
+    return meta.locs[static_cast<size_t>(frag_index)]->disk;
   }
   return 0;
 }
 
-void FragmentServer::store_fragment_local(const ObjectVersionId& ov,
-                                          const Metadata& meta,
-                                          int frag_index, Bytes data,
-                                          const Sha256::Digest& digest) {
-  store_frag_.put_fragment(ov, meta, frag_index, std::move(data), digest,
-                           disk_for(ov, meta, frag_index));
-}
+}  // namespace
 
 bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
                                       const Metadata& meta, int frag_index,
@@ -201,18 +189,25 @@ bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
   // locations are decided (Fig 2 lines 9–10). A copy this FS already holds
   // intact, under the same digest and byte for byte, needs no hash: its
   // cached verdict already proves the digest check.
+  Records rec = find_records(ov);
   const storage::StoredFragment* held =
-      store_frag_.fragment_if_intact(ov, frag_index);
+      rec.entry == nullptr ? nullptr : rec.entry->intact_fragment(frag_index);
   const bool held_identical =
       held != nullptr && held->digest == digest && held->data == fragment;
   const uint8_t held_disk = held_identical ? held->disk : 0;
   if (!held_identical && Sha256::hash(fragment) != digest) return false;
-  merge_meta(ov, meta, /*create_work=*/true);
+  merge_meta(ov, rec, meta, /*create_work=*/true);
+  // The disk by the best metadata this FS knows: the stored entry while
+  // work is pending, else the message's.
+  const uint8_t disk =
+      disk_in(rec.work != nullptr ? rec.entry->meta : meta, frag_index);
   // Nor a store, when the copy already sits on the disk a store would pick.
-  if (!held_identical || held_disk != disk_for(ov, meta, frag_index)) {
-    store_fragment_local(ov, meta, frag_index, std::move(fragment), digest);
+  if (!held_identical || held_disk != disk) {
+    store_frag_.put_fragment(*rec.entry, frag_index, std::move(fragment),
+                             digest, disk);
   }
-  wake_work(ov);  // a fragment arriving is progress worth acting on
+  // A fragment arriving is progress worth acting on.
+  if (rec.work != nullptr) wake_work(ov, *rec.work);
   return true;
 }
 
@@ -241,9 +236,9 @@ void FragmentServer::unindex(const ObjectVersionId& ov, Work& work) {
   work.indexed_at.reset();
 }
 
-void FragmentServer::erase_work(std::map<ObjectVersionId, Work>::iterator it) {
-  unindex(it->first, it->second);
-  work_.erase(it);
+void FragmentServer::erase_work(const ObjectVersionId& ov, Work& work) {
+  unindex(ov, work);
+  work_.erase(ov);
 }
 
 std::vector<ObjectVersionId> FragmentServer::due_versions(SimTime at) const {
@@ -258,7 +253,8 @@ std::vector<ObjectVersionId> FragmentServer::due_versions(SimTime at) const {
 
 std::string FragmentServer::check_eligibility_index() const {
   size_t indexed = 0;
-  for (const auto& [ov, work] : work_) {
+  for (const auto* item : work_.sorted()) {
+    const auto& [ov, work] = *item;
     if (work.recovering) {
       if (work.indexed_at.has_value()) {
         return "recovering entry " + to_string(ov) + " is indexed";
@@ -279,7 +275,8 @@ std::string FragmentServer::check_eligibility_index() const {
   // The full walk the index replaces, for a round starting at `at`.
   const auto walk = [this](SimTime at) {
     std::vector<ObjectVersionId> due;
-    for (const auto& [ov, work] : work_) {
+    for (const auto* item : work_.sorted()) {
+      const auto& [ov, work] = *item;
       if (work.recovering || at < work.next_attempt) continue;
       if (options_.effective_min_age() > 0 &&
           at - ov.ts.wall_micros < options_.effective_min_age()) {
@@ -345,9 +342,8 @@ void FragmentServer::start_round() {
   const std::vector<ObjectVersionId> due = due_versions(sim_.now());
   entries_scanned_ += due.size();
   for (const ObjectVersionId& ov : due) {
-    const auto it = work_.find(ov);
-    Work& work = it->second;
-    if (version_age(ov) > options_.giveup_age && !durable_class(ov, work)) {
+    Work& work = *work_.find(ov);
+    if (version_age(ov) > options_.giveup_age && !durable_class(work)) {
       // §3.5: stop convergence work for hopeless versions after a long
       // horizon (fragments are kept; only the work-list entry goes).
       // Durable-class versions are never dropped, so anything given up
@@ -356,7 +352,7 @@ void FragmentServer::start_round() {
       telemetry().spans.interval(ov, "give_up", id(), sim_.now(), sim_.now(),
                                  "class=non-durable");
       telemetry().spans.report_work_done(ov, id());
-      erase_work(it);
+      erase_work(ov, work);
       continue;
     }
     converge_step(ov, work);
@@ -365,7 +361,7 @@ void FragmentServer::start_round() {
 }
 
 void FragmentServer::converge_step(const ObjectVersionId& ov, Work& work) {
-  const storage::FragStore::Entry& entry = entry_of(ov);
+  const Entry& entry = *work.entry;
   const Metadata& meta = entry.meta;
   m_steps_->inc();
   bump_backoff(ov, work);
@@ -421,7 +417,7 @@ void FragmentServer::begin_verify(const ObjectVersionId& ov, Work& work) {
   // and fragments are never removed), and requiring a full ack set within
   // one round would make convergence needlessly fragile under heavy loss.
   // One request of each kind per step, encoded once per destination.
-  const Metadata& meta = meta_of(ov);
+  const Metadata& meta = work.entry->meta;
   const wire::KlsConvergeReq kls_req{ov, meta};
   for (NodeId kls : view_->all_kls) send(kls, kls_req);
   const wire::FsConvergeReq fs_req{ov, meta, /*intends_recovery=*/false};
@@ -453,7 +449,7 @@ void FragmentServer::start_recovery(const ObjectVersionId& ov, Work& work,
                                 plain ? "plain" : "sibling");
   arm_recovery_deadline(ov, work);
   arm_recovery_retry(ov, work);
-  const storage::FragStore::Entry& entry = entry_of(ov);
+  const Entry& entry = *work.entry;
   for (int slot : entry.meta.fragments_for(id())) {
     if (const storage::StoredFragment* frag = entry.intact_fragment(slot);
         frag != nullptr) {
@@ -467,7 +463,7 @@ void FragmentServer::begin_plain_recovery(const ObjectVersionId& ov,
   // recover_fragment (Fig 4 line 8): a get restricted to this object
   // version — request every other decided slot and decode from the first k.
   start_recovery(ov, work, /*plain=*/true);
-  const Metadata& meta = meta_of(ov);
+  const Metadata& meta = work.entry->meta;
   for (size_t slot = 0; slot < meta.locs.size(); ++slot) {
     if (!meta.locs[slot].has_value() || meta.locs[slot]->fs == id()) continue;
     send(meta.locs[slot]->fs,
@@ -483,19 +479,19 @@ void FragmentServer::begin_sibling_recovery(const ObjectVersionId& ov,
   // need so one FS can regenerate everything from a single k-fragment read.
   m_sibling_recoveries_->inc();
   start_recovery(ov, work, /*plain=*/false);
-  const Metadata& meta = meta_of(ov);
+  const Metadata& meta = work.entry->meta;
   for (NodeId fs : meta.sibling_fs()) {
     if (fs == id()) continue;
     send(fs, wire::FsConvergeReq{ov, meta, /*intends_recovery=*/true});
   }
   work.recovery_timer = sim_.schedule_after(
       kRecoveryWait, [this, ov] {
-        auto it = work_.find(ov);
-        if (it == work_.end() || !it->second.recovering) return;
-        it->second.recovery_timer = 0;
+        Work* w = work_.find(ov);
+        if (w == nullptr || !w->recovering) return;
+        w->recovery_timer = 0;
         const obs::SpanTracer::Scope span_scope =
             telemetry().spans.version_scope(ov, "recovery_gather", id());
-        recovery_gather(ov, it->second);
+        recovery_gather(ov, *w);
       });
 }
 
@@ -504,7 +500,7 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
   // outstanding (re-entry happens on every ⊥ reply; without the
   // accounting, requests would multiply). Local-data-center sources are
   // preferred to save WAN capacity.
-  const Metadata& meta = meta_of(ov);
+  const Metadata& meta = work.entry->meta;
   const int k = meta.policy.k;
   const int have = static_cast<int>(work.gathered.size());
   if (have >= k) {
@@ -547,7 +543,7 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
       // round under backoff. Every responsive source answered ⊥ or reported
       // the slot missing, so this is direct evidence the cluster cannot
       // supply k fragments right now — durable evidence must be re-earned.
-      revoke_durable_evidence(ov, work);
+      revoke_durable_evidence(work);
       cancel_recovery(ov, work);
     }
     // Otherwise wait: in-flight replies may still push us over k.
@@ -563,7 +559,7 @@ void FragmentServer::recovery_gather(const ObjectVersionId& ov, Work& work) {
 
 void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
                                            Work& work) {
-  const storage::FragStore::Entry& entry = entry_of(ov);
+  Entry& entry = *work.entry;
   const Metadata& meta = entry.meta;
   const int k = meta.policy.k;
   if (static_cast<int>(work.gathered.size()) < k) return;
@@ -603,7 +599,8 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
     const auto& loc = meta.locs[static_cast<size_t>(slot)];
     PAHOEHOE_CHECK(loc.has_value());
     if (loc->fs == id()) {
-      store_fragment_local(ov, meta, slot, regenerated[i], digest);
+      store_frag_.put_fragment(entry, slot, regenerated[i], digest,
+                               loc->disk);
     } else {
       // §4.2: push the recovered fragment to its sibling.
       wire::SiblingStoreReq req;
@@ -633,20 +630,19 @@ void FragmentServer::arm_recovery_retry(const ObjectVersionId& ov,
   // up from fresh candidates; one lost message must not sink the attempt.
   work.recovery_retry = sim_.schedule_after(
       kRecoveryRetryInterval, [this, ov] {
-        auto it = work_.find(ov);
-        if (it == work_.end() || !it->second.recovering) return;
-        Work& w = it->second;
-        w.recovery_retry = 0;
+        Work* w = work_.find(ov);
+        if (w == nullptr || !w->recovering) return;
+        w->recovery_retry = 0;
         const obs::SpanTracer::Scope span_scope =
             telemetry().spans.version_scope(ov, "recovery_retry", id());
-        const Metadata& meta = meta_of(ov);
-        for (int slot : w.requested_slots) {
+        const Metadata& meta = w->entry->meta;
+        for (int slot : w->requested_slots) {
           const auto& loc = meta.locs[static_cast<size_t>(slot)];
           if (!loc.has_value()) continue;
           send(loc->fs, wire::RetrieveFragReq{ov, static_cast<uint16_t>(slot)});
         }
-        if (!w.plain_recovery) recovery_gather(ov, w);
-        if (w.recovering && w.recovery_retry == 0) arm_recovery_retry(ov, w);
+        if (!w->plain_recovery) recovery_gather(ov, *w);
+        if (w->recovering && w->recovery_retry == 0) arm_recovery_retry(ov, *w);
       });
 }
 
@@ -654,11 +650,11 @@ void FragmentServer::arm_recovery_deadline(const ObjectVersionId& ov,
                                            Work& work) {
   work.recovery_deadline = sim_.schedule_after(
       kRecoveryWait + kRecoveryTimeout, [this, ov] {
-        auto it = work_.find(ov);
-        if (it == work_.end() || !it->second.recovering) return;
-        it->second.recovery_deadline = 0;
+        Work* w = work_.find(ov);
+        if (w == nullptr || !w->recovering) return;
+        w->recovery_deadline = 0;
         // Sources are unreachable or replies were lost; retry with backoff.
-        cancel_recovery(ov, it->second);
+        cancel_recovery(ov, *w);
       });
 }
 
@@ -697,43 +693,55 @@ void FragmentServer::cancel_recovery(const ObjectVersionId& ov, Work& work) {
   ensure_round_scheduled();
 }
 
+namespace {
+
+bool has_ack(const std::vector<NodeId>& acks, NodeId node) {
+  return std::binary_search(acks.begin(), acks.end(), node);
+}
+
+}  // namespace
+
+void FragmentServer::add_ack(Work& work, NodeId node) const {
+  auto& acks = work.verify_acks;
+  if (acks.capacity() == 0) acks.reserve(max_acks_);
+  const auto it = std::lower_bound(acks.begin(), acks.end(), node);
+  if (it == acks.end() || *it != node) acks.insert(it, node);
+}
+
 void FragmentServer::check_amr(const ObjectVersionId& ov, Work& work) {
   // is_amr (Fig 4 line 25): this FS verifies locally and every KLS and
   // sibling FS replied "verified". Runs on every verified reply, so the
   // cheap ack-set test goes first; the three tests have no side effects,
   // so their order does not change the verdict.
   for (NodeId kls : view_->all_kls) {
-    if (work.verify_acks.count(kls) == 0) return;
+    if (!has_ack(work.verify_acks, kls)) return;
   }
-  const storage::FragStore::Entry* entry = store_frag_.find(ov);
-  if (entry == nullptr) return;
-  for (const std::optional<Location>& loc : entry->meta.locs) {
+  const Entry& entry = *work.entry;
+  for (const std::optional<Location>& loc : entry.meta.locs) {
     if (!loc.has_value() || loc->fs == id()) continue;
-    if (work.verify_acks.count(loc->fs) == 0) return;
+    if (!has_ack(work.verify_acks, loc->fs)) return;
   }
-  if (!local_verify(ov)) return;
-  mark_amr(ov);
+  if (!local_verify(entry)) return;
+  mark_amr(ov, work);
 }
 
-void FragmentServer::mark_amr(const ObjectVersionId& ov) {
-  // `ov` may be the work entry's own key, so the entry is erased last.
-  const auto it = work_.find(ov);
-  PAHOEHOE_CHECK(it != work_.end());
-  clear_recovery_state(ov, it->second);
-  m_converge_attempts_->observe(it->second.attempts);
+void FragmentServer::mark_amr(const ObjectVersionId& ov, Work& work) {
+  Entry& entry = *work.entry;
+  clear_recovery_state(ov, work);
+  m_converge_attempts_->observe(work.attempts);
   m_converged_->inc();
-  amr_history_.insert(ov);
+  entry.amr = true;
   telemetry().amr.on_amr_confirmed(ov, sim_.now());
   telemetry().spans.on_amr_confirmed(ov, id());
   telemetry().spans.report_work_done(ov, id());
   if (options_.fs_amr_indication) {
     // §4.1: tell the siblings so they skip their own convergence steps.
-    for (NodeId fs : meta_of(ov).sibling_fs()) {
+    for (NodeId fs : entry.meta.sibling_fs()) {
       if (fs == id()) continue;
       send(fs, wire::AmrIndication{ov});
     }
   }
-  erase_work(it);
+  erase_work(ov, work);
 }
 
 // --- message handlers --------------------------------------------------------
@@ -775,37 +783,37 @@ void FragmentServer::on_retrieve_frag(NodeId from,
 void FragmentServer::on_fs_converge(NodeId from,
                                     const wire::FsConvergeReq& req) {
   // Fig 4 lines 16–22.
-  merge_meta(req.ov, req.meta, /*create_work=*/true);
+  Records rec = find_records(req.ov);
+  merge_meta(req.ov, rec, req.meta, /*create_work=*/true);
+  Work* work = rec.work;
 
   // §4.2 lower-id backoff: if we are also attempting sibling recovery and
   // the requester has the higher unique server id, we stand down.
-  auto wit = work_.find(req.ov);
-  if (req.intends_recovery && wit != work_.end() &&
-      wit->second.recovering && from.value > id().value) {
+  if (req.intends_recovery && work != nullptr && work->recovering &&
+      from.value > id().value) {
     m_collisions_->inc();
-    cancel_recovery(req.ov, wit->second);
-    bump_backoff(req.ov, wit->second);
-    telemetry().spans.report_work(req.ov, id(), wit->second.next_attempt,
-                                  false);
+    cancel_recovery(req.ov, *work);
+    bump_backoff(req.ov, *work);
+    telemetry().spans.report_work(req.ov, id(), work->next_attempt, false);
   }
 
   wire::FsConvergeRep rep;
   rep.ov = req.ov;
-  rep.verified = local_verify(req.ov);
+  rep.verified = local_verify(*rec.entry);
   if (req.intends_recovery) {
-    for (int slot : missing_local_fragments(entry_of(req.ov))) {
+    for (int slot : missing_local_fragments(*rec.entry)) {
       rep.needed_fragments.push_back(static_cast<uint16_t>(slot));
     }
   }
-  rep.also_recovering = wit != work_.end() && wit->second.recovering;
+  rep.also_recovering = work != nullptr && work->recovering;
   send(from, rep);
 }
 
 void FragmentServer::on_fs_converge_rep(NodeId from,
                                         const wire::FsConvergeRep& rep) {
-  auto it = work_.find(rep.ov);
-  if (it == work_.end()) return;
-  Work& work = it->second;
+  Work* found = work_.find(rep.ov);
+  if (found == nullptr) return;
+  Work& work = *found;
 
   if (work.recovering && !work.plain_recovery) {
     if (!rep.needed_fragments.empty()) {
@@ -823,12 +831,12 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
     }
   }
   if (rep.verified) {
-    work.verify_acks.insert(from);
+    add_ack(work, from);
     // A verified sibling proves its assigned fragments are intact; that is
     // durable-class evidence this FS can certify without any extra traffic.
     if (!work.durable_evidence) {
-      for (int slot : meta_of(rep.ov).fragments_for(from)) {
-        certify_slot(rep.ov, work, slot);
+      for (int slot : work.entry->meta.fragments_for(from)) {
+        certify_slot(work, slot);
       }
     }
     check_amr(rep.ov, work);
@@ -843,53 +851,57 @@ void FragmentServer::on_fs_converge_rep(NodeId from,
 
 void FragmentServer::on_kls_converge_rep(NodeId from,
                                          const wire::KlsConvergeRep& rep) {
-  auto it = work_.find(rep.ov);
-  if (it == work_.end()) return;
-  if (rep.verified) {
-    it->second.verify_acks.insert(from);
-    check_amr(rep.ov, it->second);
-  }
+  Work* work = work_.find(rep.ov);
+  if (work == nullptr || !rep.verified) return;
+  add_ack(*work, from);
+  check_amr(rep.ov, *work);
 }
 
 void FragmentServer::on_amr_indication(const wire::AmrIndication& msg) {
   // §4.1: the version is AMR; drop it from the work-list (fragments stay).
   // Count as a skip only when the indication actually removed pending
   // convergence work — the rounds-saved quantity Fig 5 prices in.
-  if (auto it = work_.find(msg.ov); it != work_.end()) {
+  const Records rec = find_records(msg.ov);
+  if (rec.work != nullptr) {
     m_amr_skips_->inc();
     // Chains under the AmrIndication message span: the skipped rounds the
     // §4.1 optimization buys are visible in the version's tree.
     telemetry().spans.interval(msg.ov, "amr_skip", id(), sim_.now(),
                                sim_.now());
-    clear_recovery_state(msg.ov, it->second);
-    erase_work(it);
+    clear_recovery_state(msg.ov, *rec.work);
+    erase_work(msg.ov, *rec.work);
   }
-  amr_history_.insert(msg.ov);
+  // Siblings learn of a version by storing it before anyone can confirm it
+  // AMR, so an indication for a version never stored here names nothing.
+  if (rec.entry != nullptr) rec.entry->amr = true;
   telemetry().spans.report_work_done(msg.ov, id());
 }
 
 void FragmentServer::on_decide_locs_rep(const wire::DecideLocsRep& rep) {
   // Fig 4 lines 12–15: merge useful locations from our own probe.
-  if (work_.count(rep.ov) == 0) return;
-  merge_meta(rep.ov, rep.meta, /*create_work=*/false);
+  Work* work = work_.find(rep.ov);
+  if (work == nullptr) return;
+  Records rec{work->entry, work};
+  merge_meta(rep.ov, rec, rep.meta, /*create_work=*/false);
 }
 
 void FragmentServer::on_kls_locs_notify(const wire::KlsLocsNotify& msg) {
   // §3.5: a KLS decided locations on behalf of a sibling FS; treat like a
   // converge announcement (we may be hosting fragments we do not have yet).
-  merge_meta(msg.ov, msg.meta, /*create_work=*/true);
+  Records rec = find_records(msg.ov);
+  merge_meta(msg.ov, rec, msg.meta, /*create_work=*/true);
 }
 
 void FragmentServer::on_retrieve_frag_rep(NodeId /*from*/,
                                           wire::RetrieveFragRep&& rep) {
-  auto it = work_.find(rep.ov);
-  if (it == work_.end() || !it->second.recovering) return;
-  Work& work = it->second;
+  Work* found = work_.find(rep.ov);
+  if (found == nullptr || !found->recovering) return;
+  Work& work = *found;
   if (work.requested_slots.count(rep.frag_index) == 0) return;
   work.requested_slots.erase(rep.frag_index);
   if (rep.found) {
     // A source serves only a fragment it holds intact: evidence on receipt.
-    certify_slot(rep.ov, work, rep.frag_index);
+    certify_slot(work, rep.frag_index);
     work.gathered.emplace(static_cast<int>(rep.frag_index),
                           std::move(rep.fragment));
     recovery_maybe_finish(rep.ov, work);
@@ -904,11 +916,11 @@ void FragmentServer::on_retrieve_frag_rep(NodeId /*from*/,
   // replies come back the attempt starves and the next round retries it.
   // Detect exhaustion: no outstanding requests and still short of k.
   if (work.recovering && work.requested_slots.empty() &&
-      static_cast<int>(work.gathered.size()) < meta_of(rep.ov).policy.k) {
+      static_cast<int>(work.gathered.size()) < work.entry->meta.policy.k) {
     // Every requested source replied and we are still short of k: the
     // reachable cluster demonstrably lacks the fragments (crashed sources
     // take the deadline path instead and keep the evidence).
-    revoke_durable_evidence(rep.ov, work);
+    revoke_durable_evidence(work);
     cancel_recovery(rep.ov, work);
   }
 }
@@ -926,7 +938,8 @@ bool FragmentServer::corrupt_fragment(const ObjectVersionId& ov,
 
 bool FragmentServer::corrupt_random_fragment(Rng& rng) {
   std::vector<std::pair<ObjectVersionId, int>> stored;
-  for (const auto& [ov, entry] : store_frag_.entries()) {
+  for (const auto* item : store_frag_.sorted()) {
+    const auto& [ov, entry] = *item;
     for (const auto& [index, frag] : entry.fragments) {
       if (!frag.data.empty()) stored.emplace_back(ov, index);
     }
@@ -954,17 +967,18 @@ void FragmentServer::schedule_scrub() {
 size_t FragmentServer::scrub() {
   obs::ProfScope prof("fs_scrub");
   size_t readded = 0;
-  for (const auto& [ov, entry] : store_frag_.entries()) {
-    if (work_.count(ov) > 0) continue;
+  for (auto* item : store_frag_.sorted()) {
+    auto& [ov, entry] = *item;
+    if (work_.contains(ov)) continue;
     // Honor the give-up horizon (§3.5): resurrecting a version convergence
     // already gave up on would livelock scrub against give-up. Past the
     // horizon, damaged non-durable versions are left to the (elided) disk
     // rebuild; versions in the AMR history are durable-class and never
     // given up, so scrub repairs them no matter how old.
-    const bool durable = amr_history_.count(ov) > 0;
+    const bool durable = entry.amr;
     if (version_age(ov) > options_.giveup_age && !durable) continue;
     if (local_fragments_intact(entry)) continue;
-    reindex(ov, work_.try_emplace(ov).first->second);
+    reindex(ov, *work_.try_emplace(ov, entry).first);
     telemetry().spans.report_work(ov, id(), 0, false);
     // The class note mirrors give_up's: coverage tells a durable-class
     // repair of an old AMR version (legal) from a non-durable re-add past
@@ -993,19 +1007,20 @@ void FragmentServer::on_crash() {
     sim_.cancel(scrub_timer_);
     scrub_timer_ = 0;
   }
-  for (auto& [ov, work] : work_) {
+  for (auto* item : work_.sorted()) {
+    auto& [ov, work] = *item;
     clear_recovery_state(ov, work);
     telemetry().spans.report_work_done(ov, id());
     unindex(ov, work);
-    work = Work{};
+    work = Work(*work.entry);
     reindex(ov, work);
   }
 }
 
 void FragmentServer::on_recover() {
   // on_crash reset every entry, so each is eligible at the next round.
-  for (const auto& entry : work_) {
-    telemetry().spans.report_work(entry.first, id(), 0, false);
+  for (const auto* item : work_.sorted()) {
+    telemetry().spans.report_work(item->first, id(), 0, false);
   }
   ensure_round_scheduled();
   schedule_scrub();

@@ -2,9 +2,11 @@
 //
 // Persists the fragment store (storefrag): one record of metadata plus
 // sibling fragments per object version, and the FS's only metadata. The
-// convergence work-list (storemeta) is a key set over it: the keys of
+// convergence work-list (storemeta) is a table of the same keys: the keys of
 // `work_` persist across crashes, while each entry's convergence state is
-// volatile. Runs convergence in periodic rounds; for each non-AMR object
+// volatile. Both are hashed VersionTables, and a work entry points at its
+// store entry, so a message handler looks its version up once and hands the
+// records down. Runs convergence in periodic rounds; for each non-AMR object
 // version a convergence step either (a) completes metadata via a KLS
 // decide_locs probe, (b) recovers missing local fragments — plain recovery
 // or §4.2 sibling fragment recovery — or (c) verifies AMR against every KLS
@@ -21,6 +23,7 @@
 //    by the lower-id backoff rule.
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -71,6 +74,13 @@ class FragmentServer : public Server {
   /// host work that should scale with the due entries, not the backlog.
   /// A plain member, not a registry metric, so it changes no report.
   uint64_t worklist_entries_scanned() const { return entries_scanned_; }
+  /// Hashed lookups into this FS's version tables (fragment store and
+  /// work-list): host work per message that a handler re-finding its
+  /// version would inflate. Counts the tables' own counters, so it changes
+  /// no report either.
+  uint64_t version_lookups() const {
+    return store_frag_.lookups() + work_.lookups();
+  }
   /// Test-only audit of the eligibility index: "" when every work entry
   /// not mid-recovery is indexed exactly once under eligible_at, no entry
   /// mid-recovery is indexed, and the due list a round would take now, or
@@ -84,14 +94,22 @@ class FragmentServer : public Server {
   void on_recover() override;
 
  private:
+  using Entry = storage::FragStore::Entry;
+
   /// Volatile per-version convergence state; a crash resets it.
   struct Work {
+    explicit Work(Entry& stored) : entry(&stored) {}
+
+    /// The version's fragment store entry. Store entries are never erased
+    /// and never move, so this stays valid for as long as the work does.
+    Entry* entry;
     SimTime next_attempt = 0;
     /// This entry's key in eligible_, or nullopt while it is not indexed.
     std::optional<SimTime> indexed_at;
     int attempts = 0;
-    // Verify-step state.
-    std::set<NodeId> verify_acks;
+    // Verify-step state: the KLSs and sibling FSs that answered "verified",
+    // sorted by id. The first ack reserves room for every KLS and FS.
+    std::vector<NodeId> verify_acks;
     // Recovery-step state (both plain and sibling recovery).
     bool recovering = false;
     bool plain_recovery = false;
@@ -104,17 +122,25 @@ class FragmentServer : public Server {
     sim::TimerId recovery_retry = 0;   // retransmit outstanding fetches
     // Per-durability-class give-up evidence: distinct fragment slots this
     // FS has seen intact somewhere (its own, fetched by a recovery, or
-    // certified by a sibling's verified converge reply). Once >= k slots
-    // are certified the version is treated as durable-class (sticky until
-    // a recovery exhausts its sources, which is direct evidence the
-    // cluster lost it).
-    std::set<int> certified_slots;
+    // certified by a sibling's verified converge reply), one bit per slot
+    // index (Policy::n is a uint8_t). Once >= k slots are certified the
+    // version is treated as durable-class (sticky until a recovery exhausts
+    // its sources, which is direct evidence the cluster lost it).
+    std::bitset<256> certified_slots;
     bool durable_evidence = false;
     // Set when a sibling answers "not verified" past giveup_age, where only
     // durable-class versions are left: the next step is a §4.2 sibling
     // recovery that proves the evidence (regenerating what the siblings
     // lack) or, by exhausting its sources, revokes it.
     bool prove_evidence = false;
+  };
+
+  /// One version's records at this FS, found once per handler and handed
+  /// down. Work-list keys are a subset of the store's, so a version with no
+  /// entry has no work either.
+  struct Records {
+    Entry* entry = nullptr;  ///< nullptr: the version is unknown here
+    Work* work = nullptr;    ///< nullptr: not on the work-list
   };
 
   // Message handlers.
@@ -138,8 +164,9 @@ class FragmentServer : public Server {
   /// mid-recovery. No set update when the key did not move.
   void reindex(const ObjectVersionId& ov, Work& work);
   void unindex(const ObjectVersionId& ov, Work& work);
-  /// Drop a work-list entry (AMR or give-up), index key included.
-  void erase_work(std::map<ObjectVersionId, Work>::iterator it);
+  /// Drop a work-list entry (AMR or give-up), index key included. `ov` must
+  /// not refer to the table's own copy of the key.
+  void erase_work(const ObjectVersionId& ov, Work& work);
   /// The versions a round starting at `at` steps, in version order.
   std::vector<ObjectVersionId> due_versions(SimTime at) const;
   void ensure_round_scheduled();
@@ -158,33 +185,29 @@ class FragmentServer : public Server {
   void clear_recovery_state(const ObjectVersionId& ov, Work& work);
   void cancel_recovery(const ObjectVersionId& ov, Work& work);
   void check_amr(const ObjectVersionId& ov, Work& work);
-  void mark_amr(const ObjectVersionId& ov);
+  void mark_amr(const ObjectVersionId& ov, Work& work);
+  /// Record a "verified" converge reply from `node`.
+  void add_ack(Work& work, NodeId node) const;
 
-  /// Merge metadata into the fragment store; wakes the work entry if the
-  /// metadata changed. Creates the work entry if the version is new.
-  void merge_meta(const ObjectVersionId& ov, const Metadata& meta,
-                  bool create_work);
-  /// The fragment store's record of `ov`, which must be in it.
-  const storage::FragStore::Entry& entry_of(const ObjectVersionId& ov) const;
-  const Metadata& meta_of(const ObjectVersionId& ov) const;
+  /// The version's records: one work-list lookup and, when the version is
+  /// not pending, one fragment store lookup.
+  Records find_records(const ObjectVersionId& ov);
+  /// Merge metadata into the version's store entry and wake its work if the
+  /// metadata changed. A version absent from both stores gets a store entry
+  /// and a work entry when `create_work` is set (Fig 4 line 17); `rec` is
+  /// updated to them.
+  void merge_meta(const ObjectVersionId& ov, Records& rec,
+                  const Metadata& meta, bool create_work);
   /// Make the version eligible at the next round (progress was observed).
-  void wake_work(const ObjectVersionId& ov);
+  void wake_work(const ObjectVersionId& ov, Work& work);
   /// verify() from Fig 4: metadata complete and all locally assigned
   /// fragments present and intact.
-  bool local_verify(const ObjectVersionId& ov) const;
+  bool local_verify(const Entry& entry) const;
   /// Every decided slot assigned to this FS holds an intact fragment
   /// (missing_local_fragments is empty), without building the list.
-  bool local_fragments_intact(const storage::FragStore::Entry& entry) const;
+  bool local_fragments_intact(const Entry& entry) const;
   /// Locally assigned fragment indices that are missing or corrupt.
-  std::vector<int> missing_local_fragments(
-      const storage::FragStore::Entry& entry) const;
-  /// The disk fragment `frag_index` of `ov` goes on, by the best metadata
-  /// this FS knows (the stored entry while work is pending, else `meta`).
-  uint8_t disk_for(const ObjectVersionId& ov, const Metadata& meta,
-                   int frag_index) const;
-  void store_fragment_local(const ObjectVersionId& ov, const Metadata& meta,
-                            int frag_index, Bytes data,
-                            const Sha256::Digest& digest);
+  std::vector<int> missing_local_fragments(const Entry& entry) const;
   /// Receipt of a pushed fragment (Fig 2, fs side, and a recovering
   /// sibling's §4.2 push): verify it against its digest, store it, merge
   /// the metadata and wake the version's work. False, with nothing changed,
@@ -196,14 +219,14 @@ class FragmentServer : public Server {
   SimTime version_age(const ObjectVersionId& ov) const;
   /// Per-durability-class give-up (see ConvergenceOptions): certify this
   /// FS's own intact fragments, then report whether the version has durable
-  /// evidence or is in the AMR history.
-  bool durable_class(const ObjectVersionId& ov, Work& work);
+  /// evidence or is marked AMR.
+  bool durable_class(Work& work);
   /// Certify `slot` as seen intact and flip durable_evidence at >= k.
-  void certify_slot(const ObjectVersionId& ov, Work& work, int slot);
+  static void certify_slot(Work& work, int slot);
   /// A recovery ran out of sources: the cluster demonstrably cannot supply
-  /// k fragments right now, so durable evidence (including AMR history) is
+  /// k fragments right now, so durable evidence (including the AMR mark) is
   /// revoked and must be re-earned.
-  void revoke_durable_evidence(const ObjectVersionId& ov, Work& work);
+  static void revoke_durable_evidence(Work& work);
   const erasure::ReedSolomon& codec(const Policy& policy);
 
   ConvergenceOptions options_;
@@ -212,7 +235,7 @@ class FragmentServer : public Server {
   void schedule_scrub();
 
   /// The convergence work-list: keys persistent, values volatile.
-  std::map<ObjectVersionId, Work> work_;
+  storage::VersionTable<Work> work_;
   /// Eligibility index over work_: (eligible_at, ov) for every entry not
   /// mid-recovery, so the scheduler reads the earliest and a round visits
   /// only the due entries.
@@ -224,12 +247,8 @@ class FragmentServer : public Server {
   uint64_t scrubs_run_ = 0;
   std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
       codecs_;
-
-  /// Versions this FS verified AMR (or was told reached AMR). Modeled as
-  /// persisted alongside the fragment store — the one-bit marker lets scrub
-  /// distinguish "damaged AMR version worth repairing forever" from
-  /// "given-up version that must not be resurrected" (see DESIGN.md §9).
-  std::set<ObjectVersionId> amr_history_;
+  /// Room every ack set reserves once: one per KLS and FS in the cluster.
+  size_t max_acks_ = 0;
 
   // Registry handles (labeled {node}); cached once in the constructor.
   obs::Counter* m_rounds_ = nullptr;

@@ -48,10 +48,11 @@ void KeyLookupServer::dispatch(const wire::Envelope& env) {
 }
 
 Metadata KeyLookupServer::suggest_for(const ObjectVersionId& ov,
+                                      const Metadata* known,
                                       const Policy& policy,
                                       uint64_t value_size) const {
   Metadata meta(policy, value_size);
-  if (const Metadata* known = store_meta_.find(ov); known != nullptr) {
+  if (known != nullptr) {
     meta.merge_locs(*known);
     if (known->value_size != 0) meta.value_size = known->value_size;
   }
@@ -64,15 +65,21 @@ Metadata KeyLookupServer::suggest_for(const ObjectVersionId& ov,
 
 void KeyLookupServer::on_decide_locs(NodeId from,
                                      const wire::DecideLocsReq& req) {
-  Metadata meta = suggest_for(req.ov, req.policy, req.value_size);
+  Metadata* stored = store_meta_.find(req.ov);
+  const Metadata meta =
+      suggest_for(req.ov, stored, req.policy, req.value_size);
 
   if (req.from_fs) {
     // §3.5: for an FS-originated request the KLS persists its decision
     // before replying, and notifies the sibling FSs of the decision so they
     // can begin (or skip) their own convergence work.
     store_ts_.add(req.ov.key, req.ov.ts);
-    store_meta_.merge(req.ov, meta);
-    const Metadata& merged = *store_meta_.find(req.ov);
+    if (stored != nullptr) {
+      stored->merge(meta);
+    } else {
+      stored = &store_meta_.merge(req.ov, meta).record;
+    }
+    const Metadata& merged = *stored;
     if (telemetry().spans.enabled()) {
       telemetry().spans.interval(
           req.ov, "kls_locs_decided", id(), sim_.now(), sim_.now(),
@@ -91,16 +98,15 @@ void KeyLookupServer::on_decide_locs(NodeId from,
 void KeyLookupServer::on_store_metadata(NodeId from,
                                         const wire::StoreMetadataReq& req) {
   store_ts_.add(req.ov.key, req.ov.ts);
-  store_meta_.merge(req.ov, req.meta);
-  const Metadata* merged = store_meta_.find(req.ov);
+  const Metadata& merged = store_meta_.merge(req.ov, req.meta).record;
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(
         req.ov, "kls_meta_write", id(), sim_.now(), sim_.now(),
-        "decided=" + std::to_string(merged->decided_count()));
+        "decided=" + std::to_string(merged.decided_count()));
   }
   send(from, wire::StoreMetadataRep{
                  req.ov, wire::Status::kSuccess,
-                 static_cast<uint16_t>(merged->decided_count())});
+                 static_cast<uint16_t>(merged.decided_count())});
 }
 
 void KeyLookupServer::on_retrieve_ts(NodeId from,
@@ -134,9 +140,7 @@ void KeyLookupServer::on_kls_converge(NodeId from,
   // complete. We additionally record the timestamp so gets can find
   // versions this KLS only learned about through convergence.
   store_ts_.add(req.ov.key, req.ov.ts);
-  store_meta_.merge(req.ov, req.meta);
-  const Metadata* merged = store_meta_.find(req.ov);
-  const bool verified = merged != nullptr && merged->complete();
+  const bool verified = store_meta_.merge(req.ov, req.meta).record.complete();
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(req.ov, "kls_converge_verify", id(), sim_.now(),
                                sim_.now(), verified ? "verified" : "partial");

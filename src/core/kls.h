@@ -33,11 +33,12 @@ class KeyLookupServer : public Server {
   void on_retrieve_ts(NodeId from, const wire::RetrieveTsReq& req);
   void on_kls_converge(NodeId from, const wire::KlsConvergeReq& req);
 
-  /// which_locs (Fig 2): start from any persisted metadata for `ov` and fill
-  /// this data center's undecided slots with the deterministic placement.
-  /// `value_size` seeds the metadata when the store has no better answer.
-  Metadata suggest_for(const ObjectVersionId& ov, const Policy& policy,
-                       uint64_t value_size) const;
+  /// which_locs (Fig 2): start from `known`, the persisted metadata for
+  /// `ov` (nullptr if none), and fill this data center's undecided slots
+  /// with the deterministic placement. `value_size` seeds the metadata when
+  /// the store has no better answer.
+  Metadata suggest_for(const ObjectVersionId& ov, const Metadata* known,
+                       const Policy& policy, uint64_t value_size) const;
 
   storage::TimestampStore store_ts_;
   storage::MetaStore store_meta_;

@@ -163,13 +163,18 @@ void Proxy::put(const Key& key, Bytes value, const Policy& policy,
     send(kls, wire::DecideLocsReq{ov, policy, op->meta.value_size,
                                   /*from_fs=*/false});
   }
-  puts_.emplace(ov, std::move(op));
+  puts_.try_emplace(ov, std::move(op));
+}
+
+Proxy::PutOp* Proxy::find_put(const ObjectVersionId& ov) {
+  const std::unique_ptr<PutOp>* op = puts_.find(ov);
+  return op == nullptr ? nullptr : op->get();
 }
 
 void Proxy::on_decide_locs_rep(const wire::DecideLocsRep& rep) {
-  auto it = puts_.find(rep.ov);
-  if (it == puts_.end()) return;  // late reply for a finished put
-  PutOp& op = *it->second;
+  PutOp* found = find_put(rep.ov);
+  if (found == nullptr) return;
+  PutOp& op = *found;
 
   // useful_locs (Fig 2 line 7): only the first reply per data center is
   // used; both KLSs of a data center suggest identically anyway.
@@ -201,10 +206,9 @@ void Proxy::on_decide_locs_rep(const wire::DecideLocsRep& rep) {
 
 void Proxy::on_store_metadata_rep(NodeId from,
                                   const wire::StoreMetadataRep& rep) {
-  auto it = puts_.find(rep.ov);
-  if (it == puts_.end()) return;
-  if (rep.status != wire::Status::kSuccess) return;
-  PutOp& op = *it->second;
+  PutOp* found = find_put(rep.ov);
+  if (found == nullptr || rep.status != wire::Status::kSuccess) return;
+  PutOp& op = *found;
   // Only an ack attesting *complete* metadata counts toward the AMR
   // conclusion; a first-round (partial-locations) ack does not prove this
   // KLS will ever hold the full location list.
@@ -216,10 +220,9 @@ void Proxy::on_store_metadata_rep(NodeId from,
 
 void Proxy::on_store_fragment_rep(NodeId /*from*/,
                                   const wire::StoreFragmentRep& rep) {
-  auto it = puts_.find(rep.ov);
-  if (it == puts_.end()) return;
-  if (rep.status != wire::Status::kSuccess) return;
-  PutOp& op = *it->second;
+  PutOp* found = find_put(rep.ov);
+  if (found == nullptr || rep.status != wire::Status::kSuccess) return;
+  PutOp& op = *found;
   op.acked_frags.insert(rep.frag_index);
   put_maybe_reply(op);
   put_check_amr(op);
@@ -260,9 +263,9 @@ void Proxy::put_check_amr(PutOp& op) {
 }
 
 void Proxy::finish_put(const ObjectVersionId& ov) {
-  auto it = puts_.find(ov);
-  if (it == puts_.end()) return;
-  PutOp& op = *it->second;
+  PutOp* found = find_put(ov);
+  if (found == nullptr) return;
+  PutOp& op = *found;
   sim_.cancel(op.timeout);
   if (!op.replied) {
     m_put_failures_->inc();
@@ -272,7 +275,7 @@ void Proxy::finish_put(const ObjectVersionId& ov) {
     op.callback(
         PutResult{false, op.ov, static_cast<int>(op.acked_frags.size())});
   }
-  puts_.erase(it);
+  puts_.erase(ov);
 }
 
 /// A get still unresolved this long after it began fails.
@@ -438,10 +441,7 @@ void Proxy::finish_get(const Key& key, GetResult result) {
 void Proxy::on_crash() {
   // Proxies lose all in-flight operations; clients see timeouts (their own,
   // §3.5 — the proxy cannot answer after crashing).
-  for (auto& [ov, op] : puts_) {
-    (void)ov;
-    sim_.cancel(op->timeout);
-  }
+  for (const auto* item : puts_.sorted()) sim_.cancel(item->second->timeout);
   for (auto& [key, op] : gets_) {
     (void)key;
     sim_.cancel(op->timeout);

@@ -24,6 +24,7 @@
 #include "core/config.h"
 #include "core/server.h"
 #include "erasure/reed_solomon.h"
+#include "storage/version_table.h"
 #include "wire/messages.h"
 
 namespace pahoehoe::core {
@@ -84,6 +85,8 @@ class Proxy : public Server {
   void on_decide_locs_rep(const wire::DecideLocsRep& rep);
   void on_store_metadata_rep(NodeId from, const wire::StoreMetadataRep& rep);
   void on_store_fragment_rep(NodeId from, const wire::StoreFragmentRep& rep);
+  /// The put in flight for `ov`, or nullptr (late reply for a finished put).
+  PutOp* find_put(const ObjectVersionId& ov);
   void put_check_amr(PutOp& op);
   void put_maybe_reply(PutOp& op);
   void finish_put(const ObjectVersionId& ov);
@@ -98,7 +101,7 @@ class Proxy : public Server {
   const erasure::ReedSolomon& codec(const Policy& policy);
 
   ProxyOptions options_;
-  std::map<ObjectVersionId, std::unique_ptr<PutOp>> puts_;
+  storage::VersionTable<std::unique_ptr<PutOp>> puts_;
   std::map<Key, std::unique_ptr<GetOp>> gets_;
   std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
       codecs_;

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.h"
@@ -121,8 +122,25 @@ Network::Network(sim::Simulator& sim, NetworkConfig config)
 
 void Network::register_node(NodeId id, MessageHandler* handler) {
   PAHOEHOE_CHECK(id.valid() && handler != nullptr);
-  PAHOEHOE_CHECK_MSG(handlers_.emplace(id, handler).second,
+  const auto at = std::lower_bound(
+      nodes_.begin(), nodes_.end(), id,
+      [](const Node& node, NodeId key) { return node.id < key; });
+  PAHOEHOE_CHECK_MSG(at == nodes_.end() || at->id != id,
                      "node id registered twice");
+  const DataCenterId dc = dc_resolver_ ? dc_resolver_(id) : DataCenterId{};
+  nodes_.insert(at, Node{id, handler, dc});
+}
+
+void Network::set_dc_resolver(std::function<DataCenterId(NodeId)> resolver) {
+  dc_resolver_ = std::move(resolver);
+  for (Node& node : nodes_) node.dc = dc_resolver_(node.id);
+}
+
+const Network::Node* Network::find_node(NodeId id) const {
+  const auto at = std::lower_bound(
+      nodes_.begin(), nodes_.end(), id,
+      [](const Node& node, NodeId key) { return node.id < key; });
+  return at != nodes_.end() && at->id == id ? &*at : nullptr;
 }
 
 void Network::add_fault(std::shared_ptr<FaultRule> rule) {
@@ -139,16 +157,18 @@ SimTime Network::sample_latency() {
 void Network::send(NodeId from, NodeId to, wire::MessageType type,
                    Bytes payload) {
   obs::ProfScope prof("net_send");
-  PAHOEHOE_CHECK_MSG(handlers_.count(to) > 0, "send to unregistered node");
+  const Node* receiver = find_node(to);
+  PAHOEHOE_CHECK_MSG(receiver != nullptr, "send to unregistered node");
   wire::Envelope env{from, to, type, std::move(payload)};
   env.span = telemetry_.spans.on_send(from, to, wire::to_string(type));
   stats_.record_sent(type, env.wire_size());
   tracer_.record(sim_.now(), TraceEvent::kSend, from, to, type,
                  env.wire_size());
-  if (dc_resolver_) {
-    const DataCenterId from_dc = dc_resolver_(from);
-    const DataCenterId to_dc = dc_resolver_(to);
-    if (from_dc.valid() && to_dc.valid() && from_dc != to_dc) {
+  if (receiver->dc.valid()) {
+    // A sender that never registered (a test probe) is in no data center.
+    const Node* sender = find_node(from);
+    if (sender != nullptr && sender->dc.valid() &&
+        sender->dc != receiver->dc) {
       stats_.record_wan(env.wire_size());
     }
   }
@@ -175,7 +195,7 @@ void Network::send(NodeId from, NodeId to, wire::MessageType type,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  in_flight_[slot] = InFlight{std::move(env), copies};
+  in_flight_[slot] = InFlight{std::move(env), receiver->handler, copies};
   for (int i = 0; i < copies; ++i) {
     const SimTime latency = sample_latency();
     sim_.schedule_after(latency, [this, slot] { deliver(slot); });
@@ -190,8 +210,6 @@ void Network::deliver(uint32_t slot) {
   // deque does not move elements when it grows.
   InFlight& flight = in_flight_[slot];
   const wire::Envelope& env = flight.env;
-  auto it = handlers_.find(env.to);
-  PAHOEHOE_CHECK(it != handlers_.end());
   stats_.record_delivered(env.type);
   tracer_.record(sim_.now(), TraceEvent::kDeliver, env.from, env.to,
                  env.type, env.wire_size());
@@ -199,7 +217,7 @@ void Network::deliver(uint32_t slot) {
   // sends chains to this delivery (cross-node causal edge).
   const obs::SpanTracer::Scope span_scope =
       telemetry_.spans.deliver_scope(env.span);
-  it->second->handle(env);
+  flight.handler->handle(env);
   if (--flight.copies == 0) {
     flight.env = wire::Envelope{};  // frees the payload
     free_slots_.push_back(slot);

@@ -17,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -156,10 +155,11 @@ class Network {
   void clear_faults();
 
   /// Install a node → data-center resolver so stats can attribute WAN
-  /// (cross-data-center) traffic. Typically set by the Cluster builder.
-  void set_dc_resolver(std::function<DataCenterId(NodeId)> resolver) {
-    dc_resolver_ = std::move(resolver);
-  }
+  /// (cross-data-center) traffic. Typically set by the Cluster builder,
+  /// before it registers the nodes. Each registered node's data center is
+  /// resolved once, here or at its registration, not per message; without
+  /// a resolver no traffic counts as WAN.
+  void set_dc_resolver(std::function<DataCenterId(NodeId)> resolver);
 
   /// Serialize-and-send: records stats, applies fault rules, samples
   /// latency, and schedules delivery.
@@ -190,20 +190,34 @@ class Network {
   sim::Simulator& simulator() { return sim_; }
 
  private:
-  /// One sent envelope and the number of its scheduled copies not yet
-  /// delivered; the slot is freed after the last one.
+  /// One registered node: its handler and its data center (invalid while
+  /// no resolver is set, or for nodes the resolver places nowhere).
+  struct Node {
+    NodeId id;
+    MessageHandler* handler = nullptr;
+    DataCenterId dc;
+  };
+
+  /// One sent envelope, the handler it is for, and the number of its
+  /// scheduled copies not yet delivered; the slot is freed after the last
+  /// one.
   struct InFlight {
     wire::Envelope env;
+    MessageHandler* handler = nullptr;
     int copies = 0;
   };
 
   void deliver(uint32_t slot);
   SimTime sample_latency();
+  /// The registered node `id`, or nullptr.
+  const Node* find_node(NodeId id) const;
 
   sim::Simulator& sim_;
   NetworkConfig config_;
   double duplication_rate_ = 0.0;
-  std::unordered_map<NodeId, MessageHandler*> handlers_;
+  /// Every registered node, sorted by id: a cluster's dozen nodes, binary
+  /// searched once or twice per send.
+  std::vector<Node> nodes_;
   std::vector<std::shared_ptr<FaultRule>> faults_;
   std::function<DataCenterId(NodeId)> dc_resolver_;
   // In-flight envelopes, addressed by slot, so a scheduled delivery carries

@@ -22,18 +22,10 @@ bool TimestampStore::contains(const Key& key, const Timestamp& ts) const {
   return it != by_key_.end() && it->second.count(ts) > 0;
 }
 
-bool MetaStore::merge(const ObjectVersionId& ov, const Metadata& meta) {
-  auto [it, inserted] = by_ov_.try_emplace(ov, meta);
-  return inserted || it->second.merge(meta);
-}
-
-const Metadata* MetaStore::find(const ObjectVersionId& ov) const {
-  auto it = by_ov_.find(ov);
-  return it == by_ov_.end() ? nullptr : &it->second;
-}
-
-bool MetaStore::contains(const ObjectVersionId& ov) const {
-  return by_ov_.count(ov) > 0;
+Merged<Metadata> MetaStore::merge(const ObjectVersionId& ov,
+                                  const Metadata& meta) {
+  const auto [stored, inserted] = by_ov_.try_emplace(ov, meta);
+  return {*stored, inserted || stored->merge(meta)};
 }
 
 bool StoredFragment::intact() const {
@@ -43,31 +35,21 @@ bool StoredFragment::intact() const {
   return *intact_cache_;
 }
 
-bool FragStore::upsert(const ObjectVersionId& ov, const Metadata& meta) {
-  auto [it, inserted] = by_ov_.try_emplace(ov);
-  if (inserted) it->second.meta = meta;
-  return inserted || it->second.meta.merge(meta);
+Merged<FragStore::Entry> FragStore::upsert(const ObjectVersionId& ov,
+                                           const Metadata& meta) {
+  const auto [entry, inserted] = by_ov_.try_emplace(ov);
+  if (inserted) entry->meta = meta;
+  return {*entry, inserted || entry->meta.merge(meta)};
 }
 
-const FragStore::Entry* FragStore::find(const ObjectVersionId& ov) const {
-  auto it = by_ov_.find(ov);
-  return it == by_ov_.end() ? nullptr : &it->second;
-}
-
-bool FragStore::contains(const ObjectVersionId& ov) const {
-  return by_ov_.count(ov) > 0;
-}
-
-void FragStore::put_fragment(const ObjectVersionId& ov, const Metadata& meta,
-                             int frag_index, Bytes data,
+void FragStore::put_fragment(Entry& entry, int frag_index, Bytes data,
                              const Sha256::Digest& digest, uint8_t disk) {
-  upsert(ov, meta);
   StoredFragment frag;
   frag.data = std::move(data);
   frag.digest = digest;
   frag.disk = disk;
   frag.intact_cache_ = true;
-  by_ov_.find(ov)->second.fragments[frag_index] = std::move(frag);
+  entry.fragments[frag_index] = std::move(frag);
 }
 
 const StoredFragment* FragStore::Entry::intact_fragment(int frag_index) const {
@@ -84,11 +66,11 @@ const StoredFragment* FragStore::fragment_if_intact(const ObjectVersionId& ov,
 
 size_t FragStore::destroy_disk(uint8_t disk) {
   size_t lost = 0;
-  for (auto& [ov, entry] : by_ov_) {
-    (void)ov;
-    for (auto it = entry.fragments.begin(); it != entry.fragments.end();) {
+  for (Table::value_type* item : by_ov_.sorted()) {
+    auto& fragments = item->second.fragments;
+    for (auto it = fragments.begin(); it != fragments.end();) {
       if (it->second.disk == disk) {
-        it = entry.fragments.erase(it);
+        it = fragments.erase(it);
         ++lost;
       } else {
         ++it;
@@ -99,12 +81,10 @@ size_t FragStore::destroy_disk(uint8_t disk) {
 }
 
 bool FragStore::corrupt_fragment(const ObjectVersionId& ov, int frag_index) {
-  auto entry = by_ov_.find(ov);
-  if (entry == by_ov_.end()) return false;
-  auto it = entry->second.fragments.find(frag_index);
-  if (it == entry->second.fragments.end() || it->second.data.empty()) {
-    return false;
-  }
+  Entry* entry = by_ov_.find(ov);
+  if (entry == nullptr) return false;
+  auto it = entry->fragments.find(frag_index);
+  if (it == entry->fragments.end() || it->second.data.empty()) return false;
   it->second.data[it->second.data.size() / 2] ^= 0xff;
   it->second.invalidate_intact_cache();
   return true;

@@ -132,8 +132,8 @@ TEST(AllocBudgetTest, BacklogAllocatesAboutOncePerMessage) {
               static_cast<unsigned long long>(sent), per_message);
   // One for the payload, one for a decoded Metadata::locs, and the protocol
   // state a message creates; a second copy of any per-message buffer costs
-  // about one more.
-  EXPECT_LE(per_message, 3.5);
+  // about one more. Pinned at the measured 2.431 with 10% headroom.
+  EXPECT_LE(per_message, 2.67);
 }
 
 // Failure-free 100 KiB puts: fragments are moved from the decoded message

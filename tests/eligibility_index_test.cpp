@@ -4,6 +4,8 @@
 // due entries rather than to the backlog.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
 #include <string>
 
 #include "test_util.h"
@@ -240,6 +242,50 @@ TEST(EligibilityIndexTest, ScanWorkScalesWithDueWorkNotBacklog) {
   EXPECT_LE(large, 1.5 * small)
       << "entries scanned per put: " << small << " at 100 puts, " << large
       << " at 400";
+}
+
+// Hashed version-table lookups per message an FS handles, on the 100-put
+// backlog run. A handler finds its version once (a work entry points at its
+// store entry) and hands the records down, so the count stays near one per
+// message. The count is a pure function of the simulated run, exact on any
+// host, so the bound leaves 2% over the measured value rather than a
+// toolchain margin: a handler that looks its version up again fails it
+// (restoring the store lookup in certify_slot adds 6.6%, a second find in
+// check_amr about 50%).
+TEST(EligibilityIndexTest, VersionLookupsPerFsMessage) {
+  constexpr double kLookupsPerFsMessage = 1.1615;
+  SimCluster tc(ConvergenceOptions::all_opts());
+  tc.net.tracer().enable(1u << 20);
+  tc.blackout_fs(0, 0, 0, minutes(60));
+  tc.blackout_fs(1, 0, 0, minutes(60));
+  for (int p = 0; p < 100; ++p) {
+    tc.cluster.proxy(0).put(Key{"key-" + std::to_string(p)},
+                            tc.make_value(1024, static_cast<uint8_t>(p)),
+                            Policy{}, [](const core::PutResult&) {});
+    tc.run_for(seconds(1));
+  }
+  tc.run_to_quiescence();
+  ASSERT_TRUE(tc.cluster.converged_quiescent());
+  ASSERT_EQ(tc.net.tracer().overflowed(), 0u);
+  std::set<NodeId> fss;
+  uint64_t lookups = 0;
+  for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+    fss.insert(tc.cluster.fs(i).id());
+    lookups += tc.cluster.fs(i).version_lookups();
+  }
+  uint64_t delivered = 0;
+  for (const net::TraceRecord& r : tc.net.tracer().records()) {
+    if (r.event == net::TraceEvent::kDeliver && fss.count(r.to) > 0) {
+      ++delivered;
+    }
+  }
+  ASSERT_GT(delivered, 100u * 300u);
+  const double per_message =
+      static_cast<double>(lookups) / static_cast<double>(delivered);
+  std::printf("version lookups: %llu / %llu FS messages = %.4f\n",
+              static_cast<unsigned long long>(lookups),
+              static_cast<unsigned long long>(delivered), per_message);
+  EXPECT_LE(per_message, kLookupsPerFsMessage * 1.02);
 }
 
 }  // namespace

@@ -535,8 +535,8 @@ TEST(FsScrubTest, CachedIntactVerdictNeverLiesUnderFaults) {
     Rng rng(seed);
     const auto check_every_fragment = [&tc, seed](const char* when) {
       for (int i = 0; i < tc.cluster.num_fs(); ++i) {
-        for (const auto& [ov, entry] :
-             tc.cluster.fs(i).frag_store().entries()) {
+        for (const auto* item : tc.cluster.fs(i).frag_store().sorted()) {
+          const auto& [ov, entry] = *item;
           for (const auto& [slot, frag] : entry.fragments) {
             EXPECT_EQ(frag.intact(), Sha256::hash(frag.data) == frag.digest)
                 << when << ", seed " << seed << ", fs " << i << ", "

@@ -1,0 +1,180 @@
+// Golden outcome pins: small fixed runs shaped like the three perfbench
+// workloads plus a short chaos sweep, each hashed the way perfbench's
+// outcome digest hashes a seed-run and compared with a constant.
+//
+// A host-cost change must leave every simulated outcome exactly as it was,
+// so these constants never move with one: a mismatch means a change touched
+// event order, an RNG draw or protocol state (for example a walk that sees
+// hash order). A change that alters behaviour on purpose records the new
+// digests here, with the reason, in the same commit; the test prints every
+// digest it computes so that edit is a copy.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "chaos/schedule.h"
+#include "core/harness.h"
+
+namespace pahoehoe::core {
+namespace {
+
+constexpr SimTime kMinute = 60 * kMicrosPerSecond;
+
+/// FNV-1a over the outcome's text form, as perfbench/bench.cpp computes it.
+class Digest {
+ public:
+  void add(const std::string& s) {
+    for (unsigned char c : s) h_ = (h_ ^ c) * 0x100000001b3ULL;
+  }
+  template <typename T>
+  void add_number(T v) {
+    std::ostringstream out;
+    out.precision(17);
+    out << v << ';';
+    add(out.str());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// The network stats table, the outcome counts, end time, event count,
+/// latencies, time-to-AMR quantiles and the metric registry minus the line
+/// naming the host's GF(2^8) kernel.
+uint64_t outcome_digest(const RunResult& r) {
+  Digest d;
+  d.add(r.stats.to_table());
+  for (int v : {r.puts_attempted, r.puts_acked, r.puts_failed,
+                r.gets_attempted, r.gets_ok, r.gets_mismatched,
+                r.versions_total, r.amr, r.excess_amr, r.durable_not_amr,
+                r.non_durable, r.given_up}) {
+    d.add_number(v);
+  }
+  d.add_number(r.stats.wan_sent_bytes());
+  d.add_number(r.end_time);
+  d.add_number(r.events);
+  d.add_number(r.quiescent);
+  for (double v : r.put_latency_s) d.add_number(v);
+  for (double v : r.get_latency_s) d.add_number(v);
+  for (double q : {0.0, 0.5, 0.99, 1.0}) {
+    d.add_number(r.time_to_amr_s.quantile(q));
+  }
+  std::istringstream lines(r.metrics.to_text());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("erasure_kernel_runs_total") == std::string::npos) {
+      d.add(line);
+    }
+  }
+  return d.value();
+}
+
+struct Pin {
+  uint64_t seed;
+  uint64_t digest;
+};
+
+/// Runs `config` under each pinned seed and compares its digest.
+void expect_pins(RunConfig config, const std::vector<Pin>& pins,
+                 const char* shape) {
+  for (const Pin& pin : pins) {
+    config.seed = pin.seed;
+    const RunResult r = run_experiment(config);
+    EXPECT_TRUE(r.audit.passed()) << shape << " seed " << pin.seed << ": "
+                                  << r.audit.to_string();
+    const uint64_t digest = outcome_digest(r);
+    std::printf("%s seed %llu: 0x%016llx\n", shape,
+                static_cast<unsigned long long>(pin.seed),
+                static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, pin.digest) << shape << " seed " << pin.seed;
+  }
+}
+
+RunConfig all_opts(int puts, size_t value_size) {
+  RunConfig config = paper_default_config();
+  config.convergence = ConvergenceOptions::all_opts();
+  config.workload.num_puts = puts;
+  config.workload.value_size = value_size;
+  return config;
+}
+
+// perfbench put_100k: failure-free 100 KiB puts.
+TEST(GoldenOutcomeTest, FailureFreeLargePuts) {
+  expect_pins(all_opts(6, 100 * 1024),
+              {{1, 0x9ec09fdf21ddc35aULL}, {2, 0xca5ea0593f91625eULL}},
+              "put_100k");
+}
+
+// perfbench fs_outage_backlog: 1 KiB puts while FS 0 of each data center is
+// blacked out for an hour.
+TEST(GoldenOutcomeTest, FsOutageBacklog) {
+  RunConfig config = all_opts(30, 1024);
+  config.faults = {FaultSpec::fs_blackout(0, 0, 0, 60 * kMinute),
+                   FaultSpec::fs_blackout(1, 0, 0, 60 * kMinute)};
+  expect_pins(config,
+              {{1, 0xab6e3eb0f57fbb24ULL}, {2, 0x9806965e9f007c28ULL}},
+              "fs_outage_backlog");
+}
+
+// perfbench lossy_read_write: open-loop Poisson 100 KiB puts at 10% loss,
+// with retries, every object read back.
+TEST(GoldenOutcomeTest, LossyReadWrite) {
+  RunConfig config = all_opts(10, 100 * 1024);
+  config.workload.arrivals = ArrivalProcess::kOpenPoisson;
+  config.workload.arrival_rate_per_s = 4.0;
+  config.workload.retry_failed = true;
+  config.workload.get_fraction = 1.0;
+  config.workload.get_delay = 30 * kMicrosPerSecond;
+  config.faults = {FaultSpec::uniform_loss(0.10)};
+  expect_pins(config,
+              {{1, 0xe427562247727d16ULL}, {2, 0xee22f2069d777362ULL}},
+              "lossy_read_write");
+}
+
+// The chaos default config (scrub every 5 min, read-back, retries) under
+// generated schedules, each run under the seed it was generated from, as
+// chaos_cli's seeding round runs them.
+TEST(GoldenOutcomeTest, ChaosSweep) {
+  const std::vector<Pin> pins = {
+      {1, 0x3809fec5b76e5917ULL},
+      {2, 0xaa749a840da8e12cULL},
+      {3, 0x8ad77288e748b436ULL},
+      {4, 0x9c7afdaf5f1e9a60ULL},
+      {5, 0xd16445e99464140fULL},
+      {6, 0x9b1239f8f711c7f5ULL},
+      {7, 0x2b00f420d4e9d758ULL},
+      {8, 0x60caa6a4c34afe3eULL},
+      {9, 0x222e65ed9bc7f806ULL},
+      {10, 0x770d390895d51b54ULL},
+      {11, 0x55deb045cf340e0cULL},
+      {12, 0x825671933969e4b0ULL},
+      {13, 0x91234da88e9151c2ULL},
+      {14, 0x46df908535dfbe29ULL},
+      {15, 0x3aa1eac3fb73ed95ULL},
+      {16, 0xf681e1e4a1bf7afaULL},
+  };
+  RunConfig config = chaos::chaos_default_config();
+  config.workload.num_puts = 8;
+  std::set<FaultSpec::Kind> kinds;
+  for (const Pin& pin : pins) {
+    RunConfig run = config;
+    run.faults = chaos::generate_schedule(pin.seed, run.topology);
+    for (const FaultSpec& f : run.faults) kinds.insert(f.kind);
+    expect_pins(run, {pin}, "chaos");
+  }
+  // The sweep covers what scrub exists to repair, and crashes.
+  for (const FaultSpec::Kind kind :
+       {FaultSpec::Kind::kFragCorrupt, FaultSpec::Kind::kDiskDestroy,
+        FaultSpec::Kind::kFsCrash}) {
+    EXPECT_EQ(kinds.count(kind), 1u)
+        << "fault kind " << static_cast<int>(kind);
+  }
+}
+
+}  // namespace
+}  // namespace pahoehoe::core

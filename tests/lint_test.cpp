@@ -156,6 +156,23 @@ TEST(UnorderedIterTest, CrossFileMemberDeclaration) {
   EXPECT_EQ(r.diagnostics[0].rule, "unordered-iter");
 }
 
+// A VersionTable is hashed too: walking it directly would see hash order,
+// so the rule knows its name, and its sorted() view is the sanctioned walk.
+TEST(UnorderedIterTest, FiresOnVersionTableButNotItsSortedView) {
+  const Report r = analyze(
+      {{"src/core/fs.h", "struct Fs { storage::VersionTable<Work> work_; };\n"},
+       {"src/core/fs.cpp",
+        "void Fs::f() {\n"
+        "  for (auto& [ov, work] : work_) step(ov, work);\n"
+        "  for (auto* item : work_.sorted()) step(item->first, item->second);\n"
+        "}\n"}});
+  ASSERT_EQ(active_rules(r), std::vector<std::string>{"unordered-iter"});
+  EXPECT_EQ(r.diagnostics[0].path, "src/core/fs.cpp");
+  EXPECT_EQ(r.diagnostics[0].line, 2);
+  EXPECT_NE(r.diagnostics[0].message.find("src/core/fs.h:1"),
+            std::string::npos);
+}
+
 TEST(UnorderedIterTest, QuietOnOrderedContainers) {
   const Report r = run(
       "src/core/x.cpp",

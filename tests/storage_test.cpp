@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/sha256.h"
 #include "storage/stores.h"
 
@@ -59,7 +63,7 @@ TEST(MetaStoreTest, MergeCreatesEntry) {
   MetaStore store;
   EXPECT_EQ(store.find(ov("k", 1)), nullptr);
   EXPECT_FALSE(store.contains(ov("k", 1)));
-  EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{0, 5}})));
+  EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{0, 5}})).changed);
   ASSERT_NE(store.find(ov("k", 1)), nullptr);
   EXPECT_EQ(store.find(ov("k", 1))->decided_count(), 1);
 }
@@ -67,14 +71,14 @@ TEST(MetaStoreTest, MergeCreatesEntry) {
 TEST(MetaStoreTest, MergeUnionsLocations) {
   MetaStore store;
   store.merge(ov("k", 1), meta_with({{0, 5}}));
-  EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{1, 6}})));
+  EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{1, 6}})).changed);
   EXPECT_EQ(store.find(ov("k", 1))->decided_count(), 2);
 }
 
 TEST(MetaStoreTest, MergeNeverRemovesLocations) {
   MetaStore store;
   store.merge(ov("k", 1), meta_with({{0, 5}, {1, 6}}));
-  EXPECT_FALSE(store.merge(ov("k", 1), meta_with({})));
+  EXPECT_FALSE(store.merge(ov("k", 1), meta_with({})).changed);
   EXPECT_EQ(store.find(ov("k", 1))->decided_count(), 2);
 }
 
@@ -90,34 +94,86 @@ TEST(MetaStoreTest, MergeFillsValueSizeOnce) {
   Metadata m{Policy{}, 0};
   store.merge(ov("k", 1), m);
   Metadata m2{Policy{}, 777};
-  EXPECT_TRUE(store.merge(ov("k", 1), m2));
+  EXPECT_TRUE(store.merge(ov("k", 1), m2).changed);
   EXPECT_EQ(store.find(ov("k", 1))->value_size, 777u);
   Metadata m3{Policy{}, 888};  // does not override
   store.merge(ov("k", 1), m3);
   EXPECT_EQ(store.find(ov("k", 1))->value_size, 777u);
 }
 
-TEST(MetaStoreTest, EntriesStableOrder) {
+TEST(MetaStoreTest, SortedIsVersionOrder) {
   MetaStore store;
   store.merge(ov("b", 1), meta_with({}));
   store.merge(ov("a", 2), meta_with({}));
   store.merge(ov("a", 1), meta_with({}));
-  ASSERT_EQ(store.entries().size(), 3u);
-  auto it = store.entries().begin();
-  EXPECT_EQ(it->first.key.value, "a");
-  EXPECT_EQ(it->first.ts.wall_micros, 1);
-  EXPECT_EQ(std::next(it, 2)->first.key.value, "b");
+  const auto entries = store.sorted();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0]->first, ov("a", 1));
+  EXPECT_EQ(entries[1]->first, ov("a", 2));
+  EXPECT_EQ(entries[2]->first, ov("b", 1));
+}
+
+TEST(MetaStoreTest, MergeReturnsTheStoredMetadata) {
+  MetaStore store;
+  store.merge(ov("k", 1), meta_with({{0, 5}}));
+  const Merged<Metadata> merged = store.merge(ov("k", 1), meta_with({{1, 6}}));
+  EXPECT_EQ(&merged.record, store.find(ov("k", 1)));
+  EXPECT_EQ(merged.record.decided_count(), 2);
+}
+
+// --- VersionTable --------------------------------------------------------------
+
+// The table's only walk is in (key, timestamp) order, whatever the hash
+// does with the keys.
+TEST(VersionTableTest, SortedWalkIsVersionOrder) {
+  VersionTable<int> table;
+  std::vector<ObjectVersionId> keys;
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back(ov("key-" + std::to_string((i * 37) % 101), i % 7));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    table.try_emplace(keys[i], static_cast<int>(i));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const auto sorted = table.sorted();
+  ASSERT_EQ(sorted.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(sorted[i]->first, keys[i]) << i;
+  }
+}
+
+// Records stay where they are while the table grows, so a handler may hold
+// one across inserts; every find, try_emplace and erase is one lookup.
+TEST(VersionTableTest, RecordsAreStableAndLookupsCounted) {
+  VersionTable<int> table;
+  int* first = table.try_emplace(ov("k", 0), 7).first;
+  for (int i = 1; i < 1000; ++i) table.try_emplace(ov("k", i), i);
+  EXPECT_EQ(table.find(ov("k", 0)), first);
+  EXPECT_EQ(*first, 7);
+  EXPECT_FALSE(table.try_emplace(ov("k", 0), 9).second);
+  EXPECT_EQ(*first, 7);
+  EXPECT_TRUE(table.erase(ov("k", 5)));
+  EXPECT_FALSE(table.contains(ov("k", 5)));
+  EXPECT_EQ(table.size(), 999u);
+  EXPECT_EQ(table.lookups(), 1000u + 4u);
 }
 
 // --- FragStore -----------------------------------------------------------------
 
 Bytes frag_data(uint8_t fill = 0x42) { return Bytes(100, fill); }
 
+/// Store `data` as fragment `index` of `ov`, creating the entry.
+void put(FragStore& store, const ObjectVersionId& ov, const Metadata& meta,
+         int index, const Bytes& data, uint8_t disk = 0) {
+  store.put_fragment(store.upsert(ov, meta).record, index, data,
+                     Sha256::hash(data), disk);
+}
+
 TEST(FragStoreTest, PutAndRetrieveIntactFragment) {
   FragStore store;
   const Bytes data = frag_data();
-  store.put_fragment(ov("k", 1), meta_with({{0, 5}}), 0, data,
-                     Sha256::hash(data), 0);
+  put(store, ov("k", 1), meta_with({{0, 5}}), 0, data);
   const StoredFragment* frag = store.fragment_if_intact(ov("k", 1), 0);
   ASSERT_NE(frag, nullptr);
   EXPECT_EQ(frag->data, data);
@@ -126,16 +182,14 @@ TEST(FragStoreTest, PutAndRetrieveIntactFragment) {
 TEST(FragStoreTest, MissingFragmentIsNull) {
   FragStore store;
   EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 0), nullptr);
-  store.put_fragment(ov("k", 1), meta_with({}), 0, frag_data(),
-                     Sha256::hash(frag_data()), 0);
+  put(store, ov("k", 1), meta_with({}), 0, frag_data());
   EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 1), nullptr);
 }
 
 TEST(FragStoreTest, CorruptFragmentReadsAsBottom) {
   FragStore store;
   const Bytes data = frag_data();
-  store.put_fragment(ov("k", 1), meta_with({}), 3, data, Sha256::hash(data),
-                     0);
+  put(store, ov("k", 1), meta_with({}), 3, data);
   ASSERT_TRUE(store.corrupt_fragment(ov("k", 1), 3));
   EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 3), nullptr);
 }
@@ -148,23 +202,18 @@ TEST(FragStoreTest, CorruptMissingFragmentReturnsFalse) {
 TEST(FragStoreTest, OverwriteRepairsCorruption) {
   FragStore store;
   const Bytes data = frag_data();
-  store.put_fragment(ov("k", 1), meta_with({}), 0, data, Sha256::hash(data),
-                     0);
+  put(store, ov("k", 1), meta_with({}), 0, data);
   store.corrupt_fragment(ov("k", 1), 0);
-  store.put_fragment(ov("k", 1), meta_with({}), 0, data, Sha256::hash(data),
-                     0);
+  put(store, ov("k", 1), meta_with({}), 0, data);
   EXPECT_NE(store.fragment_if_intact(ov("k", 1), 0), nullptr);
 }
 
 TEST(FragStoreTest, DestroyDiskRemovesOnlyThatDisk) {
   FragStore store;
   const Bytes data = frag_data();
-  store.put_fragment(ov("k", 1), meta_with({}), 0, data, Sha256::hash(data),
-                     /*disk=*/0);
-  store.put_fragment(ov("k", 1), meta_with({}), 1, data, Sha256::hash(data),
-                     /*disk=*/1);
-  store.put_fragment(ov("k2", 2), meta_with({}), 5, data, Sha256::hash(data),
-                     /*disk=*/1);
+  put(store, ov("k", 1), meta_with({}), 0, data, /*disk=*/0);
+  put(store, ov("k", 1), meta_with({}), 1, data, /*disk=*/1);
+  put(store, ov("k2", 2), meta_with({}), 5, data, /*disk=*/1);
   EXPECT_EQ(store.destroy_disk(1), 2u);
   EXPECT_NE(store.fragment_if_intact(ov("k", 1), 0), nullptr);
   EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 1), nullptr);
@@ -175,25 +224,27 @@ TEST(FragStoreTest, DestroyDiskRemovesOnlyThatDisk) {
 // wakes pending convergence work on it.
 TEST(FragStoreTest, UpsertMergesMetadata) {
   FragStore store;
-  EXPECT_TRUE(store.upsert(ov("k", 1), meta_with({{0, 5}})));
-  EXPECT_TRUE(store.upsert(ov("k", 1), meta_with({{1, 6}})));
-  EXPECT_FALSE(store.upsert(ov("k", 1), meta_with({{1, 6}})));
+  EXPECT_TRUE(store.upsert(ov("k", 1), meta_with({{0, 5}})).changed);
+  EXPECT_TRUE(store.upsert(ov("k", 1), meta_with({{1, 6}})).changed);
+  EXPECT_FALSE(store.upsert(ov("k", 1), meta_with({{1, 6}})).changed);
   EXPECT_EQ(store.find(ov("k", 1))->meta.decided_count(), 2);
 }
 
 TEST(FragStoreTest, UpsertFillsValueSize) {
   FragStore store;
-  EXPECT_TRUE(store.upsert(ov("k", 1), Metadata{Policy{}, 0}));
-  EXPECT_TRUE(store.upsert(ov("k", 1), Metadata{Policy{}, 555}));
-  EXPECT_FALSE(store.upsert(ov("k", 1), Metadata{Policy{}, 555}));
+  EXPECT_TRUE(store.upsert(ov("k", 1), Metadata{Policy{}, 0}).changed);
+  EXPECT_TRUE(store.upsert(ov("k", 1), Metadata{Policy{}, 555}).changed);
+  EXPECT_FALSE(store.upsert(ov("k", 1), Metadata{Policy{}, 555}).changed);
   EXPECT_EQ(store.find(ov("k", 1))->meta.value_size, 555u);
 }
 
-TEST(FragStoreTest, EntriesEnumerates) {
+TEST(FragStoreTest, SortedEnumerates) {
   FragStore store;
-  store.upsert(ov("a", 1), meta_with({}));
   store.upsert(ov("b", 1), meta_with({}));
-  EXPECT_EQ(store.entries().size(), 2u);
+  store.upsert(ov("a", 1), meta_with({}));
+  const auto entries = store.sorted();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0]->first, ov("a", 1));
 }
 
 TEST(StoredFragmentTest, IntactChecksDigestWithCache) {

@@ -35,8 +35,9 @@ const std::vector<RuleInfo>& rule_table() {
        "process-environment reads go through pahoehoe::env (common/env.h), "
        "the single sanctioned getenv module"},
       {kRuleUnordered, "ordered-ok",
-       "iterating a std::unordered_{map,set} leaks hash order into whatever "
-       "is built from it; iterate a sorted view or prove order-insensitivity"},
+       "iterating a std::unordered_{map,set} or a storage::VersionTable leaks "
+       "hash order into whatever is built from it; iterate a sorted view or "
+       "prove order-insensitivity"},
       {kRuleProfLiteral, "prof-ok",
        "ProfScope/phase ids must be string literals: the thread-local "
        "accumulator keys by pointer identity"},
@@ -407,12 +408,15 @@ void scan_banned_tokens(const LexedFile& f, std::vector<RawDiag>& out) {
   }
 }
 
-/// Pass 1 helper: names declared as std::unordered_map/unordered_set
-/// (variables, members, parameters), mapped to their declaration site.
+/// Pass 1 helper: names declared as a hashed container — a
+/// std::unordered_map/unordered_set, or a storage::VersionTable, whose only
+/// ordered walk is its sorted() view — (variables, members, parameters),
+/// mapped to their declaration site.
 void collect_unordered_decls(const LexedFile& f,
                              std::map<std::string, std::string>& decls) {
   for (const char* type : {"unordered_map", "unordered_set",
-                           "unordered_multimap", "unordered_multiset"}) {
+                           "unordered_multimap", "unordered_multiset",
+                           "VersionTable"}) {
     size_t p = 0;
     while ((p = find_token(f.code, type, p)) != std::string::npos) {
       const size_t start = p;
@@ -479,9 +483,9 @@ void scan_range_for(const LexedFile& f,
     if (it == unordered.end()) continue;
     out.push_back(
         {line_of(f, for_pos), kRuleUnordered,
-         "range-for over `" + name + "` (declared std::unordered_* at " +
+         "range-for over `" + name + "` (declared as a hashed container at " +
              it->second +
-             "); hash order is nondeterministic — copy into a sorted view, "
+             "); hash order is nondeterministic — iterate a sorted view, "
              "or annotate if the loop body is order-insensitive"});
   }
 }
@@ -749,6 +753,14 @@ const Fixture kFixtures[] = {
     {"unordered-good", "src/core/x.cpp",
      "std::map<int, int> table;\n"
      "void f() { for (const auto& [k, v] : table) emit(k, v); }\n",
+     nullptr},
+    {"version-table-bad", "src/core/x.cpp",
+     "storage::VersionTable<Work> work_;\n"
+     "void f() { for (auto& item : work_) emit(item); }\n",
+     kRuleUnordered},
+    {"version-table-sorted-good", "src/core/x.cpp",
+     "storage::VersionTable<Work> work_;\n"
+     "void f() { for (auto* item : work_.sorted()) emit(item); }\n",
      nullptr},
     {"prof-bad", "src/core/x.cpp",
      "void f(const char* phase) { obs::ProfScope prof(phase); }\n",

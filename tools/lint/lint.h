@@ -69,8 +69,8 @@ struct Report {
 };
 
 /// Run every rule over `files`. Cross-file state (identifiers declared as
-/// std::unordered_map/set anywhere in the set) is collected first, so pass
-/// the whole tree in one call for full coverage.
+/// std::unordered_map/set or storage::VersionTable anywhere in the set) is
+/// collected first, so pass the whole tree in one call for full coverage.
 Report analyze(const std::vector<SourceFile>& files);
 
 /// Built-in fixture battery: every rule must fire on its bad snippet and
