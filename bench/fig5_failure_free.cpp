@@ -40,24 +40,26 @@ core::AggregateResult idealized(const core::RunConfig& config) {
   const size_t frag_size =
       (config.workload.value_size + policy.k - 1) / policy.k;
 
-  auto size_of = [](const Bytes& payload) {
-    return static_cast<double>(payload.size() + wire::Envelope::kHeaderBytes);
+  // Sized as the network charges a message: its field walk plus the header.
+  auto size_of = [](const auto& msg) {
+    return static_cast<double>(wire::payload_size(msg) +
+                               wire::Envelope::kHeaderBytes);
   };
-  const double decide_req =
-      size_of(wire::DecideLocsReq{ov, policy, config.workload.value_size, false}.encode());
+  const double decide_req = size_of(
+      wire::DecideLocsReq{ov, policy, config.workload.value_size, false});
   const double decide_rep =
-      size_of(wire::DecideLocsRep{ov, complete, DataCenterId{0}}.encode());
-  const double meta_req = size_of(wire::StoreMetadataReq{ov, complete}.encode());
+      size_of(wire::DecideLocsRep{ov, complete, DataCenterId{0}});
+  const double meta_req = size_of(wire::StoreMetadataReq{ov, complete});
   const double meta_rep =
-      size_of(wire::StoreMetadataRep{ov, wire::Status::kSuccess}.encode());
+      size_of(wire::StoreMetadataRep{ov, wire::Status::kSuccess});
   wire::StoreFragmentReq frag_req;
   frag_req.ov = ov;
   frag_req.meta = complete;
-  frag_req.fragment = Bytes(frag_size, 0);
-  const double frag_req_size = size_of(frag_req.encode());
-  const double frag_rep = size_of(
-      wire::StoreFragmentRep{ov, 0, wire::Status::kSuccess}.encode());
-  const double amr = size_of(wire::AmrIndication{ov}.encode());
+  frag_req.fragment = Fragment(Bytes(frag_size, 0));
+  const double frag_req_size = size_of(frag_req);
+  const double frag_rep =
+      size_of(wire::StoreFragmentRep{ov, 0, wire::Status::kSuccess});
+  const double amr = size_of(wire::AmrIndication{ov});
 
   struct Item {
     wire::MessageType type;

@@ -1,6 +1,6 @@
 // Micro-benchmarks for message serialization, the network's send/deliver
-// path, workload value generation and the simulator event loop — the
-// substrate the figure benches stand on.
+// path (messages as values), workload value generation and the simulator
+// event loop — the substrate the figure benches stand on.
 #include <benchmark/benchmark.h>
 
 #include "core/cluster.h"
@@ -22,8 +22,8 @@ wire::StoreFragmentReq sample_store(size_t frag_size) {
                  static_cast<uint8_t>(i % 2)};
   }
   req.frag_index = 3;
-  req.fragment = Bytes(frag_size, 0xa5);
-  req.digest = Sha256::hash(req.fragment);
+  req.fragment = Fragment::sealed(Bytes(frag_size, 0xa5));
+  req.digest = req.fragment.digest();
   return req;
 }
 
@@ -77,29 +77,29 @@ void BM_DecodeConverge(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeConverge);
 
-/// Decodes every FsConvergeReq delivered to it, as a Fragment Server does.
-class DecodingHandler : public net::MessageHandler {
+/// Takes every FsConvergeReq delivered to it out of its envelope, as a
+/// Fragment Server does.
+class TakingHandler : public net::MessageHandler {
  public:
-  void handle(const wire::Envelope& env) override {
-    auto req = wire::FsConvergeReq::decode(env.payload);
+  void handle(wire::Envelope&& env) override {
+    auto req = std::get<wire::FsConvergeReq>(std::move(env.msg));
     benchmark::DoNotOptimize(req);
   }
 };
 
-// One converge request per item: encode, Network::send (ledger, fault
-// rules, latency draw, scheduling) and delivery to a decoding handler.
+// One converge request per item: a copy of the value, Network::send (the
+// field-walk size, ledger, fault rules, latency draw, scheduling) and
+// delivery of the value to a handler that takes it.
 void BM_NetworkSendDeliver(benchmark::State& state) {
   const wire::FsConvergeReq req = sample_converge();
   sim::Simulator sim(1);
   net::Network net(sim);
-  DecodingHandler from, to;
+  TakingHandler from, to;
   net.register_node(NodeId{1}, &from);
   net.register_node(NodeId{2}, &to);
   constexpr int kBatch = 1000;
   for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      net::send_message(net, NodeId{1}, NodeId{2}, req);
-    }
+    for (int i = 0; i < kBatch; ++i) net.send(NodeId{1}, NodeId{2}, req);
     sim.run();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);

@@ -186,8 +186,9 @@ Sha256::Digest Cluster::state_digest() const {
         w.u32(static_cast<uint32_t>(slot));
         w.u8(frag.disk);
         // Hash of the fragment content rather than the content itself
-        // keeps the digest input small for large archives.
-        for (uint8_t b : Sha256::hash(frag.data)) w.u8(b);
+        // keeps the digest input small for large archives; the buffer's
+        // memo supplies it.
+        for (uint8_t b : frag.data.digest()) w.u8(b);
       }
     }
   }

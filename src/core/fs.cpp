@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/sha256.h"
+#include "common/fragment.h"
 #include "obs/prof.h"
 
 namespace pahoehoe::core {
@@ -183,29 +183,19 @@ uint8_t disk_in(const Metadata& meta, int frag_index) {
 
 bool FragmentServer::receive_fragment(const ObjectVersionId& ov,
                                       const Metadata& meta, int frag_index,
-                                      Bytes fragment,
+                                      Fragment fragment,
                                       const Sha256::Digest& digest) {
-  // The proxy re-sends the first DC's fragments once the second DC's
-  // locations are decided (Fig 2 lines 9–10). A copy this FS already holds
-  // intact, under the same digest and byte for byte, needs no hash: its
-  // cached verdict already proves the digest check.
+  // The buffer's memo answers for a fragment its maker sealed; only a fresh
+  // buffer (one decoded from bytes, or built by a test) is hashed here.
+  if (fragment.digest() != digest) return false;
   Records rec = find_records(ov);
-  const storage::StoredFragment* held =
-      rec.entry == nullptr ? nullptr : rec.entry->intact_fragment(frag_index);
-  const bool held_identical =
-      held != nullptr && held->digest == digest && held->data == fragment;
-  const uint8_t held_disk = held_identical ? held->disk : 0;
-  if (!held_identical && Sha256::hash(fragment) != digest) return false;
   merge_meta(ov, rec, meta, /*create_work=*/true);
   // The disk by the best metadata this FS knows: the stored entry while
   // work is pending, else the message's.
   const uint8_t disk =
       disk_in(rec.work != nullptr ? rec.entry->meta : meta, frag_index);
-  // Nor a store, when the copy already sits on the disk a store would pick.
-  if (!held_identical || held_disk != disk) {
-    store_frag_.put_fragment(*rec.entry, frag_index, std::move(fragment),
-                             digest, disk);
-  }
+  store_frag_.put_fragment(*rec.entry, frag_index, std::move(fragment),
+                           digest, disk);
   // A fragment arriving is progress worth acting on.
   if (rec.work != nullptr) wake_work(ov, *rec.work);
   return true;
@@ -453,7 +443,7 @@ void FragmentServer::start_recovery(const ObjectVersionId& ov, Work& work,
   for (int slot : entry.meta.fragments_for(id())) {
     if (const storage::StoredFragment* frag = entry.intact_fragment(slot);
         frag != nullptr) {
-      work.gathered.emplace(slot, frag->data);
+      work.gathered.emplace(slot, frag->data);  // shares the buffer
     }
   }
 }
@@ -584,32 +574,29 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
   std::vector<erasure::IndexedFragment> available;
   available.reserve(work.gathered.size());
   for (const auto& [slot, data] : work.gathered) {
-    available.push_back(erasure::IndexedFragment{slot, &data});
+    available.push_back(erasure::IndexedFragment{slot, &data.bytes()});
   }
   // Size the regeneration by the gathered fragments themselves: a server
   // that learned of this version only through convergence may not know the
   // value size yet, and fragment repair does not need it.
   const size_t frag_size = work.gathered.begin()->second.size();
-  const std::vector<Bytes> regenerated =
+  std::vector<Bytes> regenerated =
       codec(meta.policy).regenerate_sized(available, targets, frag_size);
 
   for (size_t i = 0; i < targets.size(); ++i) {
     const int slot = targets[i];
-    const Sha256::Digest digest = Sha256::hash(regenerated[i]);
+    Fragment fragment = Fragment::sealed(std::move(regenerated[i]));
+    const Sha256::Digest digest = fragment.digest();
     const auto& loc = meta.locs[static_cast<size_t>(slot)];
     PAHOEHOE_CHECK(loc.has_value());
     if (loc->fs == id()) {
-      store_frag_.put_fragment(entry, slot, regenerated[i], digest,
+      store_frag_.put_fragment(entry, slot, std::move(fragment), digest,
                                loc->disk);
     } else {
       // §4.2: push the recovered fragment to its sibling.
-      wire::SiblingStoreReq req;
-      req.ov = ov;
-      req.meta = meta;
-      req.frag_index = static_cast<uint16_t>(slot);
-      req.fragment = regenerated[i];
-      req.digest = digest;
-      send(loc->fs, req);
+      send(loc->fs, wire::SiblingStoreReq{ov, meta,
+                                          static_cast<uint16_t>(slot),
+                                          std::move(fragment), digest});
     }
   }
   m_recoveries_->inc();
@@ -775,7 +762,7 @@ void FragmentServer::on_retrieve_frag(NodeId from,
           store_frag_.fragment_if_intact(req.ov, req.frag_index);
       frag != nullptr) {
     rep.found = true;
-    rep.fragment = frag->data;
+    rep.fragment = frag->data;  // shares the buffer
   }
   send(from, rep);
 }
@@ -1026,39 +1013,42 @@ void FragmentServer::on_recover() {
   schedule_scrub();
 }
 
-void FragmentServer::dispatch(const wire::Envelope& env) {
+void FragmentServer::dispatch(wire::Envelope&& env) {
   using wire::MessageType;
+  wire::Message& msg = env.msg;
   switch (env.type) {
     case MessageType::kStoreFragmentReq:
-      on_store_fragment(env.from, wire::StoreFragmentReq::decode(env.payload));
+      on_store_fragment(env.from,
+                        std::move(std::get<wire::StoreFragmentReq>(msg)));
       break;
     case MessageType::kSiblingStoreReq:
-      on_sibling_store(env.from, wire::SiblingStoreReq::decode(env.payload));
+      on_sibling_store(env.from,
+                       std::move(std::get<wire::SiblingStoreReq>(msg)));
       break;
     case MessageType::kRetrieveFragReq:
-      on_retrieve_frag(env.from, wire::RetrieveFragReq::decode(env.payload));
+      on_retrieve_frag(env.from, std::get<wire::RetrieveFragReq>(msg));
       break;
     case MessageType::kFsConvergeReq:
-      on_fs_converge(env.from, wire::FsConvergeReq::decode(env.payload));
+      on_fs_converge(env.from, std::get<wire::FsConvergeReq>(msg));
       break;
     case MessageType::kFsConvergeRep:
-      on_fs_converge_rep(env.from, wire::FsConvergeRep::decode(env.payload));
+      on_fs_converge_rep(env.from, std::get<wire::FsConvergeRep>(msg));
       break;
     case MessageType::kKlsConvergeRep:
-      on_kls_converge_rep(env.from, wire::KlsConvergeRep::decode(env.payload));
+      on_kls_converge_rep(env.from, std::get<wire::KlsConvergeRep>(msg));
       break;
     case MessageType::kAmrIndication:
-      on_amr_indication(wire::AmrIndication::decode(env.payload));
+      on_amr_indication(std::get<wire::AmrIndication>(msg));
       break;
     case MessageType::kDecideLocsRep:
-      on_decide_locs_rep(wire::DecideLocsRep::decode(env.payload));
+      on_decide_locs_rep(std::get<wire::DecideLocsRep>(msg));
       break;
     case MessageType::kKlsLocsNotify:
-      on_kls_locs_notify(wire::KlsLocsNotify::decode(env.payload));
+      on_kls_locs_notify(std::get<wire::KlsLocsNotify>(msg));
       break;
     case MessageType::kRetrieveFragRep:
       on_retrieve_frag_rep(env.from,
-                           wire::RetrieveFragRep::decode(env.payload));
+                           std::move(std::get<wire::RetrieveFragRep>(msg)));
       break;
     case MessageType::kSiblingStoreRep:
       break;  // recovered-fragment push acks carry no actionable state

@@ -89,7 +89,7 @@ class FragmentServer : public Server {
   std::string check_eligibility_index() const;
 
  protected:
-  void dispatch(const wire::Envelope& env) override;
+  void dispatch(wire::Envelope&& env) override;
   void on_crash() override;
   void on_recover() override;
 
@@ -114,7 +114,7 @@ class FragmentServer : public Server {
     bool recovering = false;
     bool plain_recovery = false;
     std::map<NodeId, std::vector<int>> sibling_needs;
-    std::map<int, Bytes> gathered;   // fragment index -> data
+    std::map<int, Fragment> gathered;  // fragment index -> shared buffer
     std::set<int> requested_slots;   // retrieve_frag requests outstanding
     std::set<int> failed_slots;      // sources that answered ⊥ this attempt
     sim::TimerId recovery_timer = 0;   // §4.2 reply-accumulation window
@@ -209,11 +209,11 @@ class FragmentServer : public Server {
   /// Locally assigned fragment indices that are missing or corrupt.
   std::vector<int> missing_local_fragments(const Entry& entry) const;
   /// Receipt of a pushed fragment (Fig 2, fs side, and a recovering
-  /// sibling's §4.2 push): verify it against its digest, store it, merge
-  /// the metadata and wake the version's work. False, with nothing changed,
-  /// when the fragment does not match its digest.
+  /// sibling's §4.2 push): check the buffer's digest against the message's,
+  /// store the buffer, merge the metadata and wake the version's work.
+  /// False, with nothing changed, when they differ.
   bool receive_fragment(const ObjectVersionId& ov, const Metadata& meta,
-                        int frag_index, Bytes fragment,
+                        int frag_index, Fragment fragment,
                         const Sha256::Digest& digest);
   void bump_backoff(const ObjectVersionId& ov, Work& work);
   SimTime version_age(const ObjectVersionId& ov) const;

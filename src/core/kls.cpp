@@ -20,25 +20,25 @@ KeyLookupServer::KeyLookupServer(sim::Simulator& sim, net::Network& net,
   m_converge_ = &metrics.counter("kls_requests_total", labels);
 }
 
-void KeyLookupServer::dispatch(const wire::Envelope& env) {
+void KeyLookupServer::dispatch(wire::Envelope&& env) {
   using wire::MessageType;
   switch (env.type) {
     case MessageType::kDecideLocsReq:
     case MessageType::kFsDecideLocsReq:
       m_decide_locs_->inc();
-      on_decide_locs(env.from, wire::DecideLocsReq::decode(env.payload));
+      on_decide_locs(env.from, std::get<wire::DecideLocsReq>(env.msg));
       break;
     case MessageType::kStoreMetadataReq:
       m_store_metadata_->inc();
-      on_store_metadata(env.from, wire::StoreMetadataReq::decode(env.payload));
+      on_store_metadata(env.from, std::get<wire::StoreMetadataReq>(env.msg));
       break;
     case MessageType::kRetrieveTsReq:
       m_retrieve_ts_->inc();
-      on_retrieve_ts(env.from, wire::RetrieveTsReq::decode(env.payload));
+      on_retrieve_ts(env.from, std::get<wire::RetrieveTsReq>(env.msg));
       break;
     case MessageType::kKlsConvergeReq:
       m_converge_->inc();
-      on_kls_converge(env.from, wire::KlsConvergeReq::decode(env.payload));
+      on_kls_converge(env.from, std::get<wire::KlsConvergeReq>(env.msg));
       break;
     default:
       // Messages for other roles (e.g., fragment traffic) are a protocol
@@ -73,11 +73,11 @@ void KeyLookupServer::on_decide_locs(NodeId from,
     // §3.5: for an FS-originated request the KLS persists its decision
     // before replying, and notifies the sibling FSs of the decision so they
     // can begin (or skip) their own convergence work.
-    store_ts_.add(req.ov.key, req.ov.ts);
     if (stored != nullptr) {
       stored->merge(meta);
     } else {
       stored = &store_meta_.merge(req.ov, meta).record;
+      store_ts_.add(req.ov.key, req.ov.ts);
     }
     const Metadata& merged = *stored;
     if (telemetry().spans.enabled()) {
@@ -97,8 +97,9 @@ void KeyLookupServer::on_decide_locs(NodeId from,
 
 void KeyLookupServer::on_store_metadata(NodeId from,
                                         const wire::StoreMetadataReq& req) {
-  store_ts_.add(req.ov.key, req.ov.ts);
-  const Metadata& merged = store_meta_.merge(req.ov, req.meta).record;
+  const auto result = store_meta_.merge(req.ov, req.meta);
+  if (result.created) store_ts_.add(req.ov.key, req.ov.ts);
+  const Metadata& merged = result.record;
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(
         req.ov, "kls_meta_write", id(), sim_.now(), sim_.now(),
@@ -137,10 +138,11 @@ void KeyLookupServer::on_retrieve_ts(NodeId from,
 void KeyLookupServer::on_kls_converge(NodeId from,
                                       const wire::KlsConvergeReq& req) {
   // Fig 4 (kls): merge the FS's metadata, reply whether the result is
-  // complete. We additionally record the timestamp so gets can find
-  // versions this KLS only learned about through convergence.
-  store_ts_.add(req.ov.key, req.ov.ts);
-  const bool verified = store_meta_.merge(req.ov, req.meta).record.complete();
+  // complete. A version this KLS first learns of here gets its timestamp
+  // recorded too, so gets can find it.
+  const auto merged = store_meta_.merge(req.ov, req.meta);
+  if (merged.created) store_ts_.add(req.ov.key, req.ov.ts);
+  const bool verified = merged.record.complete();
   if (telemetry().spans.enabled()) {
     telemetry().spans.interval(req.ov, "kls_converge_verify", id(), sim_.now(),
                                sim_.now(), verified ? "verified" : "partial");

@@ -25,7 +25,7 @@ class KeyLookupServer : public Server {
   const storage::MetaStore& meta_store() const { return store_meta_; }
 
  protected:
-  void dispatch(const wire::Envelope& env) override;
+  void dispatch(wire::Envelope&& env) override;
 
  private:
   void on_decide_locs(NodeId from, const wire::DecideLocsReq& req);
@@ -40,6 +40,9 @@ class KeyLookupServer : public Server {
   Metadata suggest_for(const ObjectVersionId& ov, const Metadata* known,
                        const Policy& policy, uint64_t value_size) const;
 
+  // The two stores hold the same versions: every insert into the metadata
+  // store adds the version's timestamp, and neither store ever erases, so a
+  // merge into a version already held leaves the timestamp store alone.
   storage::TimestampStore store_ts_;
   storage::MetaStore store_meta_;
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/sha256.h"
+#include "common/fragment.h"
 #include "core/placement.h"
 
 namespace pahoehoe::core {
@@ -11,8 +11,8 @@ namespace pahoehoe::core {
 struct Proxy::PutOp {
   ObjectVersionId ov;
   Metadata meta;
-  std::vector<Bytes> fragments;
-  std::vector<Sha256::Digest> digests;
+  /// Sealed at encode; every store request shares its slot's buffer.
+  std::vector<Fragment> fragments;
   std::set<uint8_t> dcs_decided;   // data centers whose locations are fixed
   std::set<int> acked_frags;       // fragment indices durably acked
   std::set<NodeId> acked_kls;      // KLSs that acked a metadata store
@@ -34,7 +34,7 @@ struct Proxy::GetOp {
   std::set<NodeId> page_pending;   // a further page request is outstanding
   std::map<NodeId, Timestamp> page_floor;  // oldest version revealed so far
   Timestamp current;                               // ⊥ when wall_micros < 0
-  std::map<int, Bytes> found_frags;                // for current version
+  std::map<int, Fragment> found_frags;             // for current version
   std::set<int> requested_slots;                   // current version's wave
   std::set<int> replied_slots;                     // found or ⊥
   bool bot_seen = false;                           // some FS returned ⊥
@@ -133,10 +133,10 @@ void Proxy::put(const Key& key, Bytes value, const Policy& policy,
   auto op = std::make_unique<PutOp>();
   op->ov = ObjectVersionId{key, next_timestamp()};
   op->meta = Metadata(policy, value.size());
-  op->fragments = codec(policy).encode(value);
-  op->digests.reserve(op->fragments.size());
-  for (const Bytes& frag : op->fragments) {
-    op->digests.push_back(Sha256::hash(frag));
+  std::vector<Bytes> encoded = codec(policy).encode(value);
+  op->fragments.reserve(encoded.size());
+  for (Bytes& frag : encoded) {
+    op->fragments.push_back(Fragment::sealed(std::move(frag)));
   }
   op->callback = std::move(callback);
 
@@ -194,13 +194,10 @@ void Proxy::on_decide_locs_rep(const wire::DecideLocsRep& rep) {
   for (size_t slot = 0; slot < op.meta.locs.size(); ++slot) {
     const auto& loc = op.meta.locs[slot];
     if (!loc.has_value()) continue;
-    wire::StoreFragmentReq req;
-    req.ov = op.ov;
-    req.meta = op.meta;
-    req.frag_index = static_cast<uint16_t>(slot);
-    req.fragment = op.fragments[slot];
-    req.digest = op.digests[slot];
-    send(loc->fs, req);
+    const Fragment& fragment = op.fragments[slot];
+    send(loc->fs, wire::StoreFragmentReq{op.ov, op.meta,
+                                         static_cast<uint16_t>(slot),
+                                         fragment, fragment.digest()});
   }
 }
 
@@ -408,7 +405,7 @@ void Proxy::on_retrieve_frag_rep(NodeId /*from*/,
     std::vector<erasure::IndexedFragment> frags;
     frags.reserve(op.found_frags.size());
     for (const auto& [index, data] : op.found_frags) {
-      frags.push_back(erasure::IndexedFragment{index, &data});
+      frags.push_back(erasure::IndexedFragment{index, &data.bytes()});
     }
     Bytes value = codec(meta.policy).decode(frags, meta.value_size);
     finish_get(op.key, GetResult{true, std::move(value), op.current});
@@ -450,26 +447,26 @@ void Proxy::on_crash() {
   gets_.clear();
 }
 
-void Proxy::dispatch(const wire::Envelope& env) {
+void Proxy::dispatch(wire::Envelope&& env) {
   using wire::MessageType;
   switch (env.type) {
     case MessageType::kDecideLocsRep:
-      on_decide_locs_rep(wire::DecideLocsRep::decode(env.payload));
+      on_decide_locs_rep(std::get<wire::DecideLocsRep>(env.msg));
       break;
     case MessageType::kStoreMetadataRep:
       on_store_metadata_rep(env.from,
-                            wire::StoreMetadataRep::decode(env.payload));
+                            std::get<wire::StoreMetadataRep>(env.msg));
       break;
     case MessageType::kStoreFragmentRep:
       on_store_fragment_rep(env.from,
-                            wire::StoreFragmentRep::decode(env.payload));
+                            std::get<wire::StoreFragmentRep>(env.msg));
       break;
     case MessageType::kRetrieveTsRep:
-      on_retrieve_ts_rep(env.from, wire::RetrieveTsRep::decode(env.payload));
+      on_retrieve_ts_rep(env.from, std::get<wire::RetrieveTsRep>(env.msg));
       break;
     case MessageType::kRetrieveFragRep:
-      on_retrieve_frag_rep(env.from,
-                           wire::RetrieveFragRep::decode(env.payload));
+      on_retrieve_frag_rep(
+          env.from, std::move(std::get<wire::RetrieveFragRep>(env.msg)));
       break;
     default:
       PAHOEHOE_CHECK_MSG(false, "unexpected message type at proxy");

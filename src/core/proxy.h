@@ -74,7 +74,7 @@ class Proxy : public Server {
   }
 
  protected:
-  void dispatch(const wire::Envelope& env) override;
+  void dispatch(wire::Envelope&& env) override;
   void on_crash() override;
 
  private:

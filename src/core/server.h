@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "common/types.h"
 #include "core/cluster_view.h"
@@ -42,20 +43,21 @@ class Server : public net::MessageHandler {
     on_recover();
   }
 
-  void handle(const wire::Envelope& env) final {
+  void handle(wire::Envelope&& env) final {
     if (crashed_) return;  // a crashed node neither receives nor replies
-    dispatch(env);
+    dispatch(std::move(env));
   }
 
  protected:
-  virtual void dispatch(const wire::Envelope& env) = 0;
+  /// Act on a delivered message; handlers may move parts of it out.
+  virtual void dispatch(wire::Envelope&& env) = 0;
   /// Subclasses drop volatile state / cancel timers here.
   virtual void on_crash() {}
   virtual void on_recover() {}
 
   template <typename M>
-  void send(NodeId to, const M& msg) {
-    net::send_message(net_, id_, to, msg);
+  void send(NodeId to, M&& msg) {
+    net_.send(id_, to, wire::Message(std::forward<M>(msg)));
   }
 
   /// Run-wide telemetry (metric registry + AMR tracker), shared via the

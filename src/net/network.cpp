@@ -156,10 +156,16 @@ SimTime Network::sample_latency() {
 
 void Network::send(NodeId from, NodeId to, wire::MessageType type,
                    Bytes payload) {
+  send(from, to, wire::decode(type, payload));
+}
+
+void Network::send(NodeId from, NodeId to, wire::Message msg) {
   obs::ProfScope prof("net_send");
   const Node* receiver = find_node(to);
   PAHOEHOE_CHECK_MSG(receiver != nullptr, "send to unregistered node");
-  wire::Envelope env{from, to, type, std::move(payload)};
+  const wire::MessageType type = wire::type_of(msg);
+  const size_t payload_bytes = wire::payload_size(msg);
+  wire::Envelope env{from, to, type, std::move(msg), payload_bytes};
   env.span = telemetry_.spans.on_send(from, to, wire::to_string(type));
   stats_.record_sent(type, env.wire_size());
   tracer_.record(sim_.now(), TraceEvent::kSend, from, to, type,
@@ -186,8 +192,8 @@ void Network::send(NodeId from, NodeId to, wire::MessageType type,
   const bool duplicate =
       duplication_rate_ > 0.0 && sim_.rng().chance(duplication_rate_);
   const int copies = duplicate ? 2 : 1;
-  // One envelope per send: the payload is moved in once and a duplicated
-  // delivery does not copy it.
+  // One envelope per send: the message is moved in once, and only a
+  // duplicated delivery copies it.
   uint32_t slot = static_cast<uint32_t>(in_flight_.size());
   if (free_slots_.empty()) {
     in_flight_.emplace_back();
@@ -217,11 +223,13 @@ void Network::deliver(uint32_t slot) {
   // sends chains to this delivery (cross-node causal edge).
   const obs::SpanTracer::Scope span_scope =
       telemetry_.spans.deliver_scope(env.span);
-  flight.handler->handle(env);
-  if (--flight.copies == 0) {
-    flight.env = wire::Envelope{};  // frees the payload
-    free_slots_.push_back(slot);
+  if (--flight.copies > 0) {
+    flight.handler->handle(wire::Envelope(env));  // a duplicate copies
+    return;
   }
+  flight.handler->handle(std::move(flight.env));
+  flight.env = wire::Envelope{};  // frees what the handler left behind
+  free_slots_.push_back(slot);
 }
 
 }  // namespace pahoehoe::net

@@ -32,7 +32,8 @@ namespace pahoehoe::net {
 class MessageHandler {
  public:
   virtual ~MessageHandler() = default;
-  virtual void handle(const wire::Envelope& env) = 0;
+  /// The envelope is the handler's to consume: it may move the message out.
+  virtual void handle(wire::Envelope&& env) = 0;
 };
 
 /// Decides whether a given message is dropped. Rules are consulted at send
@@ -161,8 +162,13 @@ class Network {
   /// a resolver no traffic counts as WAN.
   void set_dc_resolver(std::function<DataCenterId(NodeId)> resolver);
 
-  /// Serialize-and-send: records stats, applies fault rules, samples
-  /// latency, and schedules delivery.
+  /// Send a message as a value: records stats (its wire size comes from its
+  /// field walk), applies fault rules, samples latency, and schedules
+  /// delivery.
+  void send(NodeId from, NodeId to, wire::Message msg);
+  /// Send a serialized payload: wire::decode it, then send the value. For
+  /// tests that inject bytes; throws WireError on a payload that does not
+  /// parse as a `type` message.
   void send(NodeId from, NodeId to, wire::MessageType type, Bytes payload);
 
   /// Override the duplication rate at runtime (duplication-burst fault
@@ -199,8 +205,9 @@ class Network {
   };
 
   /// One sent envelope, the handler it is for, and the number of its
-  /// scheduled copies not yet delivered; the slot is freed after the last
-  /// one.
+  /// scheduled copies not yet delivered. Each copy but the last hands the
+  /// handler a copy of the envelope; the last hands over the envelope
+  /// itself, and the slot is freed after it.
   struct InFlight {
     wire::Envelope env;
     MessageHandler* handler = nullptr;
@@ -231,17 +238,5 @@ class Network {
   Tracer tracer_;
   obs::Telemetry telemetry_;
 };
-
-/// Typed send helper for messages with a static kType.
-template <typename M>
-void send_message(Network& net, NodeId from, NodeId to, const M& msg) {
-  net.send(from, to, M::kType, msg.encode());
-}
-
-/// DecideLocsReq's type depends on the sender role (proxy vs FS).
-inline void send_message(Network& net, NodeId from, NodeId to,
-                         const wire::DecideLocsReq& msg) {
-  net.send(from, to, msg.type(), msg.encode());
-}
 
 }  // namespace pahoehoe::net

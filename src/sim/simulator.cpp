@@ -21,13 +21,15 @@ TimerId Simulator::schedule_at(SimTime t, Callback fn) {
     PAHOEHOE_CHECK(generations_.size() < kSlotMask);
     slot = static_cast<uint32_t>(generations_.size());
     generations_.push_back(0);
+    callbacks_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
   const uint32_t generation = ++generations_[slot];  // now odd: taken
   const TimerId id = (uint64_t{generation} << kSlotBits) | slot;
-  heap_.push_back(Event{t, next_seq_++, id, std::move(fn)});
+  callbacks_[slot] = std::move(fn);
+  heap_.push_back(Event{t, next_seq_++, id});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++pending_;
   return id;
@@ -51,6 +53,7 @@ bool Simulator::release(TimerId id) {
   if (!live(id)) return false;
   const auto slot = static_cast<uint32_t>(id & kSlotMask);
   ++generations_[slot];  // now even: free, and `id` is stale
+  callbacks_[slot] = nullptr;
   free_slots_.push_back(slot);
   --pending_;
   return true;
@@ -59,13 +62,17 @@ bool Simulator::release(TimerId id) {
 bool Simulator::step() {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event event = std::move(heap_.back());
+    const Event event = heap_.back();
     heap_.pop_back();
-    if (!release(event.id)) continue;  // cancelled
+    if (!live(event.id)) continue;  // cancelled
+    // Out of the slot before the slot is freed: the callback may schedule
+    // an event that reuses it.
+    Callback fn = std::move(callbacks_[event.id & kSlotMask]);
+    release(event.id);
     now_ = event.time;
     last_event_time_ = event.time;
     ++executed_;
-    event.fn();
+    fn();
     return true;
   }
   return false;

@@ -56,11 +56,11 @@ class Simulator {
   SimTime last_event_time() const { return last_event_time_; }
 
  private:
+  /// A queued event: 24 plain bytes, so a heap sift moves no callback.
   struct Event {
     SimTime time;
     uint64_t seq;  // insertion order: the tie-break at equal times
     TimerId id;
-    Callback fn;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -71,8 +71,8 @@ class Simulator {
 
   /// True iff `id` names a queued event that has not been cancelled.
   bool live(TimerId id) const;
-  /// Free `id`'s slot if `id` is live; false if it is stale (its event
-  /// fired or was cancelled) or was never issued.
+  /// Free `id`'s slot and destroy its callback if `id` is live; false if
+  /// it is stale (its event fired or was cancelled) or was never issued.
   bool release(TimerId id);
 
   SimTime now_ = 0;
@@ -80,9 +80,8 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   size_t pending_ = 0;
-  // A binary min-heap under Later, kept with std::push_heap/pop_heap so an
-  // event's callback is moved out, never copied. Cancelled events stay in
-  // it until they reach the top.
+  // A binary min-heap under Later, kept with std::push_heap/pop_heap.
+  // Cancelled events stay in it until they reach the top.
   std::vector<Event> heap_;
   // Per-slot generation: odd while the slot holds a queued event, even
   // while it is free. Taking a slot and releasing it (the event fires or is
@@ -91,6 +90,8 @@ class Simulator {
   // even-generation id never matches. Free slots are reused last-in,
   // first-out.
   std::vector<uint32_t> generations_;
+  // Per-slot callback of the queued event; empty while the slot is free.
+  std::vector<Callback> callbacks_;
   std::vector<uint32_t> free_slots_;
   Rng rng_;
 };

@@ -25,31 +25,19 @@ bool TimestampStore::contains(const Key& key, const Timestamp& ts) const {
 Merged<Metadata> MetaStore::merge(const ObjectVersionId& ov,
                                   const Metadata& meta) {
   const auto [stored, inserted] = by_ov_.try_emplace(ov, meta);
-  return {*stored, inserted || stored->merge(meta)};
-}
-
-bool StoredFragment::intact() const {
-  if (!intact_cache_.has_value()) {
-    intact_cache_ = Sha256::hash(data) == digest;
-  }
-  return *intact_cache_;
+  return {*stored, inserted || stored->merge(meta), inserted};
 }
 
 Merged<FragStore::Entry> FragStore::upsert(const ObjectVersionId& ov,
                                            const Metadata& meta) {
   const auto [entry, inserted] = by_ov_.try_emplace(ov);
   if (inserted) entry->meta = meta;
-  return {*entry, inserted || entry->meta.merge(meta)};
+  return {*entry, inserted || entry->meta.merge(meta), inserted};
 }
 
-void FragStore::put_fragment(Entry& entry, int frag_index, Bytes data,
+void FragStore::put_fragment(Entry& entry, int frag_index, Fragment data,
                              const Sha256::Digest& digest, uint8_t disk) {
-  StoredFragment frag;
-  frag.data = std::move(data);
-  frag.digest = digest;
-  frag.disk = disk;
-  frag.intact_cache_ = true;
-  entry.fragments[frag_index] = std::move(frag);
+  entry.fragments[frag_index] = StoredFragment{std::move(data), digest, disk};
 }
 
 const StoredFragment* FragStore::Entry::intact_fragment(int frag_index) const {
@@ -85,8 +73,9 @@ bool FragStore::corrupt_fragment(const ObjectVersionId& ov, int frag_index) {
   if (entry == nullptr) return false;
   auto it = entry->fragments.find(frag_index);
   if (it == entry->fragments.end() || it->second.data.empty()) return false;
-  it->second.data[it->second.data.size() / 2] ^= 0xff;
-  it->second.invalidate_intact_cache();
+  Bytes damaged = it->second.data.bytes();
+  damaged[damaged.size() / 2] ^= 0xff;
+  it->second.data = Fragment(std::move(damaged));
   return true;
 }
 

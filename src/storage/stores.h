@@ -15,16 +15,17 @@
 //
 // Fragments are stored with a SHA-256 digest and a disk id, supporting the
 // corruption-detection and disk-rebuild behaviours the paper mentions but
-// elides.
+// elides. A stored fragment is the shared buffer the message carried
+// (common/fragment.h), not a copy.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "common/fragment.h"
 #include "common/sha256.h"
 #include "common/types.h"
 #include "storage/version_table.h"
@@ -45,12 +46,13 @@ class TimestampStore {
   std::unordered_map<Key, std::set<Timestamp>> by_key_;
 };
 
-/// A merge's outcome: the stored record, and whether the merge created it
-/// or changed it.
+/// A merge's outcome: the stored record, whether the merge created it or
+/// changed it, and whether it created it.
 template <typename Record>
 struct Merged {
   Record& record;
   bool changed;
+  bool created;
 };
 
 /// KLS only: object version → metadata, with union-merge semantics
@@ -80,21 +82,15 @@ class MetaStore {
 
 /// One fragment at rest: bytes + integrity digest + the disk that holds it.
 struct StoredFragment {
-  Bytes data;
+  Fragment data;
   Sha256::Digest digest{};
   uint8_t disk = 0;
 
-  /// True iff the data still matches the digest. The verdict is cached
-  /// (convergence consults it per message). FragStore::put_fragment sets
-  /// it at store time, from the check its caller just made, so a stored
-  /// fragment is never re-hashed until fault injection that mutates the
-  /// data invalidates the cache.
-  bool intact() const;
-  void invalidate_intact_cache() { intact_cache_.reset(); }
-
- private:
-  friend class FragStore;
-  mutable std::optional<bool> intact_cache_;
+  /// True iff the data still matches the digest recorded at store time.
+  /// Convergence consults it per message; the buffer's memoized digest
+  /// makes that a comparison, and only a buffer nobody has hashed yet (a
+  /// damaged copy) is hashed, once.
+  bool intact() const { return data.digest() == digest; }
 };
 
 /// FS: object version → (metadata, fragment map). A fragment index missing
@@ -134,14 +130,11 @@ class FragStore {
   uint64_t lookups() const { return by_ov_.lookups(); }
 
   /// Store one fragment in `entry`, an entry of this store (overwrites a
-  /// prior copy of the same index). The caller guarantees
-  /// `digest == Sha256::hash(data)`, having just checked it (a verified
-  /// receipt) or computed it (a regenerated fragment), and the fragment
-  /// starts out with that verdict cached as intact. Stored fragments are
-  /// written only by this class (the owning server reads them through its
-  /// entries), so the only writers that can falsify the verdict are its own
-  /// fault injectors, and corrupt_fragment resets it.
-  void put_fragment(Entry& entry, int frag_index, Bytes data,
+  /// prior copy of the same index). The caller has checked `digest`
+  /// against the buffer (a receipt) or taken it from the buffer (a
+  /// regenerated fragment). Stored fragments are written only by this class
+  /// (the owning server reads them through its entries).
+  void put_fragment(Entry& entry, int frag_index, Fragment data,
                     const Sha256::Digest& digest, uint8_t disk);
 
   /// The fragment if present *and* intact, else nullptr (corrupted
@@ -154,7 +147,9 @@ class FragStore {
   size_t destroy_disk(uint8_t disk);
 
   /// Flip a byte of a stored fragment (corruption injection for tests).
-  /// Returns false if the fragment is absent or empty.
+  /// Copy on write: the store gets a damaged copy in a fresh buffer, and
+  /// every other holder of the old buffer keeps its bytes. Returns false if
+  /// the fragment is absent or empty.
   bool corrupt_fragment(const ObjectVersionId& ov, int frag_index);
 
  private:

@@ -4,8 +4,13 @@ namespace pahoehoe::wire {
 
 namespace {
 
-void encode_digest(Writer& w, const Sha256::Digest& digest) {
-  for (uint8_t b : digest) w.u8(b);
+/// Serialize a message by its field walk into a buffer reserved at the
+/// counted size.
+template <class M>
+Bytes encode_walk(const M& msg) {
+  Writer w(payload_size(msg));
+  msg.write(w);
+  return std::move(w).take();
 }
 
 Sha256::Digest decode_digest(Reader& r) {
@@ -47,14 +52,7 @@ const char* to_string(MessageType type) {
   return "?";
 }
 
-Bytes DecideLocsReq::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  wire::encode(w, policy);
-  w.u64(value_size);
-  w.boolean(from_fs);
-  return std::move(w).take();
-}
+Bytes DecideLocsReq::encode() const { return encode_walk(*this); }
 
 DecideLocsReq DecideLocsReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -67,13 +65,7 @@ DecideLocsReq DecideLocsReq::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes DecideLocsRep::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  w.u8(dc.value);
-  return std::move(w).take();
-}
+Bytes DecideLocsRep::encode() const { return encode_walk(*this); }
 
 DecideLocsRep DecideLocsRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -85,12 +77,7 @@ DecideLocsRep DecideLocsRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes StoreMetadataReq::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  return std::move(w).take();
-}
+Bytes StoreMetadataReq::encode() const { return encode_walk(*this); }
 
 StoreMetadataReq StoreMetadataReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -101,13 +88,7 @@ StoreMetadataReq StoreMetadataReq::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes StoreMetadataRep::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  w.u8(static_cast<uint8_t>(status));
-  w.u16(decided_count);
-  return std::move(w).take();
-}
+Bytes StoreMetadataRep::encode() const { return encode_walk(*this); }
 
 StoreMetadataRep StoreMetadataRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -119,15 +100,7 @@ StoreMetadataRep StoreMetadataRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes StoreFragmentReq::encode() const {
-  Writer w(Writer::kReserve + fragment.size());
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  w.u16(frag_index);
-  w.bytes(fragment);
-  encode_digest(w, digest);
-  return std::move(w).take();
-}
+Bytes StoreFragmentReq::encode() const { return encode_walk(*this); }
 
 StoreFragmentReq StoreFragmentReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -135,19 +108,13 @@ StoreFragmentReq StoreFragmentReq::decode(const Bytes& payload) {
   msg.ov = decode_ov(r);
   msg.meta = decode_metadata(r);
   msg.frag_index = r.u16();
-  msg.fragment = r.bytes();
+  msg.fragment = Fragment(r.bytes());
   msg.digest = decode_digest(r);
   r.expect_exhausted();
   return msg;
 }
 
-Bytes StoreFragmentRep::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  w.u16(frag_index);
-  w.u8(static_cast<uint8_t>(status));
-  return std::move(w).take();
-}
+Bytes StoreFragmentRep::encode() const { return encode_walk(*this); }
 
 StoreFragmentRep StoreFragmentRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -159,11 +126,7 @@ StoreFragmentRep StoreFragmentRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes AmrIndication::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  return std::move(w).take();
-}
+Bytes AmrIndication::encode() const { return encode_walk(*this); }
 
 AmrIndication AmrIndication::decode(const Bytes& payload) {
   Reader r(payload);
@@ -173,13 +136,7 @@ AmrIndication AmrIndication::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes RetrieveTsReq::encode() const {
-  Writer w;
-  wire::encode(w, key);
-  wire::encode(w, before_ts);
-  w.u16(max_entries);
-  return std::move(w).take();
-}
+Bytes RetrieveTsReq::encode() const { return encode_walk(*this); }
 
 RetrieveTsReq RetrieveTsReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -191,17 +148,7 @@ RetrieveTsReq RetrieveTsReq::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes RetrieveTsRep::encode() const {
-  Writer w;
-  wire::encode(w, key);
-  w.u32(static_cast<uint32_t>(entries.size()));
-  for (const auto& entry : entries) {
-    wire::encode(w, entry.ts);
-    wire::encode(w, entry.meta);
-  }
-  w.boolean(more);
-  return std::move(w).take();
-}
+Bytes RetrieveTsRep::encode() const { return encode_walk(*this); }
 
 RetrieveTsRep RetrieveTsRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -222,12 +169,7 @@ RetrieveTsRep RetrieveTsRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes RetrieveFragReq::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  w.u16(frag_index);
-  return std::move(w).take();
-}
+Bytes RetrieveFragReq::encode() const { return encode_walk(*this); }
 
 RetrieveFragReq RetrieveFragReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -238,14 +180,7 @@ RetrieveFragReq RetrieveFragReq::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes RetrieveFragRep::encode() const {
-  Writer w(Writer::kReserve + fragment.size());
-  wire::encode(w, ov);
-  w.u16(frag_index);
-  w.boolean(found);
-  w.bytes(fragment);
-  return std::move(w).take();
-}
+Bytes RetrieveFragRep::encode() const { return encode_walk(*this); }
 
 RetrieveFragRep RetrieveFragRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -253,17 +188,12 @@ RetrieveFragRep RetrieveFragRep::decode(const Bytes& payload) {
   msg.ov = decode_ov(r);
   msg.frag_index = r.u16();
   msg.found = r.boolean();
-  msg.fragment = r.bytes();
+  msg.fragment = Fragment(r.bytes());
   r.expect_exhausted();
   return msg;
 }
 
-Bytes KlsConvergeReq::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  return std::move(w).take();
-}
+Bytes KlsConvergeReq::encode() const { return encode_walk(*this); }
 
 KlsConvergeReq KlsConvergeReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -274,12 +204,7 @@ KlsConvergeReq KlsConvergeReq::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes KlsConvergeRep::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  w.boolean(verified);
-  return std::move(w).take();
-}
+Bytes KlsConvergeRep::encode() const { return encode_walk(*this); }
 
 KlsConvergeRep KlsConvergeRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -290,13 +215,7 @@ KlsConvergeRep KlsConvergeRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes FsConvergeReq::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  w.boolean(intends_recovery);
-  return std::move(w).take();
-}
+Bytes FsConvergeReq::encode() const { return encode_walk(*this); }
 
 FsConvergeReq FsConvergeReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -308,15 +227,7 @@ FsConvergeReq FsConvergeReq::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes FsConvergeRep::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  w.boolean(verified);
-  w.u16(static_cast<uint16_t>(needed_fragments.size()));
-  for (uint16_t idx : needed_fragments) w.u16(idx);
-  w.boolean(also_recovering);
-  return std::move(w).take();
-}
+Bytes FsConvergeRep::encode() const { return encode_walk(*this); }
 
 FsConvergeRep FsConvergeRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -331,15 +242,7 @@ FsConvergeRep FsConvergeRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes SiblingStoreReq::encode() const {
-  Writer w(Writer::kReserve + fragment.size());
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  w.u16(frag_index);
-  w.bytes(fragment);
-  encode_digest(w, digest);
-  return std::move(w).take();
-}
+Bytes SiblingStoreReq::encode() const { return encode_walk(*this); }
 
 SiblingStoreReq SiblingStoreReq::decode(const Bytes& payload) {
   Reader r(payload);
@@ -347,19 +250,13 @@ SiblingStoreReq SiblingStoreReq::decode(const Bytes& payload) {
   msg.ov = decode_ov(r);
   msg.meta = decode_metadata(r);
   msg.frag_index = r.u16();
-  msg.fragment = r.bytes();
+  msg.fragment = Fragment(r.bytes());
   msg.digest = decode_digest(r);
   r.expect_exhausted();
   return msg;
 }
 
-Bytes SiblingStoreRep::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  w.u16(frag_index);
-  w.u8(static_cast<uint8_t>(status));
-  return std::move(w).take();
-}
+Bytes SiblingStoreRep::encode() const { return encode_walk(*this); }
 
 SiblingStoreRep SiblingStoreRep::decode(const Bytes& payload) {
   Reader r(payload);
@@ -371,12 +268,7 @@ SiblingStoreRep SiblingStoreRep::decode(const Bytes& payload) {
   return msg;
 }
 
-Bytes KlsLocsNotify::encode() const {
-  Writer w;
-  wire::encode(w, ov);
-  wire::encode(w, meta);
-  return std::move(w).take();
-}
+Bytes KlsLocsNotify::encode() const { return encode_walk(*this); }
 
 KlsLocsNotify KlsLocsNotify::decode(const Bytes& payload) {
   Reader r(payload);
@@ -384,6 +276,60 @@ KlsLocsNotify KlsLocsNotify::decode(const Bytes& payload) {
   msg.ov = decode_ov(r);
   msg.meta = decode_metadata(r);
   r.expect_exhausted();
+  return msg;
+}
+
+MessageType type_of(const Message& msg) {
+  return std::visit([](const auto& m) { return type_of(m); }, msg);
+}
+
+size_t payload_size(const Message& msg) {
+  return std::visit([](const auto& m) { return payload_size(m); }, msg);
+}
+
+namespace {
+
+Message decode_payload(MessageType type, const Bytes& payload) {
+  switch (type) {
+    case MessageType::kDecideLocsReq:
+    case MessageType::kFsDecideLocsReq:
+      return DecideLocsReq::decode(payload);
+    case MessageType::kDecideLocsRep: return DecideLocsRep::decode(payload);
+    case MessageType::kStoreMetadataReq:
+      return StoreMetadataReq::decode(payload);
+    case MessageType::kStoreMetadataRep:
+      return StoreMetadataRep::decode(payload);
+    case MessageType::kStoreFragmentReq:
+      return StoreFragmentReq::decode(payload);
+    case MessageType::kStoreFragmentRep:
+      return StoreFragmentRep::decode(payload);
+    case MessageType::kAmrIndication: return AmrIndication::decode(payload);
+    case MessageType::kKlsConvergeReq: return KlsConvergeReq::decode(payload);
+    case MessageType::kKlsConvergeRep: return KlsConvergeRep::decode(payload);
+    case MessageType::kFsConvergeReq: return FsConvergeReq::decode(payload);
+    case MessageType::kFsConvergeRep: return FsConvergeRep::decode(payload);
+    case MessageType::kRetrieveTsReq: return RetrieveTsReq::decode(payload);
+    case MessageType::kRetrieveTsRep: return RetrieveTsRep::decode(payload);
+    case MessageType::kRetrieveFragReq:
+      return RetrieveFragReq::decode(payload);
+    case MessageType::kRetrieveFragRep:
+      return RetrieveFragRep::decode(payload);
+    case MessageType::kSiblingStoreReq:
+      return SiblingStoreReq::decode(payload);
+    case MessageType::kSiblingStoreRep:
+      return SiblingStoreRep::decode(payload);
+    case MessageType::kKlsLocsNotify: return KlsLocsNotify::decode(payload);
+  }
+  throw WireError("unknown message type");
+}
+
+}  // namespace
+
+Message decode(MessageType type, const Bytes& payload) {
+  Message msg = decode_payload(type, payload);
+  if (type_of(msg) != type) {
+    throw WireError("payload encodes another message type");
+  }
   return msg;
 }
 

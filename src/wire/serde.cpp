@@ -65,44 +65,6 @@ std::string Reader::str() {
   return std::string(reinterpret_cast<const char*>(p), len);
 }
 
-void encode(Writer& w, const Key& key) { w.str(key.value); }
-
-void encode(Writer& w, const Timestamp& ts) {
-  w.i64(ts.wall_micros);
-  w.u32(ts.proxy);
-}
-
-void encode(Writer& w, const ObjectVersionId& ov) {
-  encode(w, ov.key);
-  encode(w, ov.ts);
-}
-
-void encode(Writer& w, const Policy& policy) {
-  w.u8(policy.k);
-  w.u8(policy.n);
-  w.u8(policy.max_frags_per_fs);
-  w.u8(policy.max_frags_per_dc);
-  w.boolean(policy.data_frags_one_dc);
-  w.u8(policy.min_frags_for_success);
-}
-
-void encode(Writer& w, const Location& loc) {
-  w.u32(loc.fs.value);
-  w.u8(loc.disk);
-}
-
-void encode(Writer& w, const std::optional<Location>& loc) {
-  w.boolean(loc.has_value());
-  if (loc.has_value()) encode(w, *loc);
-}
-
-void encode(Writer& w, const Metadata& meta) {
-  encode(w, meta.policy);
-  w.u64(meta.value_size);
-  w.u16(static_cast<uint16_t>(meta.locs.size()));
-  for (const auto& loc : meta.locs) encode(w, loc);
-}
-
 Key decode_key(Reader& r) { return Key{r.str()}; }
 
 Timestamp decode_timestamp(Reader& r) {

@@ -1,9 +1,11 @@
 // Binary serialization primitives.
 //
-// All protocol messages are actually serialized to bytes before they enter
-// the simulated network; the byte counts the evaluation reports are the
-// sizes produced here. Encoding is little-endian with fixed-width integers
-// and u32 length prefixes for variable-size fields.
+// Every message has one field walk (`write`) that both serializes it (into
+// a Writer) and sizes it (into a SizeCounter), so the byte counts the
+// evaluation reports are the sizes the serializer itself produces, although
+// in-process nodes exchange messages as values. Encoding is little-endian
+// with fixed-width integers and u32 length prefixes for variable-size
+// fields.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +36,7 @@ class Writer {
   static constexpr size_t kReserve = 160;
 
   Writer() : Writer(kReserve) {}
-  /// Reserve `capacity` bytes; a message carrying a fragment reserves
-  /// kReserve plus the fragment's length.
+  /// Reserve `capacity` bytes (a message reserves its counted size).
   explicit Writer(size_t capacity);
 
   void u8(uint8_t v) { *room(1) = v; }
@@ -72,6 +73,25 @@ class Writer {
   // [0, used_) is the message; the rest is zeroed room for the next fields.
   Bytes out_;
   size_t used_ = 0;
+};
+
+/// A sink with Writer's field methods that only counts: run a field walk
+/// into it to get the size that walk serializes to.
+class SizeCounter {
+ public:
+  void u8(uint8_t) { size_ += 1; }
+  void u16(uint16_t) { size_ += 2; }
+  void u32(uint32_t) { size_ += 4; }
+  void u64(uint64_t) { size_ += 8; }
+  void i64(int64_t) { size_ += 8; }
+  void boolean(bool) { size_ += 1; }
+  void bytes(const Bytes& v) { size_ += 4 + v.size(); }
+  void str(const std::string& v) { size_ += 4 + v.size(); }
+
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
 };
 
 class Reader {
@@ -113,14 +133,54 @@ class Reader {
   size_t pos_ = 0;
 };
 
-// Domain-type codecs, shared by every message.
-void encode(Writer& w, const Key& key);
-void encode(Writer& w, const Timestamp& ts);
-void encode(Writer& w, const ObjectVersionId& ov);
-void encode(Writer& w, const Policy& policy);
-void encode(Writer& w, const Location& loc);
-void encode(Writer& w, const std::optional<Location>& loc);
-void encode(Writer& w, const Metadata& meta);
+// Domain-type field walks, shared by every message. `w` is a Writer or a
+// SizeCounter.
+template <class Sink>
+void encode(Sink& w, const Key& key) {
+  w.str(key.value);
+}
+
+template <class Sink>
+void encode(Sink& w, const Timestamp& ts) {
+  w.i64(ts.wall_micros);
+  w.u32(ts.proxy);
+}
+
+template <class Sink>
+void encode(Sink& w, const ObjectVersionId& ov) {
+  encode(w, ov.key);
+  encode(w, ov.ts);
+}
+
+template <class Sink>
+void encode(Sink& w, const Policy& policy) {
+  w.u8(policy.k);
+  w.u8(policy.n);
+  w.u8(policy.max_frags_per_fs);
+  w.u8(policy.max_frags_per_dc);
+  w.boolean(policy.data_frags_one_dc);
+  w.u8(policy.min_frags_for_success);
+}
+
+template <class Sink>
+void encode(Sink& w, const Location& loc) {
+  w.u32(loc.fs.value);
+  w.u8(loc.disk);
+}
+
+template <class Sink>
+void encode(Sink& w, const std::optional<Location>& loc) {
+  w.boolean(loc.has_value());
+  if (loc.has_value()) encode(w, *loc);
+}
+
+template <class Sink>
+void encode(Sink& w, const Metadata& meta) {
+  encode(w, meta.policy);
+  w.u64(meta.value_size);
+  w.u16(static_cast<uint16_t>(meta.locs.size()));
+  for (const auto& loc : meta.locs) encode(w, loc);
+}
 
 Key decode_key(Reader& r);
 Timestamp decode_timestamp(Reader& r);

@@ -1,11 +1,15 @@
-// Heap allocations per message: a deterministic work counter, gated exactly
-// on any host.
+// Heap allocations per message and bytes hashed per put: deterministic work
+// counters, gated exactly on any host.
 //
 // This executable replaces the global operator new/delete with versions
-// that count calls and forward to malloc/free, and counts only while a
-// core::run_experiment is on the stack. The simulated run is deterministic,
-// so the counts repeat exactly for a given build; the budgets below leave
-// headroom only for library differences between toolchains.
+// that count calls and forward to malloc/free, and links with
+// `--wrap` for Sha256::hash (tests/CMakeLists.txt), so every call into it
+// from another translation unit passes through a counting wrapper; the
+// library itself carries no counter. Both count only while counting is on:
+// around a core::run_experiment, or a unit test's few calls. The simulated
+// run is deterministic, so the counts repeat exactly for a given build; the
+// allocation budgets leave headroom only for library differences between
+// toolchains, and the hash count has none.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +17,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <span>
 
+#include "common/fragment.h"
+#include "common/sha256.h"
 #include "core/harness.h"
 
 namespace {
@@ -21,6 +28,8 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<uint64_t> g_allocations{0};
 std::atomic<uint64_t> g_bytes{0};
+std::atomic<uint64_t> g_hash_calls{0};
+std::atomic<uint64_t> g_hashed_bytes{0};
 
 void count(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
@@ -87,6 +96,22 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   release(p);
 }
 
+// The ld --wrap pair for Sha256::hash, a static member: the linker binds
+// callers to __wrap_<symbol> and __real_<symbol> to the library's own.
+#define PAHOEHOE_SHA256_HASH \
+  "_ZN8pahoehoe6Sha2564hashESt4spanIKhLm18446744073709551615EE"
+pahoehoe::Sha256::Digest real_sha256_hash(std::span<const uint8_t> data)
+    __asm__("__real_" PAHOEHOE_SHA256_HASH);
+pahoehoe::Sha256::Digest wrap_sha256_hash(std::span<const uint8_t> data)
+    __asm__("__wrap_" PAHOEHOE_SHA256_HASH);
+pahoehoe::Sha256::Digest wrap_sha256_hash(std::span<const uint8_t> data) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_hash_calls.fetch_add(1, std::memory_order_relaxed);
+    g_hashed_bytes.fetch_add(data.size(), std::memory_order_relaxed);
+  }
+  return real_sha256_hash(data);
+}
+
 namespace pahoehoe::core {
 namespace {
 
@@ -94,15 +119,23 @@ struct Counted {
   RunResult result;
   uint64_t allocations = 0;
   uint64_t bytes = 0;
+  uint64_t hashed_bytes = 0;
 };
 
-Counted run_counted(const RunConfig& config) {
+void start_counting() {
   g_allocations.store(0);
   g_bytes.store(0);
+  g_hash_calls.store(0);
+  g_hashed_bytes.store(0);
   g_counting.store(true);
+}
+
+Counted run_counted(const RunConfig& config) {
+  start_counting();
   RunResult result = run_experiment(config);
   g_counting.store(false);
-  return Counted{std::move(result), g_allocations.load(), g_bytes.load()};
+  return Counted{std::move(result), g_allocations.load(), g_bytes.load(),
+                 g_hashed_bytes.load()};
 }
 
 RunConfig all_opts(int puts, size_t value_size) {
@@ -130,19 +163,25 @@ TEST(AllocBudgetTest, BacklogAllocatesAboutOncePerMessage) {
   std::printf("backlog: %llu allocations / %llu messages = %.3f\n",
               static_cast<unsigned long long>(run.allocations),
               static_cast<unsigned long long>(sent), per_message);
-  // One for the payload, one for a decoded Metadata::locs, and the protocol
-  // state a message creates; a second copy of any per-message buffer costs
-  // about one more. Pinned at the measured 2.431 with 10% headroom.
-  EXPECT_LE(per_message, 2.67);
+  // A message travels as a value, so its one allocation is the copy of its
+  // Metadata::locs that the sender puts in it (messages without metadata
+  // allocate nothing); the rest is the protocol state a message creates.
+  // A second copy of any per-message buffer costs about one more. Pinned
+  // at the measured 1.416 with 10% headroom.
+  EXPECT_LE(per_message, 1.55);
 }
 
-// Failure-free 100 KiB puts: fragments are moved from the decoded message
-// into the store, never copied. Pinned at the measured counts with 10%
-// headroom; a copy of each stored 25 KiB fragment adds about 17% to the
-// bytes.
+// Failure-free 100 KiB puts. Each fragment is made once, by the proxy's
+// encode, and every holder after it shares that buffer: the store request
+// and its resend, the message in flight, the FS store. What a put allocates
+// is the value, the RS encode's n fragments (12 × 25 KiB), one buffer
+// header per fragment, and the metadata copies and protocol state of its
+// messages. Pinned at the measured counts with 10% headroom; copying each
+// fragment an FS receives (12 stores and the 6 re-sends of a put) more than
+// doubles the bytes.
 TEST(AllocBudgetTest, FailureFreeLargePutsAllocationsPerPut) {
-  constexpr double kAllocationsPerPut = 329.45;
-  constexpr double kKibPerPut = 1784.6;
+  constexpr double kAllocationsPerPut = 211.4;
+  constexpr double kKibPerPut = 420.5;
   const int puts = 20;
   const Counted run = run_counted(all_opts(puts, 100 * 1024));
   ASSERT_TRUE(run.result.audit.passed()) << run.result.audit.to_string();
@@ -156,6 +195,49 @@ TEST(AllocBudgetTest, FailureFreeLargePutsAllocationsPerPut) {
               per_put, kib_per_put);
   EXPECT_LE(per_put, kAllocationsPerPut * 1.1);
   EXPECT_LE(kib_per_put, kKibPerPut * 1.1);
+}
+
+// The hashed-once gate. The proxy seals each fragment it encodes, hashing
+// it once; an FS's receipt check and every later integrity check read that
+// buffer's memo. So failure-free 100 KiB puts hash the n fragments of each
+// value and nothing else: (n / k) = 3.0 bytes per user byte at (4, 12),
+// where re-hashing at receipt would make it 6.0.
+TEST(HashBudgetTest, FailureFreeLargePutsHashEachFragmentOnce) {
+  const int puts = 20;
+  const size_t value_size = 100 * 1024;
+  const Counted run = run_counted(all_opts(puts, value_size));
+  ASSERT_TRUE(run.result.audit.passed()) << run.result.audit.to_string();
+  ASSERT_EQ(run.result.puts_attempted, puts);
+  const uint64_t user_bytes = uint64_t{value_size} * puts;
+  std::printf("large puts: %llu bytes hashed / %llu user bytes = %.3f\n",
+              static_cast<unsigned long long>(run.hashed_bytes),
+              static_cast<unsigned long long>(user_bytes),
+              static_cast<double>(run.hashed_bytes) /
+                  static_cast<double>(user_bytes));
+  const Policy policy;
+  const uint64_t fragment_bytes = (value_size + policy.k - 1) / policy.k;
+  EXPECT_EQ(run.hashed_bytes, fragment_bytes * policy.n * puts);
+}
+
+TEST(HashBudgetTest, CopiesOfABufferShareOneDigest) {
+  const Bytes bytes(4096, 0x3c);
+  start_counting();
+  const Fragment fresh(bytes);
+  const Fragment copy = fresh;
+  EXPECT_EQ(g_hash_calls.load(), 0u) << "a fresh buffer is hashed lazily";
+  EXPECT_EQ(copy.digest(), Sha256::hash(bytes));
+  EXPECT_EQ(g_hash_calls.load(), 2u);  // the copy's digest, and the oracle
+  EXPECT_EQ(fresh.digest(), copy.digest());
+  Fragment later = copy;
+  EXPECT_EQ(later.digest(), copy.digest());
+  EXPECT_EQ(g_hash_calls.load(), 2u) << "every copy reads the one memo";
+
+  const Fragment sealed = Fragment::sealed(bytes);
+  EXPECT_EQ(g_hash_calls.load(), 3u) << "sealing hashes at once";
+  EXPECT_EQ(Fragment(sealed).digest(), fresh.digest());
+  EXPECT_EQ(g_hash_calls.load(), 3u);
+  g_counting.store(false);
+  EXPECT_EQ(g_hashed_bytes.load(), 3 * bytes.size());
 }
 
 }  // namespace

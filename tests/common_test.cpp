@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/fragment.h"
 #include "common/rng.h"
 #include "common/sha256.h"
 #include "common/stats.h"
@@ -105,6 +106,32 @@ TEST(PolicyTest, RejectsSuccessThresholdAboveN) {
 }
 
 // --- Metadata -------------------------------------------------------------------
+
+TEST(FragmentTest, EmptyFragmentHasNoBytes) {
+  const Fragment none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.digest(), Sha256::hash({}));
+  EXPECT_EQ(none, Fragment(Bytes{}));
+}
+
+TEST(FragmentTest, DigestIsTheHashOfTheBytes) {
+  const Bytes bytes{1, 2, 3, 4, 5};
+  EXPECT_EQ(Fragment(bytes).digest(), Sha256::hash(bytes));
+  EXPECT_EQ(Fragment::sealed(bytes).digest(), Sha256::hash(bytes));
+}
+
+TEST(FragmentTest, CopiesShareOneBuffer) {
+  const Fragment original(Bytes(64, 7));
+  const Fragment copy = original;
+  EXPECT_EQ(copy.bytes().data(), original.bytes().data());
+  EXPECT_EQ(&copy.digest(), &original.digest());
+}
+
+TEST(FragmentTest, EqualityComparesBytes) {
+  EXPECT_EQ(Fragment(Bytes{1, 2}), Fragment(Bytes{1, 2}));
+  EXPECT_NE(Fragment(Bytes{1, 2}), Fragment(Bytes{1, 3}));
+}
 
 TEST(MetadataTest, FreshMetadataHasUndecidedSlots) {
   Metadata meta{Policy{}};

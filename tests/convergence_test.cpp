@@ -357,8 +357,8 @@ TEST(ConvergenceTest, ConvergeRequestDoesNotResurrectAmrVersion) {
   // Hand-deliver a converge request for the already-AMR version.
   const Metadata* meta = tc.cluster.kls(0).meta_store().find(r.ov);
   ASSERT_NE(meta, nullptr);
-  net::send_message(tc.net, tc.cluster.fs(1).id(), tc.cluster.fs(0).id(),
-                    wire::FsConvergeReq{r.ov, *meta, false});
+  tc.net.send(tc.cluster.fs(1).id(), tc.cluster.fs(0).id(),
+              wire::FsConvergeReq{r.ov, *meta, false});
   tc.run_to_quiescence();
   EXPECT_EQ(tc.cluster.fs(0).pending_versions(), 0u);
 }

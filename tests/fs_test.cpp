@@ -2,7 +2,10 @@
 // through a probe node (no proxy involved).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <tuple>
+#include <variant>
 
 #include "common/rng.h"
 #include "common/sha256.h"
@@ -19,13 +22,16 @@ using wire::MessageType;
 
 class Probe : public net::MessageHandler {
  public:
-  void handle(const wire::Envelope& env) override { received.push_back(env); }
+  void handle(wire::Envelope&& env) override {
+    received.push_back(std::move(env));
+  }
 
+  /// Every message of `type` received so far.
   template <typename M>
-  std::vector<M> decode_all(MessageType type) const {
+  std::vector<M> all(MessageType type) const {
     std::vector<M> out;
     for (const auto& env : received) {
-      if (env.type == type) out.push_back(M::decode(env.payload));
+      if (env.type == type) out.push_back(std::get<M>(env.msg));
     }
     return out;
   }
@@ -59,21 +65,20 @@ class FsTest : public ::testing::Test {
     return ObjectVersionId{Key{key}, Timestamp{t, 1}};
   }
 
-  void deliver(NodeId to, MessageType type, Bytes payload) {
-    tc.net.send(probe_id, to, type, std::move(payload));
+  template <typename M>
+  void deliver(NodeId to, M msg) {
+    tc.net.send(probe_id, to, std::move(msg));
     tc.run_for(seconds(1));
   }
 
+  /// A store of fragment `index` in a fresh buffer, which the receiving FS
+  /// hashes, as it would a fragment decoded from bytes.
   wire::StoreFragmentReq store_req(const ObjectVersionId& version,
                                    const Metadata& meta, int index,
                                    const std::vector<Bytes>& frags) {
-    wire::StoreFragmentReq req;
-    req.ov = version;
-    req.meta = meta;
-    req.frag_index = static_cast<uint16_t>(index);
-    req.fragment = frags[static_cast<size_t>(index)];
-    req.digest = Sha256::hash(req.fragment);
-    return req;
+    const Bytes& bytes = frags[static_cast<size_t>(index)];
+    return wire::StoreFragmentReq{version, meta, static_cast<uint16_t>(index),
+                                  Fragment(bytes), Sha256::hash(bytes)};
   }
 
   SimCluster tc;
@@ -87,10 +92,9 @@ TEST_F(FsTest, StoreFragmentPersistsAndAcks) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
+  deliver(fs->id(), store_req(ov("k"), meta, 0, frags));
   auto reps =
-      probe.decode_all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
+      probe.all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_EQ(reps[0].status, wire::Status::kSuccess);
   EXPECT_EQ(reps[0].frag_index, 0);
@@ -104,19 +108,18 @@ TEST_F(FsTest, StoreFragmentRejectsBadDigest) {
   const auto frags = codec->encode(value);
   auto req = store_req(ov("k"), complete_meta(value.size()), 0, frags);
   req.digest[0] ^= 0xff;  // corrupted in transit
-  deliver(fs->id(), MessageType::kStoreFragmentReq, req.encode());
+  deliver(fs->id(), req);
   auto reps =
-      probe.decode_all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
+      probe.all<wire::StoreFragmentRep>(MessageType::kStoreFragmentRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_EQ(reps[0].status, wire::Status::kFailure);
   EXPECT_EQ(fs->frag_store().fragment_if_intact(ov("k"), 0), nullptr);
 }
 
 TEST_F(FsTest, RetrieveMissingFragmentRepliesBottom) {
-  deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+  deliver(fs->id(), wire::RetrieveFragReq{ov("k"), 0});
   auto reps =
-      probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
+      probe.all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_FALSE(reps[0].found);
   EXPECT_TRUE(reps[0].fragment.empty());
@@ -125,27 +128,23 @@ TEST_F(FsTest, RetrieveMissingFragmentRepliesBottom) {
 TEST_F(FsTest, RetrieveStoredFragmentRoundTrips) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), complete_meta(value.size()), 0, frags).encode());
-  deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+  deliver(fs->id(), store_req(ov("k"), complete_meta(value.size()), 0, frags));
+  deliver(fs->id(), wire::RetrieveFragReq{ov("k"), 0});
   auto reps =
-      probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
+      probe.all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_TRUE(reps[0].found);
-  EXPECT_EQ(reps[0].fragment, frags[0]);
+  EXPECT_EQ(reps[0].fragment.bytes(), frags[0]);
 }
 
 TEST_F(FsTest, CorruptFragmentReadsAsBottom) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), complete_meta(value.size()), 0, frags).encode());
+  deliver(fs->id(), store_req(ov("k"), complete_meta(value.size()), 0, frags));
   ASSERT_TRUE(fs->corrupt_fragment(ov("k"), 0));
-  deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+  deliver(fs->id(), wire::RetrieveFragReq{ov("k"), 0});
   auto reps =
-      probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
+      probe.all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_FALSE(reps[0].found);
 }
@@ -154,12 +153,11 @@ TEST_F(FsTest, ConvergeRequestForUnknownVersionCreatesWork) {
   // Fig 4 line 17: a converge request for a version the FS never saw
   // creates metadata + a ⊥ fragment entry, entering convergence.
   const Metadata meta = complete_meta(4096);
-  deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+  deliver(fs->id(), wire::FsConvergeReq{ov("k"), meta, false});
   EXPECT_EQ(fs->pending_versions(), 1u);
   EXPECT_TRUE(fs->frag_store().contains(ov("k")));
   auto reps =
-      probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
+      probe.all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_FALSE(reps[0].verified);  // fragments are ⊥
 }
@@ -170,13 +168,11 @@ TEST_F(FsTest, ConvergeReplyVerifiedWhenLocalStateComplete) {
   const Metadata meta = complete_meta(value.size());
   // Store both fragments this FS is responsible for (slots 0 and 6).
   for (int slot : meta.fragments_for(fs->id())) {
-    deliver(fs->id(), MessageType::kStoreFragmentReq,
-            store_req(ov("k"), meta, slot, frags).encode());
+    deliver(fs->id(), store_req(ov("k"), meta, slot, frags));
   }
-  deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+  deliver(fs->id(), wire::FsConvergeReq{ov("k"), meta, false});
   auto reps =
-      probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
+      probe.all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_TRUE(reps[0].verified);
 }
@@ -186,13 +182,11 @@ TEST_F(FsTest, ConvergeWithRecoveryIntentReportsNeededFragments) {
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
   // Only slot 0 stored; slot 6 (also ours) missing.
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
-  deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, /*intends_recovery=*/true}
-              .encode());
+  deliver(fs->id(), store_req(ov("k"), meta, 0, frags));
+  deliver(fs->id(),
+          wire::FsConvergeReq{ov("k"), meta, /*intends_recovery=*/true});
   auto reps =
-      probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
+      probe.all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_FALSE(reps[0].verified);
   EXPECT_EQ(reps[0].needed_fragments, (std::vector<uint16_t>{6}));
@@ -200,10 +194,9 @@ TEST_F(FsTest, ConvergeWithRecoveryIntentReportsNeededFragments) {
 
 TEST_F(FsTest, ConvergeWithoutRecoveryIntentOmitsNeeds) {
   const Metadata meta = complete_meta(4096);
-  deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+  deliver(fs->id(), wire::FsConvergeReq{ov("k"), meta, false});
   auto reps =
-      probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
+      probe.all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_TRUE(reps[0].needed_fragments.empty());
 }
@@ -212,11 +205,9 @@ TEST_F(FsTest, AmrIndicationClearsWorkButKeepsFragments) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
+  deliver(fs->id(), store_req(ov("k"), meta, 0, frags));
   ASSERT_EQ(fs->pending_versions(), 1u);
-  deliver(fs->id(), MessageType::kAmrIndication,
-          wire::AmrIndication{ov("k")}.encode());
+  deliver(fs->id(), wire::AmrIndication{ov("k")});
   EXPECT_EQ(fs->pending_versions(), 0u);
   EXPECT_NE(fs->frag_store().fragment_if_intact(ov("k"), 0), nullptr);
 }
@@ -225,22 +216,18 @@ TEST_F(FsTest, ConvergeAfterAmrDoesNotResurrect) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
   const Metadata meta = complete_meta(value.size());
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), meta, 0, frags).encode());
-  deliver(fs->id(), MessageType::kAmrIndication,
-          wire::AmrIndication{ov("k")}.encode());
-  deliver(fs->id(), MessageType::kFsConvergeReq,
-          wire::FsConvergeReq{ov("k"), meta, false}.encode());
+  deliver(fs->id(), store_req(ov("k"), meta, 0, frags));
+  deliver(fs->id(), wire::AmrIndication{ov("k")});
+  deliver(fs->id(), wire::FsConvergeReq{ov("k"), meta, false});
   EXPECT_EQ(fs->pending_versions(), 0u);
   // It still answers the converge request truthfully.
   auto reps =
-      probe.decode_all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
+      probe.all<wire::FsConvergeRep>(MessageType::kFsConvergeRep);
   ASSERT_EQ(reps.size(), 1u);
 }
 
 TEST_F(FsTest, AmrIndicationForUnknownVersionIsHarmless) {
-  deliver(fs->id(), MessageType::kAmrIndication,
-          wire::AmrIndication{ov("never-seen")}.encode());
+  deliver(fs->id(), wire::AmrIndication{ov("never-seen")});
   EXPECT_EQ(fs->pending_versions(), 0u);
 }
 
@@ -252,11 +239,11 @@ TEST_F(FsTest, SiblingStorePersistsFragment) {
   req.ov = ov("k");
   req.meta = meta;
   req.frag_index = 6;
-  req.fragment = frags[6];
+  req.fragment = Fragment(frags[6]);
   req.digest = Sha256::hash(frags[6]);
-  deliver(fs->id(), MessageType::kSiblingStoreReq, req.encode());
+  deliver(fs->id(), req);
   auto reps =
-      probe.decode_all<wire::SiblingStoreRep>(MessageType::kSiblingStoreRep);
+      probe.all<wire::SiblingStoreRep>(MessageType::kSiblingStoreRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_EQ(reps[0].status, wire::Status::kSuccess);
   EXPECT_NE(fs->frag_store().fragment_if_intact(ov("k"), 6), nullptr);
@@ -291,14 +278,8 @@ class FsReceiptTest : public FsTest,
   template <typename Req, typename Rep>
   wire::Status push_as(const Bytes& fragment, const Sha256::Digest& digest,
                        const Metadata& meta, MessageType rep_type) {
-    Req req;
-    req.ov = ov("k");
-    req.meta = meta;
-    req.frag_index = kSlot;
-    req.fragment = fragment;
-    req.digest = digest;
-    deliver(fs->id(), Req::kType, req.encode());
-    const auto reps = probe.decode_all<Rep>(rep_type);
+    deliver(fs->id(), Req{ov("k"), meta, kSlot, Fragment(fragment), digest});
+    const auto reps = probe.all<Rep>(rep_type);
     EXPECT_EQ(reps.size(), 1u);
     return reps.empty() ? wire::Status::kFailure : reps.back().status;
   }
@@ -344,7 +325,7 @@ TEST_P(FsReceiptTest, IdenticalResendRepairsCorruptedHeldCopy) {
   ASSERT_EQ(held(), nullptr);
   EXPECT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
   ASSERT_NE(held(), nullptr);
-  EXPECT_EQ(held()->data, frag);
+  EXPECT_EQ(held()->data.bytes(), frag);
 }
 
 TEST_P(FsReceiptTest, SameDigestDifferentBytesIsRejectedAndHeldCopyKept) {
@@ -354,8 +335,18 @@ TEST_P(FsReceiptTest, SameDigestDifferentBytesIsRejectedAndHeldCopyKept) {
   altered[0] ^= 0x01;
   EXPECT_EQ(push(altered, digest), wire::Status::kFailure);
   ASSERT_NE(held(), nullptr);
-  EXPECT_EQ(held()->data, frag);
+  EXPECT_EQ(held()->data.bytes(), frag);
   EXPECT_EQ(held()->digest, digest);
+}
+
+TEST_P(FsReceiptTest, FreshBufferWithWrongDigestIsRejectedAndNothingStored) {
+  // A buffer nobody has hashed is hashed at receipt, so a digest that does
+  // not match its bytes is caught even though no memo vouches for it.
+  Sha256::Digest wrong = Sha256::hash(frag);
+  wrong[5] ^= 0x10;
+  EXPECT_EQ(push(frag, wrong), wire::Status::kFailure);
+  EXPECT_EQ(fs->frag_store().find(ov("k")), nullptr);
+  EXPECT_EQ(fs->pending_versions(), 0u);
 }
 
 TEST_P(FsReceiptTest, IdenticalResendMovesHeldCopyToTheDiskItsMetadataNames) {
@@ -369,33 +360,29 @@ TEST_P(FsReceiptTest, IdenticalResendMovesHeldCopyToTheDiskItsMetadataNames) {
   EXPECT_EQ(push(frag, Sha256::hash(frag)), wire::Status::kSuccess);
   ASSERT_NE(held(), nullptr);
   EXPECT_EQ(held()->disk, 1);
-  EXPECT_EQ(held()->data, frag);
+  EXPECT_EQ(held()->data.bytes(), frag);
 }
 
 TEST_F(FsTest, KlsLocsNotifyCreatesWork) {
-  deliver(fs->id(), MessageType::kKlsLocsNotify,
-          wire::KlsLocsNotify{ov("k"), complete_meta(4096)}.encode());
+  deliver(fs->id(), wire::KlsLocsNotify{ov("k"), complete_meta(4096)});
   EXPECT_EQ(fs->pending_versions(), 1u);
 }
 
 TEST_F(FsTest, CrashedFsDropsRequestsSilently) {
   fs->crash();
-  deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+  deliver(fs->id(), wire::RetrieveFragReq{ov("k"), 0});
   EXPECT_TRUE(probe.received.empty());
 }
 
 TEST_F(FsTest, FragmentsSurviveCrashRecover) {
   const Bytes value = tc.make_value(4096);
   const auto frags = codec->encode(value);
-  deliver(fs->id(), MessageType::kStoreFragmentReq,
-          store_req(ov("k"), complete_meta(value.size()), 0, frags).encode());
+  deliver(fs->id(), store_req(ov("k"), complete_meta(value.size()), 0, frags));
   fs->crash();
   fs->recover();
-  deliver(fs->id(), MessageType::kRetrieveFragReq,
-          wire::RetrieveFragReq{ov("k"), 0}.encode());
+  deliver(fs->id(), wire::RetrieveFragReq{ov("k"), 0});
   auto reps =
-      probe.decode_all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
+      probe.all<wire::RetrieveFragRep>(MessageType::kRetrieveFragRep);
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_TRUE(reps[0].found);
   // The convergence work-list is persistent too (§3.1).
@@ -413,8 +400,7 @@ TEST_F(FsTest, CrashKeepsWorkListButResetsBackoff) {
   }
   Metadata meta{Policy{}, 4096};
   meta.locs[0] = Location{fs->id(), 0};
-  deliver(fs->id(), MessageType::kKlsLocsNotify,
-          wire::KlsLocsNotify{ov("k"), meta}.encode());
+  deliver(fs->id(), wire::KlsLocsNotify{ov("k"), meta});
   const auto probes = [this] {
     return tc.net.stats().of(MessageType::kFsDecideLocsReq).sent_count;
   };
@@ -457,6 +443,7 @@ class FsBackoffScenario : public FsBackoffTest {
     meta = complete_meta(value.size());
     for (size_t slot = 0; slot < meta.locs.size(); ++slot) {
       if (slot == 6) continue;  // the test FS's second fragment is missing
+      // As a serialized payload, which the network decodes.
       tc.net.send(probe_id, meta.locs[slot]->fs,
                   MessageType::kStoreFragmentReq,
                   store_req(ov("k"), meta, static_cast<int>(slot), frags)
@@ -474,8 +461,7 @@ TEST_F(FsBackoffScenario, LowerIdStandsDownOnRecoveryIntent) {
   const uint64_t backoffs_before = fs->recovery_backoffs();
   const NodeId higher{fs->id().value + 1000};
   tc.net.register_node(higher, &probe);
-  net::send_message(tc.net, higher, fs->id(),
-                    wire::FsConvergeReq{ov("k"), meta, true});
+  tc.net.send(higher, fs->id(), wire::FsConvergeReq{ov("k"), meta, true});
   tc.run_for(seconds(2));
   EXPECT_GT(fs->recovery_backoffs(), backoffs_before)
       << "a competing intent from a higher id must cancel our recovery";
@@ -488,8 +474,7 @@ TEST_F(FsBackoffScenario, DoesNotStandDownForLowerId) {
   const NodeId lower{50};  // below the cluster's id range (starts at 101)
   ASSERT_LT(lower.value, fs->id().value);
   tc.net.register_node(lower, &probe);
-  net::send_message(tc.net, lower, fs->id(),
-                    wire::FsConvergeReq{ov("k"), meta, true});
+  tc.net.send(lower, fs->id(), wire::FsConvergeReq{ov("k"), meta, true});
   tc.run_for(seconds(30));
   EXPECT_EQ(fs->recovery_backoffs(), backoffs_before);
   EXPECT_GT(fs->recoveries_completed(), completed_before)
@@ -523,10 +508,12 @@ TEST(FsScrubTest, PeriodicScrubRepairsCorruption) {
 }
 
 TEST(FsScrubTest, CachedIntactVerdictNeverLiesUnderFaults) {
-  // A stored fragment's verdict is cached from the moment it is stored.
-  // Through corruption (which must reset it), disk loss and the sibling
+  // A stored fragment's verdict reads its buffer's memoized digest. Through
+  // corruption (which must store a fresh buffer), disk loss and the sibling
   // recoveries that blackouts force (whose pushes store fresh copies), it
-  // must always equal a fresh hash check.
+  // must always equal a fresh hash check. Buffers are shared, so corrupting
+  // one FS's copy must also leave every other holder of that buffer, and
+  // every other stored fragment, byte-identical and intact.
   uint64_t recoveries = 0;
   for (uint64_t seed : {3ull, 4ull, 5ull}) {
     core::ConvergenceOptions conv = core::ConvergenceOptions::all_opts();
@@ -538,12 +525,46 @@ TEST(FsScrubTest, CachedIntactVerdictNeverLiesUnderFaults) {
         for (const auto* item : tc.cluster.fs(i).frag_store().sorted()) {
           const auto& [ov, entry] = *item;
           for (const auto& [slot, frag] : entry.fragments) {
-            EXPECT_EQ(frag.intact(), Sha256::hash(frag.data) == frag.digest)
+            EXPECT_EQ(frag.intact(),
+                      Sha256::hash(frag.data.bytes()) == frag.digest)
                 << when << ", seed " << seed << ", fs " << i << ", "
                 << ov.key.value << " slot " << slot;
           }
         }
       }
+    };
+    // Every stored fragment: a holder of its buffer, and its bytes.
+    struct Held {
+      Fragment buffer;
+      Bytes bytes;
+    };
+    const auto snapshot = [&tc] {
+      std::map<std::tuple<int, ObjectVersionId, int>, Held> held;
+      for (int i = 0; i < tc.cluster.num_fs(); ++i) {
+        for (const auto* item : tc.cluster.fs(i).frag_store().sorted()) {
+          for (const auto& [slot, frag] : item->second.fragments) {
+            held.emplace(std::make_tuple(i, item->first, slot),
+                         Held{frag.data, frag.data.bytes()});
+          }
+        }
+      }
+      return held;
+    };
+    const auto corrupt_one = [&](core::FragmentServer& victim) {
+      const auto before = snapshot();
+      if (!victim.corrupt_random_fragment(rng)) return;
+      for (const auto& [where, held] : before) {
+        // The snapshot's holder of the old buffer still sees its bytes.
+        EXPECT_EQ(held.buffer.bytes(), held.bytes) << "seed " << seed;
+        EXPECT_EQ(held.buffer.digest(), Sha256::hash(held.bytes));
+      }
+      int changed = 0;
+      for (const auto& [where, held] : snapshot()) {
+        const auto it = before.find(where);
+        ASSERT_NE(it, before.end());
+        changed += held.bytes != it->second.bytes;
+      }
+      EXPECT_EQ(changed, 1) << "seed " << seed;
     };
     tc.blackout_fs(0, 1, 0, testing::minutes(20));
     tc.blackout_fs(1, 2, 0, testing::minutes(20));
@@ -558,7 +579,7 @@ TEST(FsScrubTest, CachedIntactVerdictNeverLiesUnderFaults) {
           static_cast<int>(rng.uniform_int(0, tc.cluster.num_fs() - 1)));
     };
     for (int round = 0; round < 4; ++round) {
-      for (int c = 0; c < 4; ++c) random_fs().corrupt_random_fragment(rng);
+      for (int c = 0; c < 4; ++c) corrupt_one(random_fs());
       if (round == 1) {
         random_fs().destroy_disk(static_cast<uint8_t>(rng.uniform_int(0, 1)));
       }

@@ -63,7 +63,9 @@ TEST(MetaStoreTest, MergeCreatesEntry) {
   MetaStore store;
   EXPECT_EQ(store.find(ov("k", 1)), nullptr);
   EXPECT_FALSE(store.contains(ov("k", 1)));
-  EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{0, 5}})).changed);
+  const auto created = store.merge(ov("k", 1), meta_with({{0, 5}}));
+  EXPECT_TRUE(created.changed);
+  EXPECT_TRUE(created.created);
   ASSERT_NE(store.find(ov("k", 1)), nullptr);
   EXPECT_EQ(store.find(ov("k", 1))->decided_count(), 1);
 }
@@ -71,7 +73,9 @@ TEST(MetaStoreTest, MergeCreatesEntry) {
 TEST(MetaStoreTest, MergeUnionsLocations) {
   MetaStore store;
   store.merge(ov("k", 1), meta_with({{0, 5}}));
-  EXPECT_TRUE(store.merge(ov("k", 1), meta_with({{1, 6}})).changed);
+  const auto merged = store.merge(ov("k", 1), meta_with({{1, 6}}));
+  EXPECT_TRUE(merged.changed);
+  EXPECT_FALSE(merged.created);
   EXPECT_EQ(store.find(ov("k", 1))->decided_count(), 2);
 }
 
@@ -166,7 +170,7 @@ Bytes frag_data(uint8_t fill = 0x42) { return Bytes(100, fill); }
 /// Store `data` as fragment `index` of `ov`, creating the entry.
 void put(FragStore& store, const ObjectVersionId& ov, const Metadata& meta,
          int index, const Bytes& data, uint8_t disk = 0) {
-  store.put_fragment(store.upsert(ov, meta).record, index, data,
+  store.put_fragment(store.upsert(ov, meta).record, index, Fragment(data),
                      Sha256::hash(data), disk);
 }
 
@@ -176,7 +180,7 @@ TEST(FragStoreTest, PutAndRetrieveIntactFragment) {
   put(store, ov("k", 1), meta_with({{0, 5}}), 0, data);
   const StoredFragment* frag = store.fragment_if_intact(ov("k", 1), 0);
   ASSERT_NE(frag, nullptr);
-  EXPECT_EQ(frag->data, data);
+  EXPECT_EQ(frag->data.bytes(), data);
 }
 
 TEST(FragStoreTest, MissingFragmentIsNull) {
@@ -192,6 +196,18 @@ TEST(FragStoreTest, CorruptFragmentReadsAsBottom) {
   put(store, ov("k", 1), meta_with({}), 3, data);
   ASSERT_TRUE(store.corrupt_fragment(ov("k", 1), 3));
   EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 3), nullptr);
+}
+
+TEST(FragStoreTest, CorruptionCopiesOnWrite) {
+  FragStore store;
+  const Fragment shared = Fragment::sealed(frag_data());
+  store.put_fragment(store.upsert(ov("k", 1), meta_with({})).record, 0,
+                     shared, shared.digest(), 0);
+  ASSERT_TRUE(store.corrupt_fragment(ov("k", 1), 0));
+  EXPECT_EQ(store.fragment_if_intact(ov("k", 1), 0), nullptr);
+  // Another holder of the stored buffer keeps its bytes and its digest.
+  EXPECT_EQ(shared.bytes(), frag_data());
+  EXPECT_EQ(shared.digest(), Sha256::hash(frag_data()));
 }
 
 TEST(FragStoreTest, CorruptMissingFragmentReturnsFalse) {
@@ -247,16 +263,14 @@ TEST(FragStoreTest, SortedEnumerates) {
   EXPECT_EQ(entries[0]->first, ov("a", 1));
 }
 
-TEST(StoredFragmentTest, IntactChecksDigestWithCache) {
+TEST(StoredFragmentTest, IntactComparesTheBuffersDigest) {
   StoredFragment frag;
-  frag.data = frag_data();
-  frag.digest = Sha256::hash(frag.data);
+  frag.data = Fragment(frag_data());
+  frag.digest = Sha256::hash(frag_data());
   EXPECT_TRUE(frag.intact());
-  frag.data[0] ^= 1;
-  // The verification result is cached until explicitly invalidated (the
-  // fault-injection entry points do this).
-  EXPECT_TRUE(frag.intact());
-  frag.invalidate_intact_cache();
+  Bytes damaged = frag_data();
+  damaged[0] ^= 1;
+  frag.data = Fragment(std::move(damaged));
   EXPECT_FALSE(frag.intact());
 }
 

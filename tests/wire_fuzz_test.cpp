@@ -1,8 +1,8 @@
 // Property-based wire-format tests: randomly generated messages round-trip
 // exactly, and random mutations of valid encodings never crash a decoder —
 // they parse (possibly to different values) or throw WireError. Decoders
-// run on bytes received from the network, so "no undefined behavior on any
-// input" is a hard requirement.
+// take whatever bytes Network::send is handed as a payload, so "no
+// undefined behavior on any input" is a hard requirement.
 #include <gtest/gtest.h>
 
 #include "chaos/schedule.h"
@@ -81,6 +81,7 @@ TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
   for (int iter = 0; iter < 50; ++iter) {
     {
       DecideLocsReq msg{gen.ov(), gen.policy(), gen.coin()};
+      EXPECT_EQ(payload_size(msg), msg.encode().size());
       const auto back = DecideLocsReq::decode(msg.encode());
       EXPECT_EQ(back.ov, msg.ov);
       EXPECT_EQ(back.policy, msg.policy);
@@ -88,6 +89,7 @@ TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
     }
     {
       DecideLocsRep msg{gen.ov(), gen.metadata(), DataCenterId{gen.u8()}};
+      EXPECT_EQ(payload_size(msg), msg.encode().size());
       const auto back = DecideLocsRep::decode(msg.encode());
       EXPECT_EQ(back.meta, msg.meta);
     }
@@ -96,8 +98,9 @@ TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
       msg.ov = gen.ov();
       msg.meta = gen.metadata();
       msg.frag_index = gen.u16();
-      msg.fragment = gen.bytes(1000);
+      msg.fragment = Fragment(gen.bytes(1000));
       msg.digest = gen.digest();
+      EXPECT_EQ(payload_size(msg), msg.encode().size());
       const auto back = StoreFragmentReq::decode(msg.encode());
       EXPECT_EQ(back.fragment, msg.fragment);
       EXPECT_EQ(back.digest, msg.digest);
@@ -107,6 +110,7 @@ TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
       StoreMetadataRep msg{gen.ov(), gen.coin() ? Status::kSuccess
                                                 : Status::kFailure,
                            gen.u16()};
+      EXPECT_EQ(payload_size(msg), msg.encode().size());
       const auto back = StoreMetadataRep::decode(msg.encode());
       EXPECT_EQ(back.status, msg.status);
       EXPECT_EQ(back.decided_count, msg.decided_count);
@@ -119,6 +123,7 @@ TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
         msg.entries.push_back({gen.timestamp(), gen.metadata()});
       }
       msg.more = gen.coin();
+      EXPECT_EQ(payload_size(msg), msg.encode().size());
       const auto back = RetrieveTsRep::decode(msg.encode());
       EXPECT_EQ(back.entries, msg.entries);
       EXPECT_EQ(back.more, msg.more);
@@ -130,6 +135,7 @@ TEST_P(WireFuzzTest, RandomMessagesRoundTripExactly) {
       const int needs = static_cast<int>(gen.index(6));
       for (int e = 0; e < needs; ++e) msg.needed_fragments.push_back(gen.u16());
       msg.also_recovering = gen.coin();
+      EXPECT_EQ(payload_size(msg), msg.encode().size());
       const auto back = FsConvergeRep::decode(msg.encode());
       EXPECT_EQ(back.needed_fragments, msg.needed_fragments);
       EXPECT_EQ(back.also_recovering, msg.also_recovering);
@@ -145,7 +151,7 @@ TEST_P(WireFuzzTest, MutatedEncodingsNeverCrashDecoders) {
     StoreFragmentReq frag;
     frag.ov = gen.ov();
     frag.meta = gen.metadata();
-    frag.fragment = gen.bytes(300);
+    frag.fragment = Fragment(gen.bytes(300));
     pool.push_back(frag.encode());
     pool.push_back(KlsConvergeReq{gen.ov(), gen.metadata()}.encode());
     RetrieveTsRep rep;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <type_traits>
+#include <utility>
+#include <variant>
+
 #include "common/rng.h"
 #include "common/sha256.h"
 #include "wire/messages.h"
@@ -154,8 +159,8 @@ TEST(MessagesTest, StoreFragmentRoundTrip) {
   req.ov = sample_ov();
   req.meta = sample_metadata();
   req.frag_index = 7;
-  req.fragment = Bytes{9, 8, 7, 6};
-  req.digest = Sha256::hash(req.fragment);
+  req.fragment = Fragment(Bytes{9, 8, 7, 6});
+  req.digest = req.fragment.digest();
   const auto back = StoreFragmentReq::decode(req.encode());
   EXPECT_EQ(back.ov, req.ov);
   EXPECT_EQ(back.frag_index, 7);
@@ -188,10 +193,10 @@ TEST(MessagesTest, RetrieveFragRoundTrip) {
   const auto back = RetrieveFragReq::decode(req.encode());
   EXPECT_EQ(back.frag_index, 11);
 
-  RetrieveFragRep rep{sample_ov(), 11, true, Bytes{1, 2}};
+  RetrieveFragRep rep{sample_ov(), 11, true, Fragment(Bytes{1, 2})};
   const auto rback = RetrieveFragRep::decode(rep.encode());
   EXPECT_TRUE(rback.found);
-  EXPECT_EQ(rback.fragment, (Bytes{1, 2}));
+  EXPECT_EQ(rback.fragment.bytes(), (Bytes{1, 2}));
 
   RetrieveFragRep bot{sample_ov(), 11, false, {}};
   EXPECT_FALSE(RetrieveFragRep::decode(bot.encode()).found);
@@ -222,8 +227,8 @@ TEST(MessagesTest, SiblingStoreRoundTrip) {
   req.ov = sample_ov();
   req.meta = sample_metadata();
   req.frag_index = 4;
-  req.fragment = Bytes(100, 0x5a);
-  req.digest = Sha256::hash(req.fragment);
+  req.fragment = Fragment(Bytes(100, 0x5a));
+  req.digest = req.fragment.digest();
   const auto back = SiblingStoreReq::decode(req.encode());
   EXPECT_EQ(back.fragment, req.fragment);
   EXPECT_EQ(back.digest, req.digest);
@@ -241,8 +246,8 @@ TEST(MessagesTest, DecodeRejectsTruncatedPayloads) {
   StoreFragmentReq req;
   req.ov = sample_ov();
   req.meta = sample_metadata();
-  req.fragment = Bytes(64, 1);
-  req.digest = Sha256::hash(req.fragment);
+  req.fragment = Fragment(Bytes(64, 1));
+  req.digest = req.fragment.digest();
   Bytes payload = req.encode();
   // Any strict prefix must be rejected, not silently mis-parsed.
   for (size_t cut : {size_t{0}, size_t{1}, size_t{10}, payload.size() / 2,
@@ -266,16 +271,17 @@ TEST(MessagesTest, FragmentPayloadDominatesWireSize) {
   StoreFragmentReq req;
   req.ov = sample_ov();
   req.meta = sample_metadata();
-  req.fragment = Bytes(25600, 0xcc);
+  req.fragment = Fragment(Bytes(25600, 0xcc));
   const Bytes payload = req.encode();
   EXPECT_GT(payload.size(), 25600u);
   EXPECT_LT(payload.size(), 25600u + 300u);
 }
 
 TEST(MessagesTest, EnvelopeWireSize) {
-  Envelope env{NodeId{1}, NodeId{2}, MessageType::kAmrIndication,
-               Bytes(10, 0)};
-  EXPECT_EQ(env.wire_size(), Envelope::kHeaderBytes + 10);
+  const AmrIndication msg{sample_ov()};
+  const Envelope env{NodeId{1}, NodeId{2}, MessageType::kAmrIndication, msg,
+                     payload_size(msg)};
+  EXPECT_EQ(env.wire_size(), Envelope::kHeaderBytes + msg.encode().size());
 }
 
 TEST(MessagesTest, MessageTypeNamesMatchPaperLegends) {
@@ -306,6 +312,104 @@ TEST(MessagesTest, RandomBytesEitherParseOrThrow) {
     try {
       (void)StoreFragmentReq::decode(junk);
     } catch (const WireError&) {
+    }
+  }
+}
+
+// --- messages as values ------------------------------------------------------
+
+/// An instance of M with every field the messages have set to a value other
+/// than its default. A field added to a message needs a line here, or the
+/// round trips below check it only at its default.
+template <class M>
+M sample_of() {
+  M m{};
+  if constexpr (requires { m.ov; }) m.ov = sample_ov();
+  if constexpr (requires { m.key; }) m.key = sample_ov().key;
+  if constexpr (requires { m.policy; }) m.policy.min_frags_for_success = 6;
+  if constexpr (requires { m.value_size; }) m.value_size = 4096;
+  if constexpr (requires { m.from_fs; }) m.from_fs = true;
+  if constexpr (requires { m.meta; }) m.meta = sample_metadata();
+  if constexpr (requires { m.dc; }) m.dc = DataCenterId{1};
+  if constexpr (requires { m.status; }) m.status = Status::kFailure;
+  if constexpr (requires { m.decided_count; }) m.decided_count = 12;
+  if constexpr (requires { m.frag_index; }) m.frag_index = 7;
+  if constexpr (requires { m.found; }) m.found = true;
+  if constexpr (requires { m.fragment; }) {
+    m.fragment = Fragment(Bytes{9, 8, 7, 6, 5});
+  }
+  if constexpr (requires { m.digest; }) m.digest = m.fragment.digest();
+  if constexpr (requires { m.before_ts; }) m.before_ts = Timestamp{77, 2};
+  if constexpr (requires { m.max_entries; }) m.max_entries = 3;
+  if constexpr (requires { m.entries; }) {
+    m.entries = {{Timestamp{9, 1}, sample_metadata()}, {Timestamp{8, 1}, {}}};
+  }
+  if constexpr (requires { m.more; }) m.more = true;
+  if constexpr (requires { m.verified; }) m.verified = true;
+  if constexpr (requires { m.intends_recovery; }) m.intends_recovery = true;
+  if constexpr (requires { m.needed_fragments; }) {
+    m.needed_fragments = {2, 5};
+  }
+  if constexpr (requires { m.also_recovering; }) m.also_recovering = true;
+  return m;
+}
+
+/// Calls f(std::type_identity<M>{}) for every alternative M of Message.
+template <class F, size_t... I>
+void for_each_alternative(F&& f, std::index_sequence<I...>) {
+  (f(std::type_identity<std::variant_alternative_t<I, Message>>{}), ...);
+}
+
+TEST(MessageValueTest, EveryAlternativeSizesAndRoundTrips) {
+  size_t checked = 0;
+  for_each_alternative(
+      [&checked](auto tag) {
+        using M = typename decltype(tag)::type;
+        const M msg = sample_of<M>();
+        SCOPED_TRACE(to_string(type_of(msg)));
+        EXPECT_FALSE(msg == M{}) << "the sample sets no field";
+        const Bytes payload = msg.encode();
+        EXPECT_EQ(payload_size(msg), payload.size());
+        EXPECT_EQ(M::decode(payload), msg);
+        // The same through the variant, as the network carries it.
+        const Message value = msg;
+        EXPECT_EQ(type_of(value), type_of(msg));
+        EXPECT_EQ(payload_size(value), payload.size());
+        EXPECT_EQ(decode(type_of(msg), payload), value);
+        ++checked;
+      },
+      std::make_index_sequence<std::variant_size_v<Message>>{});
+  EXPECT_EQ(checked, 18u);
+}
+
+TEST(MessageValueTest, DecideLocsReqTypeFollowsItsSender) {
+  DecideLocsReq req = sample_of<DecideLocsReq>();
+  req.from_fs = false;
+  EXPECT_EQ(type_of(Message(req)), MessageType::kDecideLocsReq);
+  EXPECT_EQ(decode(MessageType::kDecideLocsReq, req.encode()), Message(req));
+  // A proxy's request sent under the FS type is another message.
+  EXPECT_THROW(decode(MessageType::kFsDecideLocsReq, req.encode()),
+               WireError);
+}
+
+TEST(MessageValueTest, DecodeByTypeRejectsGarbage) {
+  EXPECT_THROW(decode(MessageType::kStoreFragmentReq, Bytes{1, 2, 3}),
+               WireError);
+  EXPECT_THROW(decode(static_cast<MessageType>(0),
+                      AmrIndication{sample_ov()}.encode()),
+               WireError);
+  Rng rng(321);
+  for (int trial = 0; trial < 300; ++trial) {
+    Bytes junk(rng.uniform_int(0, 120));
+    for (auto& b : junk) b = static_cast<uint8_t>(rng.next_u64());
+    const auto type =
+        static_cast<MessageType>(rng.uniform_int(1, kMessageTypeCount - 1));
+    try {
+      const Message msg = decode(type, junk);
+      EXPECT_EQ(type_of(msg), type);
+      EXPECT_EQ(payload_size(msg), junk.size());
+    } catch (const WireError&) {
+      // expected for most inputs
     }
   }
 }
