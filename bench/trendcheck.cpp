@@ -1,39 +1,37 @@
-// Bench-trajectory regression gate: compares fresh BENCH_erasure.json /
-// BENCH_telemetry.json documents against the committed per-host-class
-// baselines under bench/baselines/ and exits non-zero when a gated series
+// Bench-trajectory regression gate for the erasure kernels: compares a
+// fresh BENCH_erasure.json against the committed baseline for this host's
+// class under bench/baselines/ and exits non-zero when a gated series
 // regressed beyond its relative tolerance.
 //
-// Gate design — why this catches a >= 20% encode regression without
-// flaking on machine-to-machine variance:
-//  * erasure, machine-normalized (tol 15%): the best-kernel speedup vs
-//    scalar, and encode/decode throughput divided by the same kernel's raw
-//    mul_acc throughput. A uniform encode-path regression moves the ratio
+// Gate design — why this catches a >= 20% encode regression:
+//  * machine-normalized (tol 15%): the best-kernel speedup vs scalar, and
+//    encode/decode throughput divided by the same kernel's raw mul_acc
+//    throughput. A uniform encode-path regression moves the ratio
 //    one-for-one while mul_acc is untouched; a SIMD-kernel regression
 //    moves the speedup. Either way a 20% loss trips the 15% gate.
-//  * erasure, absolute MB/s (tol 60%): a catastrophe net only — catches
+//  * absolute MB/s (tol 60%): a catastrophe net only — catches
 //    "accidentally shipping the scalar path" class failures on same-class
 //    hosts without gating on exact clock speeds.
-//  * telemetry (band 10%, counts exact): simulated quantiles are
-//    deterministic given the flags, so they move only when behavior does.
+// Neither is immune to host variance: on a shared 4-core VM every run
+// failed several of the 56 gates, at any commit (EXPERIMENTS.md
+// "Profiling & bench trajectory").
 //
 // Host class = the best GF(2^8) kernel the host supports (avx2 / ssse3 /
-// scalar): baselines/erasure-<class>.json. Telemetry results are simulated
-// and host-independent: baselines/telemetry.json.
+// scalar): baselines/erasure-<class>.json. Simulated behaviour is not
+// gated here: it is deterministic, so tests/golden_outcome_test pins it
+// exactly.
 //
 // A missing baseline for this host class, or a baseline generated with
 // different flags/kernels, is a SKIP with notice (exit 0) so CI on exotic
 // runners degrades gracefully; --require turns skips into failures.
-// --write-baseline installs the fresh documents as the new baselines.
+// --write-baseline installs the fresh document as the new baseline.
 // --selftest proves the gate engine itself on synthetic documents,
 // including that an injected 20% encode-throughput regression fails.
 //
 // Examples:
 //   ./build/bench/micro_erasure --selfcheck --target-ms=200
-//   ./build/bench/convergence_telemetry --puts=6 --seeds=2 --jobs=2
-//       --object-kib=8 --sample-interval-s=5 --selfcheck
-//   ./build/bench/trendcheck                       # gate both documents
-//   ./build/bench/trendcheck --write-baseline      # refresh baselines
-#include <cmath>
+//   ./build/bench/trendcheck                       # gate the document
+//   ./build/bench/trendcheck --write-baseline      # refresh the baseline
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -43,7 +41,6 @@
 #include "bench_util.h"
 #include "common/flags.h"
 #include "erasure/gf256.h"
-#include "obs/attribution.h"
 #include "obs/json.h"
 
 namespace pahoehoe {
@@ -52,13 +49,6 @@ namespace {
 // Relative tolerances, per the gate design above.
 constexpr double kTolNormalized = 0.15;  // speedups and per-kernel ratios
 constexpr double kTolAbsolute = 0.60;    // raw MB/s catastrophe net
-constexpr double kTolTelemetry = 0.10;   // simulated latency quantiles
-
-enum class Dir {
-  kMin,   // fresh must not fall below baseline * (1 - tol)
-  kMax,   // fresh must not rise above baseline * (1 + tol)
-  kBand,  // |fresh - baseline| must stay within tol * |baseline|
-};
 
 struct Outcome {
   bool comparable = false;   ///< false => structural mismatch, see skip_reason
@@ -66,45 +56,19 @@ struct Outcome {
   int gates = 0;
   std::vector<std::string> failures;
   std::vector<std::string> notices;  ///< non-fatal coverage gaps
-  /// Diagnostic lines printed alongside REGRESSION output: the regressed
-  /// run's tail attribution (top exemplars, dominant component) and, when
-  /// the baseline carries the section too, a fresh-vs-baseline diff.
-  std::vector<std::string> context;
 };
 
+/// Fresh must not fall below baseline * (1 - rel_tol).
 void gate(Outcome& out, const std::string& name, double fresh,
-          double baseline, double rel_tol, Dir dir) {
+          double baseline, double rel_tol) {
   ++out.gates;
+  const double bound = baseline * (1.0 - rel_tol);
+  if (fresh >= bound) return;
   char msg[256];
-  switch (dir) {
-    case Dir::kMin: {
-      const double bound = baseline * (1.0 - rel_tol);
-      if (fresh >= bound) return;
-      std::snprintf(msg, sizeof(msg),
-                    "REGRESSION %s: fresh=%.6g below allowed %.6g "
-                    "(baseline %.6g, tol -%.0f%%)",
-                    name.c_str(), fresh, bound, baseline, rel_tol * 100);
-      break;
-    }
-    case Dir::kMax: {
-      const double bound = baseline * (1.0 + rel_tol);
-      if (fresh <= bound) return;
-      std::snprintf(msg, sizeof(msg),
-                    "REGRESSION %s: fresh=%.6g above allowed %.6g "
-                    "(baseline %.6g, tol +%.0f%%)",
-                    name.c_str(), fresh, bound, baseline, rel_tol * 100);
-      break;
-    }
-    case Dir::kBand: {
-      const double slack = rel_tol * std::fabs(baseline) + 1e-9;
-      if (std::fabs(fresh - baseline) <= slack) return;
-      std::snprintf(msg, sizeof(msg),
-                    "REGRESSION %s: fresh=%.6g outside baseline %.6g "
-                    "+/- %.0f%%",
-                    name.c_str(), fresh, baseline, rel_tol * 100);
-      break;
-    }
-  }
+  std::snprintf(msg, sizeof(msg),
+                "REGRESSION %s: fresh=%.6g below allowed %.6g "
+                "(baseline %.6g, tol -%.0f%%)",
+                name.c_str(), fresh, bound, baseline, rel_tol * 100);
   out.failures.push_back(msg);
 }
 
@@ -195,8 +159,7 @@ Outcome compare_erasure(const obs::JsonValue& fresh,
     for (const char* op : {"encode", "decode"}) {
       const double f = num_or(fc.find("speedup")->find(op), 0);
       const double b = num_or(bc->find("speedup")->find(op), 0);
-      gate(out, std::string(label) + " speedup." + op, f, b, kTolNormalized,
-           Dir::kMin);
+      gate(out, std::string(label) + " speedup." + op, f, b, kTolNormalized);
     }
     for (const obs::JsonValue& fr : fc.find("results")->array) {
       const std::string kernel = fr.find("kernel")->string;
@@ -218,126 +181,10 @@ Outcome compare_erasure(const obs::JsonValue& fresh,
         // encode/decode-path regression does not.
         if (f_mul > 0 && b_mul > 0) {
           gate(out, prefix + op + "/mul_acc", f / f_mul, b / b_mul,
-               kTolNormalized, Dir::kMin);
+               kTolNormalized);
         }
-        gate(out, prefix + op, f, b, kTolAbsolute, Dir::kMin);
+        gate(out, prefix + op, f, b, kTolAbsolute);
       }
-    }
-  }
-  return out;
-}
-
-// --- telemetry gates --------------------------------------------------------
-
-const obs::JsonValue* find_variant(const obs::JsonValue& variants,
-                                   const std::string& name) {
-  for (const obs::JsonValue& v : variants.array) {
-    const obs::JsonValue* n = v.find("name");
-    if (n != nullptr && n->string == name) return &v;
-  }
-  return nullptr;
-}
-
-/// On a quantile-band failure for `name`, pull the variant's
-/// tail_attribution section so the REGRESSION line arrives with the
-/// versions and component that produced it. Older documents without the
-/// section degrade to a notice instead of a hard error.
-void attach_attribution_context(Outcome& out, const std::string& name,
-                                const obs::JsonValue& fv,
-                                const obs::JsonValue& bv) {
-  const obs::JsonValue* fa = fv.find("tail_attribution");
-  if (fa == nullptr) {
-    out.notices.push_back("variant " + name +
-                          " regressed but the fresh document has no "
-                          "tail_attribution section (older bench build?)");
-    return;
-  }
-  const std::optional<obs::AttributionReport> fresh_report =
-      obs::attribution_from_json(*fa);
-  if (!fresh_report.has_value()) {
-    out.notices.push_back("variant " + name +
-                          ": tail_attribution section is malformed");
-    return;
-  }
-  if (!fresh_report->ranked.empty()) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "%s: %.1f%% of the tail-vs-body gap is %s", name.c_str(),
-                  fresh_report->ranked.front().gap_share * 100.0,
-                  obs::to_string(fresh_report->ranked.front().component));
-    out.context.push_back(line);
-  }
-  size_t shown = 0;
-  for (const obs::Exemplar& e : fresh_report->top) {
-    if (shown++ >= 3) break;
-    out.context.push_back(name + " top exemplar " + obs::exemplar_to_text(e));
-  }
-  const obs::JsonValue* ba = bv.find("tail_attribution");
-  if (ba == nullptr) {
-    out.notices.push_back("variant " + name +
-                          ": baseline predates tail_attribution; "
-                          "differential skipped (refresh with "
-                          "--write-baseline)");
-    return;
-  }
-  const std::optional<obs::AttributionReport> base_report =
-      obs::attribution_from_json(*ba);
-  if (base_report.has_value()) {
-    out.context.push_back(
-        obs::attribution_diff_text(*fresh_report, *base_report));
-  }
-}
-
-Outcome compare_telemetry(const obs::JsonValue& fresh,
-                          const obs::JsonValue& baseline) {
-  Outcome out;
-  // The quantiles are only comparable when the workload flags match.
-  for (const char* key : {"seeds", "puts", "object_kib",
-                          "sample_interval_s"}) {
-    const double f = num_or(fresh.find(key), -1);
-    const double b = num_or(baseline.find(key), -2);
-    if (f != b) {
-      char reason[128];
-      std::snprintf(reason, sizeof(reason),
-                    "flag mismatch: %s fresh=%g vs baseline=%g "
-                    "(rerun with the baseline's flags)",
-                    key, f, b);
-      out.skip_reason = reason;
-      return out;
-    }
-  }
-  const obs::JsonValue* fresh_variants = fresh.find("variants");
-  const obs::JsonValue* base_variants = baseline.find("variants");
-  if (fresh_variants == nullptr || !fresh_variants->is_array() ||
-      base_variants == nullptr || !base_variants->is_array()) {
-    out.skip_reason = "variants array missing";
-    return out;
-  }
-  out.comparable = true;
-
-  for (const obs::JsonValue& fv : fresh_variants->array) {
-    const std::string name = fv.find("name")->string;
-    const obs::JsonValue* bv = find_variant(*base_variants, name);
-    if (bv == nullptr) {
-      out.notices.push_back("variant " + name +
-                            " has no baseline (refresh with "
-                            "--write-baseline)");
-      continue;
-    }
-    // Deterministic simulation: the ack count must match exactly, and the
-    // ack -> AMR quantiles may drift only inside the band (quantile
-    // interpolation is the one legitimate source of tiny movement).
-    gate(out, name + " acked_total", num_or(fv.find("acked_total"), -1),
-         num_or(bv->find("acked_total"), -1), 0.0, Dir::kBand);
-    const size_t failures_before = out.failures.size();
-    for (const char* q : {"p50", "p95"}) {
-      const double f = num_or(fv.find("time_to_amr_s")->find(q), -1);
-      const double b = num_or(bv->find("time_to_amr_s")->find(q), -1);
-      gate(out, name + " time_to_amr_s." + q, f, b, kTolTelemetry,
-           Dir::kBand);
-    }
-    if (out.failures.size() > failures_before) {
-      attach_attribution_context(out, name, fv, *bv);
     }
   }
   return out;
@@ -345,14 +192,9 @@ Outcome compare_telemetry(const obs::JsonValue& fresh,
 
 // --- document plumbing ------------------------------------------------------
 
-struct LoadedDoc {
-  obs::JsonValue doc;
-  std::string path;
-};
-
 /// nullopt with a stderr note when unreadable or failing check_meta.
-std::optional<LoadedDoc> load_checked(const std::string& path,
-                                      const char* role) {
+std::optional<obs::JsonValue> load_checked(const std::string& path,
+                                           const char* role) {
   std::optional<obs::JsonValue> doc = obs::json_parse_file(path);
   if (!doc.has_value()) {
     std::fprintf(stderr, "trendcheck: %s %s: unreadable or invalid JSON\n",
@@ -365,7 +207,7 @@ std::optional<LoadedDoc> load_checked(const std::string& path,
                  meta_error.c_str());
     return std::nullopt;
   }
-  return LoadedDoc{std::move(*doc), path};
+  return doc;
 }
 
 bool copy_file(const std::string& from, const std::string& to) {
@@ -421,79 +263,20 @@ std::string synth_erasure_text() {
   return w.str();
 }
 
-/// A real attribution report over synthetic critical paths: 8 versions,
-/// one of which spends 600 s in recovery_backoff — so the ranked list
-/// names recovery_backoff and the worst-K leads with obj-7.
-obs::AttributionReport synth_attribution() {
-  obs::ExemplarStore store(/*worst_k=*/4, /*reservoir=*/16);
-  std::vector<obs::VersionCriticalPath> paths;
-  for (int i = 0; i < 8; ++i) {
-    obs::VersionCriticalPath path;
-    path.ov = ObjectVersionId{Key{"obj-" + std::to_string(i)},
-                              Timestamp{i * kMicrosPerSecond, 101}};
-    path.components[static_cast<size_t>(obs::PathComponent::kNetworkWait)] =
-        kMicrosPerSecond / 2;
-    path.components[static_cast<size_t>(
-        obs::PathComponent::kRecoveryBackoff)] =
-        (i == 7 ? 600 : 1) * kMicrosPerSecond;
-    path.confirm_time = path.ack_time + path.total();
-    store.add(obs::Exemplar{path.ov, /*seed=*/5000, path.total(),
-                            path.components});
-    paths.push_back(path);
-  }
-  obs::AttributionBuilder builder(store);
-  for (const obs::VersionCriticalPath& path : paths) builder.add(path);
-  return builder.finish();
-}
-
-std::string synth_telemetry_text() {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.kv("bench", "convergence_telemetry");
-  bench::json_meta(w, /*jobs=*/2);
-  w.kv("seeds", 2).kv("puts", 6).kv("object_kib", 8);
-  w.kv("sample_interval_s", 5.0);
-  w.key("variants");
-  w.begin_array();
-  w.begin_object();
-  w.kv("name", "All");
-  w.key("time_to_amr_s");
-  w.begin_object()
-      .kv("count", 12)
-      .kv("p50", 100.0)
-      .kv("p95", 220.0)
-      .kv("p99", 230.0)
-      .kv("max", 240.0)
-      .end_object();
-  w.kv("acked_total", 12);
-  w.key("tail_attribution");
-  obs::attribution_to_json(w, synth_attribution());
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
 int selftest_fail(const char* what) {
   std::fprintf(stderr, "trendcheck --selftest: FAIL: %s\n", what);
   return 1;
 }
 
-bool any_mentions(const std::vector<std::string>& lines,
-                  const std::string& needle) {
-  for (const std::string& line : lines) {
+bool any_failure_mentions(const Outcome& out, const std::string& needle) {
+  for (const std::string& line : out.failures) {
     if (line.find(needle) != std::string::npos) return true;
   }
   return false;
 }
 
-bool any_failure_mentions(const Outcome& out, const std::string& needle) {
-  return any_mentions(out.failures, needle);
-}
-
-/// Prove the gate engine: identical documents pass; an injected 20%
-/// encode-throughput regression (the acceptance scenario) and a 25%
-/// latency-quantile drift both fail.
+/// Prove the gate engine: identical documents pass, and an injected 20%
+/// encode-throughput regression (the acceptance scenario) fails.
 int run_selftest() {
   const std::string erasure_text = synth_erasure_text();
   obs::JsonValue base = *obs::json_parse(erasure_text);
@@ -520,67 +303,20 @@ int run_selftest() {
         "injected 20% encode regression must trip the ratio gate");
   }
 
-  const std::string telemetry_text = synth_telemetry_text();
-  obs::JsonValue tbase = *obs::json_parse(telemetry_text);
-  obs::JsonValue tfresh = *obs::json_parse(telemetry_text);
-  Outcome tsame = compare_telemetry(tfresh, tbase);
-  if (!tsame.comparable || tsame.gates == 0 || !tsame.failures.empty()) {
-    return selftest_fail("identical telemetry documents must pass");
-  }
-  tfresh.object["variants"]
-      .array[0]
-      .object["time_to_amr_s"]
-      .object["p50"]
-      .number *= 1.25;
-  Outcome tregressed = compare_telemetry(tfresh, tbase);
-  if (tregressed.failures.empty() ||
-      !any_failure_mentions(tregressed, "time_to_amr_s.p50")) {
-    return selftest_fail("injected 25% p50 drift must trip the band gate");
-  }
-  // The REGRESSION must arrive with attribution context: the dominant
-  // component, the top exemplars, and (both documents carry the section) a
-  // fresh-vs-baseline differential.
-  if (!any_mentions(tregressed.context, "recovery_backoff") ||
-      !any_mentions(tregressed.context, "top exemplar key=obj-7") ||
-      !any_mentions(tregressed.context, "attribution diff")) {
-    return selftest_fail(
-        "regressed telemetry must attach tail attribution context");
-  }
-  // A baseline that predates the section degrades to a notice, never an
-  // error — the exemplar printing itself must survive.
-  obs::JsonValue old_base = tbase;
-  old_base.object["variants"].array[0].object.erase("tail_attribution");
-  Outcome tolder = compare_telemetry(tfresh, old_base);
-  if (tolder.failures.empty() ||
-      !any_mentions(tolder.notices, "predates tail_attribution") ||
-      !any_mentions(tolder.context, "top exemplar key=obj-7") ||
-      any_mentions(tolder.context, "attribution diff")) {
-    return selftest_fail(
-        "baseline without tail_attribution must skip the diff with a "
-        "notice but keep the exemplar context");
-  }
-  // And a flag mismatch must skip, not silently compare.
-  tfresh.object["seeds"].number = 30;
-  if (compare_telemetry(tfresh, tbase).comparable) {
-    return selftest_fail("flag mismatch must be a skip, not a comparison");
-  }
-
-  std::printf("trendcheck --selftest: ok (pass/regress/skip paths all "
-              "behave; %d+%d gates exercised)\n",
-              same.gates, tsame.gates);
+  std::printf("trendcheck --selftest: ok (pass and regress paths behave; "
+              "%d gates exercised)\n",
+              same.gates);
   return 0;
 }
 
 // --- main -------------------------------------------------------------------
 
-/// Gate one (fresh, baseline) pair. Returns 0 pass/skip, 1 on regression
-/// or on a skip under --require; accumulates the total gate count.
-int gate_pair(const char* what, const std::string& fresh_path,
-              const std::string& baseline_path, bool require,
-              Outcome (*compare)(const obs::JsonValue&, const obs::JsonValue&),
-              int* total_gates) {
+/// Gate the fresh document against the baseline. Returns 0 on pass or
+/// skip, 1 on regression or on a skip under --require.
+int gate_erasure(const std::string& fresh_path,
+                 const std::string& baseline_path, bool require) {
   const auto skip = [&](const std::string& why) {
-    std::printf("trendcheck: SKIP %s: %s\n", what, why.c_str());
+    std::printf("trendcheck: SKIP erasure: %s\n", why.c_str());
     if (!require) return 0;
     std::fprintf(stderr, "trendcheck: --require: skip is a failure\n");
     return 1;
@@ -596,26 +332,27 @@ int gate_pair(const char* what, const std::string& fresh_path,
   }
   // An unreadable *fresh* document is a hard error: the bench that was
   // supposed to produce it failed, and a skip would mask that in CI.
-  const std::optional<LoadedDoc> fresh = load_checked(fresh_path, what);
+  const std::optional<obs::JsonValue> fresh =
+      load_checked(fresh_path, "erasure");
   if (!fresh.has_value()) return 1;
 
-  const Outcome out = compare(fresh->doc, *baseline);
+  const Outcome out = compare_erasure(*fresh, *baseline);
   if (!out.comparable) return skip(out.skip_reason);
   for (const std::string& notice : out.notices) {
-    std::printf("trendcheck: note (%s): %s\n", what, notice.c_str());
+    std::printf("trendcheck: note (erasure): %s\n", notice.c_str());
   }
   for (const std::string& failure : out.failures) {
-    std::fprintf(stderr, "trendcheck: %s: %s\n", what, failure.c_str());
+    std::fprintf(stderr, "trendcheck: erasure: %s\n", failure.c_str());
   }
-  for (const std::string& line : out.context) {
-    std::fprintf(stderr, "trendcheck: %s: %s\n", what, line.c_str());
-  }
-  std::printf("trendcheck: %s: %d gates vs %s (baseline build %s): %s\n",
-              what, out.gates, baseline_path.c_str(),
-              doc_sha(*baseline).c_str(),
+  std::printf("trendcheck: erasure: %d gates vs %s (baseline build %s): %s\n",
+              out.gates, baseline_path.c_str(), doc_sha(*baseline).c_str(),
               out.failures.empty() ? "pass" : "FAIL");
-  *total_gates += out.gates;
-  return out.failures.empty() ? 0 : 1;
+  if (out.failures.empty()) {
+    std::printf("trendcheck: PASS (%d gates)\n", out.gates);
+    return 0;
+  }
+  std::fprintf(stderr, "trendcheck: FAIL\n");
+  return 1;
 }
 
 int run(int argc, char** argv) {
@@ -623,16 +360,12 @@ int run(int argc, char** argv) {
   const std::string baselines = flags.get_string(
       "baselines", "bench/baselines", "committed baseline directory");
   const std::string erasure_path = flags.get_string(
-      "erasure", "BENCH_erasure.json",
-      "fresh erasure bench JSON (empty to skip the erasure gates)");
-  const std::string telemetry_path = flags.get_string(
-      "telemetry", "BENCH_telemetry.json",
-      "fresh telemetry bench JSON (empty to skip the telemetry gates)");
+      "erasure", "BENCH_erasure.json", "fresh erasure bench JSON");
   const bool write_baseline = flags.get_bool(
       "write-baseline", false,
-      "install the fresh documents as the new baselines and exit");
+      "install the fresh document as the new baseline and exit");
   const bool require = flags.get_bool(
-      "require", false, "treat skipped comparisons as failures");
+      "require", false, "treat a skipped comparison as a failure");
   const bool selftest = flags.get_bool(
       "selftest", false, "prove the gate engine on synthetic documents");
   flags.finish();
@@ -642,38 +375,19 @@ int run(int argc, char** argv) {
   const std::string host_class = gf256::to_string(gf256::best_kernel());
   const std::string erasure_baseline =
       baselines + "/erasure-" + host_class + ".json";
-  const std::string telemetry_baseline = baselines + "/telemetry.json";
   std::printf("trendcheck: host class %s\n", host_class.c_str());
 
   if (write_baseline) {
-    for (const auto& [fresh, baseline] :
-         {std::pair{erasure_path, erasure_baseline},
-          std::pair{telemetry_path, telemetry_baseline}}) {
-      if (fresh.empty()) continue;
-      const std::optional<LoadedDoc> doc = load_checked(fresh, "fresh");
-      if (!doc.has_value() || !copy_file(fresh, baseline)) return 1;
-      std::printf("trendcheck: wrote %s (build %s)\n", baseline.c_str(),
-                  doc_sha(doc->doc).c_str());
+    const std::optional<obs::JsonValue> doc =
+        load_checked(erasure_path, "fresh");
+    if (!doc.has_value() || !copy_file(erasure_path, erasure_baseline)) {
+      return 1;
     }
+    std::printf("trendcheck: wrote %s (build %s)\n", erasure_baseline.c_str(),
+                doc_sha(*doc).c_str());
     return 0;
   }
-
-  int total_gates = 0;
-  int rc = 0;
-  if (!erasure_path.empty()) {
-    rc |= gate_pair("erasure", erasure_path, erasure_baseline, require,
-                    compare_erasure, &total_gates);
-  }
-  if (!telemetry_path.empty()) {
-    rc |= gate_pair("telemetry", telemetry_path, telemetry_baseline, require,
-                    compare_telemetry, &total_gates);
-  }
-  if (rc == 0) {
-    std::printf("trendcheck: PASS (%d gates)\n", total_gates);
-  } else {
-    std::fprintf(stderr, "trendcheck: FAIL\n");
-  }
-  return rc;
+  return gate_erasure(erasure_path, erasure_baseline, require);
 }
 
 }  // namespace

@@ -62,10 +62,9 @@ Cluster::Cluster(sim::Simulator& sim, net::Network& net,
   net_.set_dc_resolver(
       [v = view_](NodeId id) { return v->dc_of(id); });
 
-  proxy_options.put_amr_indication = conv_options.put_amr_indication;
   for (const auto& [id, dc] : proxy_ids) {
-    proxies_.push_back(
-        std::make_unique<Proxy>(sim_, net_, view_, id, dc, proxy_options));
+    proxies_.push_back(std::make_unique<Proxy>(sim_, net_, view_, id, dc,
+                                               conv_options, proxy_options));
   }
   for (const auto& [id, dc] : kls_ids) {
     klss_.push_back(

@@ -90,8 +90,6 @@ struct ProxyOptions {
   /// Versions per RetrieveTs page (§3.5 iterative timestamp retrieval);
   /// 0 fetches every version in one reply.
   uint16_t get_page_size = 0;
-  /// Mirrors ConvergenceOptions::put_amr_indication; set by the Cluster.
-  bool put_amr_indication = false;
   /// Additive skew applied to this proxy's loosely synchronized clock.
   SimTime clock_skew = 0;
 };

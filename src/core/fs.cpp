@@ -38,18 +38,6 @@ FragmentServer::FragmentServer(sim::Simulator& sim, net::Network& net,
 
 FragmentServer::~FragmentServer() = default;
 
-const erasure::ReedSolomon& FragmentServer::codec(const Policy& policy) {
-  auto key = std::make_pair<int, int>(policy.k, policy.n);
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    it = codecs_
-             .emplace(key, std::make_unique<erasure::ReedSolomon>(policy.k,
-                                                                  policy.n))
-             .first;
-  }
-  return *it->second;
-}
-
 FragmentServer::Records FragmentServer::find_records(
     const ObjectVersionId& ov) {
   Records rec;

@@ -33,7 +33,6 @@
 
 #include "core/config.h"
 #include "core/server.h"
-#include "erasure/reed_solomon.h"
 #include "storage/stores.h"
 #include "wire/messages.h"
 
@@ -227,7 +226,6 @@ class FragmentServer : public Server {
   /// k fragments right now, so durable evidence (including the AMR mark) is
   /// revoked and must be re-earned.
   static void revoke_durable_evidence(Work& work);
-  const erasure::ReedSolomon& codec(const Policy& policy);
 
   ConvergenceOptions options_;
   storage::FragStore store_frag_;  // persistent: metadata + fragments
@@ -245,8 +243,6 @@ class FragmentServer : public Server {
   SimTime round_timer_when_ = 0;
   sim::TimerId scrub_timer_ = 0;
   uint64_t scrubs_run_ = 0;
-  std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
-      codecs_;
   /// Room every ack set reserves once: one per KLS and FS in the cluster.
   size_t max_acks_ = 0;
 

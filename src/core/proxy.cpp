@@ -70,9 +70,11 @@ struct Proxy::GetOp {
 
 Proxy::Proxy(sim::Simulator& sim, net::Network& net,
              std::shared_ptr<const ClusterView> view, NodeId id,
-             DataCenterId dc, ProxyOptions options)
+             DataCenterId dc, const ConvergenceOptions& convergence,
+             ProxyOptions options)
     : Server(sim, net, std::move(view), id, NodeKind::kProxy, dc),
-      options_(options) {
+      options_(options),
+      put_amr_indication_(convergence.put_amr_indication) {
   obs::MetricRegistry& metrics = telemetry().metrics;
   obs::Labels labels = node_label();
   labels.emplace_back("result", "acked");
@@ -100,18 +102,6 @@ Timestamp Proxy::next_timestamp() {
   }
   last_issued_ = Timestamp{wall, id().value};
   return last_issued_;
-}
-
-const erasure::ReedSolomon& Proxy::codec(const Policy& policy) {
-  auto key = std::make_pair<int, int>(policy.k, policy.n);
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    it = codecs_
-             .emplace(key, std::make_unique<erasure::ReedSolomon>(policy.k,
-                                                                  policy.n))
-             .first;
-  }
-  return *it->second;
 }
 
 void Proxy::put(const Key& key, Bytes value, const Policy& policy,
@@ -250,7 +240,7 @@ void Proxy::put_check_amr(PutOp& op) {
   m_amr_concluded_->inc();
   telemetry().amr.on_amr_confirmed(op.ov, sim_.now());
   telemetry().spans.on_amr_confirmed(op.ov, id());
-  if (options_.put_amr_indication) {
+  if (put_amr_indication_) {
     for (NodeId fs : op.meta.sibling_fs()) {
       send(fs, wire::AmrIndication{op.ov});
       m_amr_indications_->inc();

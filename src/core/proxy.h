@@ -23,7 +23,6 @@
 
 #include "core/config.h"
 #include "core/server.h"
-#include "erasure/reed_solomon.h"
 #include "storage/version_table.h"
 #include "wire/messages.h"
 
@@ -52,7 +51,7 @@ class Proxy : public Server {
 
   Proxy(sim::Simulator& sim, net::Network& net,
         std::shared_ptr<const ClusterView> view, NodeId id, DataCenterId dc,
-        ProxyOptions options);
+        const ConvergenceOptions& convergence, ProxyOptions options);
   ~Proxy() override;
 
   /// Begin a put; the callback fires exactly once (success, failure, or
@@ -98,13 +97,12 @@ class Proxy : public Server {
   void finish_get(const Key& key, GetResult result);
 
   Timestamp next_timestamp();
-  const erasure::ReedSolomon& codec(const Policy& policy);
 
   ProxyOptions options_;
+  /// ConvergenceOptions::put_amr_indication (§4.1).
+  bool put_amr_indication_ = false;
   storage::VersionTable<std::unique_ptr<PutOp>> puts_;
   std::map<Key, std::unique_ptr<GetOp>> gets_;
-  std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
-      codecs_;
   Timestamp last_issued_;
 
   uint64_t puts_started_ = 0;

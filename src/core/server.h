@@ -2,14 +2,17 @@
 //
 // Handles registration with the network, the crash/recover lifecycle
 // (crash-recovery failure model, §3.1: persistent stores survive, volatile
-// state and timers do not), and typed message sending.
+// state and timers do not), typed message sending, and the Reed–Solomon
+// codecs a node encodes, decodes or regenerates with.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <utility>
 
 #include "common/types.h"
 #include "core/cluster_view.h"
+#include "erasure/reed_solomon.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -69,6 +72,15 @@ class Server : public net::MessageHandler {
     return {{"node", pahoehoe::to_string(id_)}};
   }
 
+  /// The codec for `policy`'s (k, n), built on first use.
+  const erasure::ReedSolomon& codec(const Policy& policy) {
+    auto& slot = codecs_[{policy.k, policy.n}];
+    if (slot == nullptr) {
+      slot = std::make_unique<erasure::ReedSolomon>(policy.k, policy.n);
+    }
+    return *slot;
+  }
+
   sim::Simulator& sim_;
   net::Network& net_;
   std::shared_ptr<const ClusterView> view_;
@@ -78,6 +90,8 @@ class Server : public net::MessageHandler {
   NodeKind kind_;
   DataCenterId dc_;
   bool crashed_ = false;
+  std::map<std::pair<int, int>, std::unique_ptr<erasure::ReedSolomon>>
+      codecs_;
 };
 
 }  // namespace pahoehoe::core

@@ -165,26 +165,25 @@ void Network::send(NodeId from, NodeId to, wire::Message msg) {
   PAHOEHOE_CHECK_MSG(receiver != nullptr, "send to unregistered node");
   const wire::MessageType type = wire::type_of(msg);
   const size_t payload_bytes = wire::payload_size(msg);
-  wire::Envelope env{from, to, type, std::move(msg), payload_bytes};
-  env.span = telemetry_.spans.on_send(from, to, wire::to_string(type));
-  stats_.record_sent(type, env.wire_size());
-  tracer_.record(sim_.now(), TraceEvent::kSend, from, to, type,
-                 env.wire_size());
+  const size_t wire_size = wire::Envelope::kHeaderBytes + payload_bytes;
+  const uint64_t span =
+      telemetry_.spans.on_send(from, to, wire::to_string(type));
+  stats_.record_sent(type, wire_size);
+  tracer_.record(sim_.now(), TraceEvent::kSend, from, to, type, wire_size);
   if (receiver->dc.valid()) {
     // A sender that never registered (a test probe) is in no data center.
     const Node* sender = find_node(from);
     if (sender != nullptr && sender->dc.valid() &&
         sender->dc != receiver->dc) {
-      stats_.record_wan(env.wire_size());
+      stats_.record_wan(wire_size);
     }
   }
 
   for (const auto& rule : faults_) {
     if (rule->should_drop(from, to, type, sim_.now(), sim_.rng())) {
       stats_.record_dropped(type);
-      tracer_.record(sim_.now(), TraceEvent::kDrop, from, to, type,
-                     env.wire_size());
-      telemetry_.spans.on_drop(env.span);
+      tracer_.record(sim_.now(), TraceEvent::kDrop, from, to, type, wire_size);
+      telemetry_.spans.on_drop(span);
       return;
     }
   }
@@ -192,8 +191,8 @@ void Network::send(NodeId from, NodeId to, wire::Message msg) {
   const bool duplicate =
       duplication_rate_ > 0.0 && sim_.rng().chance(duplication_rate_);
   const int copies = duplicate ? 2 : 1;
-  // One envelope per send: the message is moved in once, and only a
-  // duplicated delivery copies it.
+  // The message is moved once, into its slot's envelope; a dropped one is
+  // never moved, and only a duplicated delivery copies it.
   uint32_t slot = static_cast<uint32_t>(in_flight_.size());
   if (free_slots_.empty()) {
     in_flight_.emplace_back();
@@ -201,7 +200,15 @@ void Network::send(NodeId from, NodeId to, wire::Message msg) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  in_flight_[slot] = InFlight{std::move(env), receiver->handler, copies};
+  InFlight& flight = in_flight_[slot];
+  flight.env.from = from;
+  flight.env.to = to;
+  flight.env.type = type;
+  flight.env.msg = std::move(msg);
+  flight.env.payload_bytes = payload_bytes;
+  flight.env.span = span;
+  flight.handler = receiver->handler;
+  flight.copies = copies;
   for (int i = 0; i < copies; ++i) {
     const SimTime latency = sample_latency();
     sim_.schedule_after(latency, [this, slot] { deliver(slot); });

@@ -175,49 +175,6 @@ std::string AttributionReport::to_text() const {
   return out;
 }
 
-std::string attribution_diff_text(const AttributionReport& fresh,
-                                  const AttributionReport& baseline) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "attribution diff (fresh vs baseline): versions %llu vs %llu\n",
-                static_cast<unsigned long long>(fresh.versions),
-                static_cast<unsigned long long>(baseline.versions));
-  std::string out = buf;
-  const auto ratio = [](double a, double b) {
-    return b > 0.0 ? fmt("%.2f", a / b) + "x" : std::string("n/a");
-  };
-  std::snprintf(buf, sizeof(buf),
-                "  p95 %.6gs vs %.6gs (%s)  p99 %.6gs vs %.6gs (%s)\n",
-                fresh.p95_s, baseline.p95_s,
-                ratio(fresh.p95_s, baseline.p95_s).c_str(), fresh.p99_s,
-                baseline.p99_s, ratio(fresh.p99_s, baseline.p99_s).c_str());
-  out += buf;
-  // Fixed enum order (not ranked order) so the two reports line up.
-  for (size_t i = 0; i < kPathComponentCount; ++i) {
-    const auto c = static_cast<PathComponent>(i);
-    const auto share_of = [c](const AttributionReport& r) {
-      for (const ComponentGap& g : r.ranked) {
-        if (g.component == c) return g.gap_share;
-      }
-      return 0.0;
-    };
-    const double fs = share_of(fresh);
-    const double bs = share_of(baseline);
-    std::snprintf(buf, sizeof(buf),
-                  "  %s gap share %.1f%% vs %.1f%% (delta %+.1f%%)\n",
-                  to_string(c), fs * 100.0, bs * 100.0, (fs - bs) * 100.0);
-    out += buf;
-  }
-  if (!fresh.top.empty()) {
-    out += "  fresh top exemplar " + exemplar_to_text(fresh.top.front()) + "\n";
-  }
-  if (!baseline.top.empty()) {
-    out += "  baseline top exemplar " + exemplar_to_text(baseline.top.front()) +
-           "\n";
-  }
-  return out;
-}
-
 void attribution_to_json(JsonWriter& w, const AttributionReport& report) {
   w.begin_object()
       .kv("versions", report.versions)

@@ -6,8 +6,7 @@
 // p95) vs. body — and compares the cohorts' critical-path component means.
 // The per-component gap (tail mean − body mean) is ranked by its share of
 // the total positive gap, which is exactly the "83% of the gap is
-// recovery_backoff" sentence the report renders. A differential mode diffs
-// two reports (fresh run vs. baseline) for trendcheck REGRESSION output.
+// recovery_backoff" sentence the report renders.
 //
 // Determinism (DESIGN.md §13): the threshold comes from the *merged*
 // latency sketch (bucket-wise exact, so identical for any --jobs); cohort
@@ -82,11 +81,6 @@ class AttributionBuilder {
  private:
   AttributionReport report_;
 };
-
-/// Fresh-vs-baseline differential ("tail share moved recovery_backoff
-/// 12.0% -> 83.2%"), for trendcheck REGRESSION context.
-std::string attribution_diff_text(const AttributionReport& fresh,
-                                  const AttributionReport& baseline);
 
 /// Emit the report as one JSON object value (caller writes the key first).
 void attribution_to_json(JsonWriter& w, const AttributionReport& report);

@@ -214,9 +214,6 @@ TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
   ASSERT_EQ(parsed->ranked.size(), report.ranked.size());
   EXPECT_EQ(parsed->ranked.front().component,
             report.ranked.front().component);
-  // The diff of a report against itself is all-zero deltas.
-  const std::string diff = obs::attribution_diff_text(*parsed, report);
-  EXPECT_NE(diff.find("delta +0.0%"), std::string::npos);
 }
 
 TEST(Attribution, EmptyStoreYieldsEmptyReport) {

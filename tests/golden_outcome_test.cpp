@@ -1,6 +1,7 @@
 // Golden outcome pins: small fixed runs shaped like the three perfbench
-// workloads plus a short chaos sweep, each hashed the way perfbench's
-// outcome digest hashes a seed-run and compared with a constant.
+// workloads, a short chaos sweep and the telemetry preset, each hashed the
+// way perfbench's outcome digest hashes a seed-run and compared with a
+// constant.
 //
 // A host-cost change must leave every simulated outcome exactly as it was,
 // so these constants never move with one: a mismatch means a change touched
@@ -46,7 +47,10 @@ class Digest {
 
 /// The network stats table, the outcome counts, end time, event count,
 /// latencies, time-to-AMR quantiles and the metric registry minus the line
-/// naming the host's GF(2^8) kernel.
+/// naming the host's GF(2^8) kernel. A run that traced spans or sampled a
+/// timeline also hashes its critical-path aggregate, its tail attribution
+/// and every timeline row; a run without those observers hashes only the
+/// outcome.
 uint64_t outcome_digest(const RunResult& r) {
   Digest d;
   d.add(r.stats.to_table());
@@ -71,7 +75,26 @@ uint64_t outcome_digest(const RunResult& r) {
       d.add(line);
     }
   }
+  if (r.critical_path.versions() > 0) d.add(r.critical_path.to_text());
+  if (!r.attribution.empty()) d.add(r.attribution.to_text());
+  for (const obs::TimeSeries::Row& row : r.timeline.rows()) {
+    d.add_number(row.t);
+    for (double v : row.sums) d.add_number(v);
+  }
   return d.value();
+}
+
+/// What a mismatch prints with it: the run's time-to-AMR quantiles and its
+/// critical-path aggregate (all zero unless spans were on).
+std::string amr_context(const RunResult& r) {
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "\ntime_to_amr_s count %llu p50 %.6g p95 %.6g p99 %.6g "
+                "max %.6g\n",
+                static_cast<unsigned long long>(r.time_to_amr_s.count()),
+                r.time_to_amr_s.quantile(0.50), r.time_to_amr_s.quantile(0.95),
+                r.time_to_amr_s.quantile(0.99), r.time_to_amr_s.max());
+  return line + r.critical_path.to_text();
 }
 
 struct Pin {
@@ -91,7 +114,8 @@ void expect_pins(RunConfig config, const std::vector<Pin>& pins,
     std::printf("%s seed %llu: 0x%016llx\n", shape,
                 static_cast<unsigned long long>(pin.seed),
                 static_cast<unsigned long long>(digest));
-    EXPECT_EQ(digest, pin.digest) << shape << " seed " << pin.seed;
+    EXPECT_EQ(digest, pin.digest)
+        << shape << " seed " << pin.seed << amr_context(r);
   }
 }
 
@@ -173,6 +197,40 @@ TEST(GoldenOutcomeTest, ChaosSweep) {
         FaultSpec::Kind::kFsCrash}) {
     EXPECT_EQ(kinds.count(kind), 1u)
         << "fault kind " << static_cast<int>(kind);
+  }
+}
+
+// The telemetry preset (convergence_telemetry --puts=6 --object-kib=8
+// --sample-interval-s=5, seeds 5000 and 5001): FS 0 of data center 0 is
+// blacked out for the first 10 minutes under each Figure 5 variant, with
+// spans, exemplars and sampling on. none and FSAMR-S synchronize their
+// rounds, which no all_opts pin above exercises.
+TEST(GoldenOutcomeTest, TelemetryPreset) {
+  RunConfig config = paper_default_config();
+  config.workload.num_puts = 6;
+  config.workload.value_size = 8 * 1024;
+  config.telemetry.sample_interval = 5 * kMicrosPerSecond;
+  config.telemetry.spans = true;
+  config.telemetry.exemplars = true;
+  config.faults = {FaultSpec::fs_blackout(0, 0, 0, 10 * kMinute)};
+  struct Variant {
+    const char* shape;
+    ConvergenceOptions convergence;
+    std::vector<Pin> pins;
+  };
+  const std::vector<Variant> variants = {
+      {"telemetry none", ConvergenceOptions::naive(),
+       {{5000, 0x4743be9def90fd81ULL}, {5001, 0x4ce47d5014e3505dULL}}},
+      {"telemetry FSAMR-S", ConvergenceOptions::fs_amr_sync(),
+       {{5000, 0x8163d7ff2ea637e3ULL}, {5001, 0x2ee1e7354bd65221ULL}}},
+      {"telemetry FSAMR-U", ConvergenceOptions::fs_amr_unsync(),
+       {{5000, 0x179463a6ef97abf7ULL}, {5001, 0x081954d37e8d0ee0ULL}}},
+      {"telemetry All", ConvergenceOptions::all_opts(),
+       {{5000, 0x219e309924748ad2ULL}, {5001, 0xf7891f5949308cbeULL}}},
+  };
+  for (const Variant& variant : variants) {
+    config.convergence = variant.convergence;
+    expect_pins(config, variant.pins, variant.shape);
   }
 }
 
