@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,40 @@ void BM_Sha256(benchmark::State& state) {
   state.SetLabel(sha256::to_string(sha256::active_kernel()));
 }
 BENCHMARK(BM_Sha256)->Arg(25600)->Arg(100 * 1024);
+
+// A put's stripe: `lanes` 25 KiB fragments of one value (12 is the (4, 12)
+// stripe of a 100 KiB value), hashed as one Sha256::hash_many batch
+// (batch:1) or one Sha256::hash at a time (batch:0). Under the avx512
+// kernel a 16-lane call costs the same whatever the lane count, so the
+// crossover (sha256::kLaneCrossover) is the batch time at 16 lanes over
+// the one-at-a-time time at 1; batches below it loop the one-at-a-time
+// kernel.
+void BM_Sha256Stripe(benchmark::State& state) {
+  const size_t lanes = static_cast<size_t>(state.range(0));
+  const bool batch = state.range(1) != 0;
+  constexpr size_t kFragment = 25600;
+  const Bytes value = make_value(lanes * kFragment);
+  std::vector<std::span<const uint8_t>> inputs;
+  for (size_t i = 0; i < lanes; ++i) {
+    inputs.emplace_back(value.data() + i * kFragment, kFragment);
+  }
+  std::vector<Sha256::Digest> digests(lanes);
+  for (auto _ : state) {
+    if (batch) {
+      Sha256::hash_many(inputs, digests);
+    } else {
+      for (size_t i = 0; i < lanes; ++i) digests[i] = Sha256::hash(inputs[i]);
+    }
+    benchmark::DoNotOptimize(digests.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(lanes * kFragment));
+  state.SetLabel(sha256::to_string(sha256::active_kernel()));
+}
+BENCHMARK(BM_Sha256Stripe)
+    ->ArgNames({"lanes", "batch"})
+    ->ArgsProduct({{1, 4, 8, 12, 16}, {0, 1}});
 
 // --- JSON mode --------------------------------------------------------------
 

@@ -14,7 +14,9 @@ bool cpu_has(uint32_t features) {
   return ((features & kSsse3) == 0 || __builtin_cpu_supports("ssse3")) &&
          ((features & kSse41) == 0 || __builtin_cpu_supports("sse4.1")) &&
          ((features & kAvx2) == 0 || __builtin_cpu_supports("avx2")) &&
-         ((features & kSha) == 0 || __builtin_cpu_supports("sha"));
+         ((features & kSha) == 0 || __builtin_cpu_supports("sha")) &&
+         ((features & kAvx512f) == 0 || __builtin_cpu_supports("avx512f")) &&
+         ((features & kAvx512bw) == 0 || __builtin_cpu_supports("avx512bw"));
 #else
   return features == 0;
 #endif

@@ -1,5 +1,5 @@
 // Runtime selection among the bit-exact kernels of one family (the GF(2^8)
-// multiply-accumulate, the SHA-256 block compressor).
+// multiply-accumulate, the SHA-256 block compressors).
 //
 // A family lists its kernels narrowest first; kernel 0 is the portable
 // scalar reference, always compiled in and supported. The choice is made
@@ -7,11 +7,12 @@
 // (`auto` or a kernel name; an unknown or unavailable name warns on stderr
 // and falls back), otherwise the widest kernel that is both compiled in
 // (per-file ISA flags, checked by CMake) and supported by CPUID. It is
-// installed in an atomic function pointer that the hot path reads relaxed:
-// any published value is a valid, bit-exact kernel, so no ordering is
-// needed. force/reset reinstall it for tests and benches; they must not
-// race with concurrent callers of the kernel, which is fine for their use
-// (set once before a sweep, or between measurement sections).
+// installed in an atomic pointer (a function, or a table of a family's
+// entry points) that the hot path reads relaxed: any published value is a
+// valid, bit-exact kernel, so no ordering is needed. force/reset reinstall
+// it for tests and benches; they must not race with concurrent callers of
+// the kernel, which is fine for their use (set once before a sweep, or
+// between measurement sections).
 #pragma once
 
 #include <atomic>
@@ -29,6 +30,8 @@ enum Feature : uint32_t {
   kSse41 = 1u << 1,
   kAvx2 = 1u << 2,
   kSha = 1u << 3,
+  kAvx512f = 1u << 4,
+  kAvx512bw = 1u << 5,
 };
 
 /// True iff the CPU has every feature in `features`. Off x86 only the
@@ -74,7 +77,8 @@ class Dispatch : public KernelSet {
  public:
   struct Kernel {
     const char* name;
-    Fn fn;              ///< nullptr when the toolchain could not compile it
+    Fn fn;              ///< nullptr when the toolchain could not compile it;
+                        ///< distinct per kernel
     uint32_t features;  ///< Feature bits the CPU must have
   };
 

@@ -1,5 +1,6 @@
 #include "common/fragment.h"
 
+#include <span>
 #include <utility>
 
 namespace pahoehoe {
@@ -11,6 +12,23 @@ Fragment Fragment::sealed(Bytes bytes) {
   Fragment fragment(std::move(bytes));
   fragment.digest();
   return fragment;
+}
+
+std::vector<Fragment> Fragment::seal_all(std::vector<Bytes> stripe) {
+  std::vector<Fragment> fragments;
+  fragments.reserve(stripe.size());
+  std::vector<std::span<const uint8_t>> buffers;
+  buffers.reserve(stripe.size());
+  for (Bytes& bytes : stripe) {
+    fragments.emplace_back(std::move(bytes));
+    buffers.push_back(fragments.back().bytes());
+  }
+  std::vector<Sha256::Digest> digests(fragments.size());
+  Sha256::hash_many(buffers, digests);
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    fragments[i].buf_->digest = digests[i];
+  }
+  return fragments;
 }
 
 const Bytes& Fragment::bytes() const {

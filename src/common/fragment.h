@@ -10,8 +10,10 @@
 //
 // The buffer memoizes its SHA-256 digest, and only the buffer sets the memo,
 // by hashing its own bytes, so a memo always equals the hash of the bytes
-// beside it. sealed() hashes at once; any other buffer (decoded from the
-// wire, built by a test, or a damaged copy) is hashed on its first digest().
+// beside it. sealed() and seal_all() hash at once; seal_all() hashes the
+// very bytes that become each buffer, as one Sha256::hash_many batch, and
+// takes no digest from its caller. Any other buffer (decoded from the wire,
+// built by a test, or a damaged copy) is hashed on its first digest().
 // Every copy of a Fragment reads the same memo.
 //
 // The memo is written lazily through a shared, const buffer, so a buffer
@@ -22,6 +24,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/sha256.h"
 #include "common/types.h"
@@ -36,6 +39,10 @@ class Fragment {
   explicit Fragment(Bytes bytes);
   /// A buffer hashed now: what a fragment's maker sends and stores.
   static Fragment sealed(Bytes bytes);
+  /// Buffers hashed now, together: the fragments of one stripe (a proxy's
+  /// encode, an FS's regeneration) have one length, so they hash as one
+  /// multi-buffer batch.
+  static std::vector<Fragment> seal_all(std::vector<Bytes> stripe);
 
   const Bytes& bytes() const;
   size_t size() const { return bytes().size(); }

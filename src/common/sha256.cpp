@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/cpu_dispatch.h"
 #include "common/sha256_kernels.h"
+#include "obs/prof.h"
 
 namespace pahoehoe {
 namespace {
@@ -64,24 +65,125 @@ void compress_scalar(uint32_t* state, const uint8_t* blocks, size_t count) {
   for (size_t i = 0; i < count; ++i) process_block(state, blocks + 64 * i);
 }
 
-cpu_dispatch::Dispatch<sha256::detail::CompressFn>& dispatch() {
-  static cpu_dispatch::Dispatch<sha256::detail::CompressFn> d(
+/// One kernel of the family: what runs for one message, and for 16.
+struct Impl {
+  sha256::detail::CompressFn compress;
+  const char* phase;  ///< profiler phase of `compress`
+  sha256::detail::CompressX16Fn compress_x16;  ///< nullptr: batches loop
+};
+
+constexpr const char* kLanesPhase = "sha256[avx512]";
+
+cpu_dispatch::Dispatch<const Impl*>& dispatch() {
+  using namespace cpu_dispatch;
+  static constexpr uint32_t kShaNiFeatures = kSha | kSse41 | kSsse3;
+  static const Impl scalar{&compress_scalar, "sha256[scalar]", nullptr};
+  static const Impl shani{sha256::detail::shani_impl(), "sha256[shani]",
+                          nullptr};
+  // The lanes kernel hands single messages to the best single-stream one.
+  static const Impl& stream =
+      shani.compress != nullptr && cpu_has(kShaNiFeatures) ? shani : scalar;
+  static const Impl avx512{stream.compress, stream.phase,
+                           sha256::detail::x16_impl()};
+  static Dispatch<const Impl*> d(
       "PAHOEHOE_SHA256_KERNEL",
-      {{"scalar", &compress_scalar, 0},
-       {"shani", sha256::detail::shani_impl(),
-        cpu_dispatch::kSha | cpu_dispatch::kSse41 | cpu_dispatch::kSsse3}});
+      {{"scalar", &scalar, 0},
+       {"shani", shani.compress != nullptr ? &shani : nullptr,
+        kShaNiFeatures},
+       {"avx512", avx512.compress_x16 != nullptr ? &avx512 : nullptr,
+        kAvx512f | kAvx512bw}});
   return d;
+}
+
+/// The profiler phase to open: nullptr while profiling is off.
+const char* phase(const char* name) {
+  return obs::prof::enabled() ? name : nullptr;
+}
+
+/// The final 1 or 2 blocks of a message of `total_bytes` bytes whose last
+/// `tail.size()` (< 64) bytes are `tail`, written to `out` (128 zeroed
+/// bytes): the tail, 0x80, zeros until 8 bytes remain in the last block,
+/// then the big-endian bit length. Returns the block count.
+size_t pad(std::span<const uint8_t> tail, uint64_t total_bytes,
+           uint8_t* out) {
+  if (!tail.empty()) std::memcpy(out, tail.data(), tail.size());
+  out[tail.size()] = 0x80;
+  const size_t blocks = tail.size() < 56 ? 1 : 2;
+  const uint64_t bit_length = total_bytes * 8;
+  for (size_t i = 0; i < 8; ++i) {
+    out[blocks * 64 - 1 - i] = static_cast<uint8_t>(bit_length >> (i * 8));
+  }
+  return blocks;
+}
+
+/// Big-endian serialization of a final chaining state.
+Sha256::Digest to_digest(const uint32_t* state) {
+  Sha256::Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    digest[i * 4 + 0] = static_cast<uint8_t>(state[i] >> 24);
+    digest[i * 4 + 1] = static_cast<uint8_t>(state[i] >> 16);
+    digest[i * 4 + 2] = static_cast<uint8_t>(state[i] >> 8);
+    digest[i * 4 + 3] = static_cast<uint8_t>(state[i]);
+  }
+  return digest;
+}
+
+Sha256::Digest hash_one(std::span<const uint8_t> data) {
+  Sha256 hasher;
+  hasher.update(data);
+  return hasher.finish();
+}
+
+/// Digests of 1..16 messages of one length, on the lanes: the whole blocks
+/// of every message, then one shared padding step, since equal lengths pad
+/// alike (the same 0x80 and bit length at the same offsets).
+void hash_lanes(sha256::detail::CompressX16Fn compress,
+                std::span<const std::span<const uint8_t>> inputs,
+                std::span<Sha256::Digest> digests) {
+  using sha256::detail::kLanes;
+  const size_t used = inputs.size();
+  const size_t length = inputs[0].size();
+  const size_t whole = length / 64;
+  sha256::detail::LaneStates states;
+  for (size_t w = 0; w < 8; ++w) {
+    std::fill_n(states.words[w], kLanes, sha256::detail::kInitialState[w]);
+  }
+  // Spare lanes rehash lane 0's bytes; their digests are dropped.
+  const uint8_t* lanes[kLanes];
+  for (size_t j = 0; j < kLanes; ++j) {
+    lanes[j] = inputs[j < used ? j : 0].data();
+  }
+  if (whole > 0) compress(states, lanes, whole);
+
+  alignas(64) uint8_t padding[kLanes][128] = {};
+  size_t pad_blocks = 0;
+  for (size_t j = 0; j < used; ++j) {
+    pad_blocks = pad(inputs[j].subspan(whole * 64), length, padding[j]);
+  }
+  for (size_t j = 0; j < kLanes; ++j) lanes[j] = padding[j < used ? j : 0];
+  compress(states, lanes, pad_blocks);
+
+  for (size_t j = 0; j < used; ++j) {
+    uint32_t state[8];
+    for (size_t w = 0; w < 8; ++w) state[w] = states.words[w][j];
+    digests[j] = to_digest(state);
+  }
+}
+
+bool equal_lengths(std::span<const std::span<const uint8_t>> inputs) {
+  for (const std::span<const uint8_t>& input : inputs) {
+    if (input.size() != inputs[0].size()) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : state_(sha256::detail::kInitialState) {}
 
 void Sha256::update(std::span<const uint8_t> data) {
   PAHOEHOE_CHECK_MSG(!finished_, "Sha256::update after finish");
-  const sha256::detail::CompressFn compress = dispatch().fn();
+  const sha256::detail::CompressFn compress = dispatch().fn()->compress;
   total_bytes_ += data.size();
   size_t offset = 0;
   if (buffered_ > 0) {
@@ -108,34 +210,48 @@ void Sha256::update(std::span<const uint8_t> data) {
 Sha256::Digest Sha256::finish() {
   PAHOEHOE_CHECK_MSG(!finished_, "Sha256::finish called twice");
   finished_ = true;
-
-  // Append 0x80, then zeros until 8 bytes remain in the last block, then
-  // the big-endian bit length: one padding block, or two when the 0x80 and
-  // the length do not both fit after the buffered tail.
   std::array<uint8_t, 128> padding{};
-  std::memcpy(padding.data(), buffer_.data(), buffered_);
-  padding[buffered_] = 0x80;
-  const size_t blocks = buffered_ < 56 ? 1 : 2;
-  const uint64_t bit_length = total_bytes_ * 8;
-  for (size_t i = 0; i < 8; ++i) {
-    padding[blocks * 64 - 1 - i] = static_cast<uint8_t>(bit_length >> (i * 8));
-  }
-  dispatch().fn()(state_.data(), padding.data(), blocks);
-
-  Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[i * 4 + 0] = static_cast<uint8_t>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
-  }
-  return digest;
+  const size_t blocks =
+      pad(std::span(buffer_.data(), buffered_), total_bytes_, padding.data());
+  dispatch().fn()->compress(state_.data(), padding.data(), blocks);
+  return to_digest(state_.data());
 }
 
 Sha256::Digest Sha256::hash(std::span<const uint8_t> data) {
-  Sha256 hasher;
-  hasher.update(data);
-  return hasher.finish();
+  // lint:prof-ok(the phase ids are string literals in the kernel table)
+  obs::ProfScope prof(phase(dispatch().fn()->phase));
+  return hash_one(data);
+}
+
+void Sha256::hash_many(std::span<const std::span<const uint8_t>> inputs,
+                       std::span<Digest> digests) {
+  PAHOEHOE_CHECK_MSG(inputs.size() == digests.size(),
+                     "hash_many needs one digest slot per input");
+  using sha256::detail::kLanes;
+  const Impl& impl = *dispatch().fn();
+  // Inputs [0, laned) go to the lanes: whole groups of 16, and a last
+  // group if it reaches the crossover.
+  size_t laned = 0;
+  if (impl.compress_x16 != nullptr && equal_lengths(inputs)) {
+    laned = inputs.size() / kLanes * kLanes;
+    if (inputs.size() - laned >= sha256::kLaneCrossover) laned = inputs.size();
+  }
+  if (laned > 0) {
+    // lint:prof-ok(kLanesPhase is a string literal)
+    obs::ProfScope prof(phase(kLanesPhase));
+    for (size_t i = 0; i < laned; i += kLanes) {
+      const size_t used = std::min(kLanes, laned - i);
+      hash_lanes(impl.compress_x16, inputs.subspan(i, used),
+                 digests.subspan(i, used));
+    }
+  }
+  if (laned < inputs.size()) {
+    // lint:prof-ok(the phase ids are string literals in the kernel table)
+    obs::ProfScope prof(phase(impl.phase));
+    for (size_t i = laned; i < inputs.size(); ++i) {
+      digests[i] = hash_one(inputs[i]);
+    }
+  }
 }
 
 std::string Sha256::hex(const Digest& digest) {

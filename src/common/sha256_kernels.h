@@ -1,11 +1,12 @@
 // Internal kernel interface between the SHA-256 hasher and the per-ISA
-// translation unit (sha256_shani.cpp, built with its own -m flags so the
-// rest of the library stays portable).
+// translation units (sha256_shani.cpp, sha256_x16.cpp, each built with its
+// own -m flags so the rest of the library stays portable).
 //
 // Every kernel computes the same contract as the scalar reference: absorb
-// `count` whole 64-byte blocks starting at `blocks` into the eight-word
-// chaining `state` (FIPS 180-4 §6.2.2). The input carries no alignment
-// guarantee.
+// whole 64-byte blocks into the eight-word chaining state (FIPS 180-4
+// §6.2.2). A single-stream kernel absorbs `count` blocks of one message; the
+// 16-lane kernel absorbs `count` blocks of each of 16 messages at once. The
+// input carries no alignment guarantee.
 #pragma once
 
 #include <array>
@@ -16,6 +17,27 @@ namespace pahoehoe::sha256::detail {
 
 using CompressFn = void (*)(uint32_t* state, const uint8_t* blocks,
                             size_t count);
+
+/// Messages the multi-buffer kernel compresses per call, one per 32-bit
+/// lane of a 512-bit register.
+inline constexpr size_t kLanes = 16;
+
+/// The chaining states of kLanes messages, word-major: `words[i][lane]` is
+/// word i of that lane's state, so each row is one register.
+struct LaneStates {
+  alignas(64) uint32_t words[8][kLanes];
+};
+
+/// Absorb `count` whole blocks of every lane: lane j reads 64 * count bytes
+/// from `lanes[j]`. A lane the caller does not need still reads valid
+/// memory (point it at another lane's input) and its state is ignored.
+using CompressX16Fn = void (*)(LaneStates& states,
+                               const uint8_t* const* lanes, size_t count);
+
+/// FIPS 180-4 initial hash value H(0).
+inline constexpr std::array<uint32_t, 8> kInitialState = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
 /// FIPS 180-4 round constants K0..K63.
 inline constexpr std::array<uint32_t, 64> kRoundConstants = {
@@ -34,5 +56,9 @@ inline constexpr std::array<uint32_t, 64> kRoundConstants = {
 /// The SHA-NI kernel; nullptr when the toolchain could not compile it.
 /// Runtime CPU support is the dispatcher's problem, not its.
 CompressFn shani_impl();
+
+/// The 16-lane AVX-512 kernel; nullptr when the toolchain could not
+/// compile it.
+CompressX16Fn x16_impl();
 
 }  // namespace pahoehoe::sha256::detail

@@ -568,12 +568,12 @@ void FragmentServer::recovery_maybe_finish(const ObjectVersionId& ov,
   // that learned of this version only through convergence may not know the
   // value size yet, and fragment repair does not need it.
   const size_t frag_size = work.gathered.begin()->second.size();
-  std::vector<Bytes> regenerated =
-      codec(meta.policy).regenerate_sized(available, targets, frag_size);
+  std::vector<Fragment> regenerated = Fragment::seal_all(
+      codec(meta.policy).regenerate_sized(available, targets, frag_size));
 
   for (size_t i = 0; i < targets.size(); ++i) {
     const int slot = targets[i];
-    Fragment fragment = Fragment::sealed(std::move(regenerated[i]));
+    Fragment fragment = std::move(regenerated[i]);
     const Sha256::Digest digest = fragment.digest();
     const auto& loc = meta.locs[static_cast<size_t>(slot)];
     PAHOEHOE_CHECK(loc.has_value());

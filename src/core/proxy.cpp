@@ -123,11 +123,7 @@ void Proxy::put(const Key& key, Bytes value, const Policy& policy,
   auto op = std::make_unique<PutOp>();
   op->ov = ObjectVersionId{key, next_timestamp()};
   op->meta = Metadata(policy, value.size());
-  std::vector<Bytes> encoded = codec(policy).encode(value);
-  op->fragments.reserve(encoded.size());
-  for (Bytes& frag : encoded) {
-    op->fragments.push_back(Fragment::sealed(std::move(frag)));
-  }
+  op->fragments = Fragment::seal_all(codec(policy).encode(value));
   op->callback = std::move(callback);
 
   const ObjectVersionId ov = op->ov;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/check.h"
 #include "erasure/gf256.h"
@@ -131,10 +132,27 @@ std::vector<Bytes> ReedSolomon::recover_data_fragments(
   PAHOEHOE_CHECK_MSG(indices.size() == static_cast<size_t>(k_),
                      "need k distinct fragment indices to decode");
 
+  // The code is systematic, so data row r is fragment r itself: copy the
+  // data fragments supplied and multiply only the rows that are missing.
+  std::vector<Bytes> out(static_cast<size_t>(k_));
+  std::vector<int> missing;
+  missing.reserve(static_cast<size_t>(k_));
+  for (int r = 0; r < k_; ++r) {
+    const auto held = std::find(indices.begin(), indices.end(), r);
+    if (held == indices.end()) {
+      missing.push_back(r);
+    } else {
+      out[static_cast<size_t>(r)] = *data[static_cast<size_t>(
+          std::distance(indices.begin(), held))];
+    }
+  }
+  if (missing.empty()) return out;
   const Matrix decode = encode_matrix_.select_rows(indices).inverted();
-  std::vector<int> rows(static_cast<size_t>(k_));
-  for (int r = 0; r < k_; ++r) rows[static_cast<size_t>(r)] = r;
-  return multiply_rows(decode, rows, data, frag_size);
+  std::vector<Bytes> decoded = multiply_rows(decode, missing, data, frag_size);
+  for (size_t i = 0; i < missing.size(); ++i) {
+    out[static_cast<size_t>(missing[i])] = std::move(decoded[i]);
+  }
+  return out;
 }
 
 Bytes ReedSolomon::decode(const std::vector<IndexedFragment>& fragments,

@@ -3,9 +3,10 @@
 //
 // This executable replaces the global operator new/delete with versions
 // that count calls and forward to malloc/free, and links with
-// `--wrap` for Sha256::hash (tests/CMakeLists.txt), so every call into it
-// from another translation unit passes through a counting wrapper; the
-// library itself carries no counter. Both count only while counting is on:
+// `--wrap` for both SHA-256 entry points, Sha256::hash and
+// Sha256::hash_many (tests/CMakeLists.txt), so every call into them from
+// another translation unit passes through a counting wrapper; the library
+// itself carries no counter. Both count only while counting is on:
 // around a core::run_experiment, or a unit test's few calls. The simulated
 // run is deterministic, so the counts repeat exactly for a given build; the
 // allocation budgets leave headroom only for library differences between
@@ -29,6 +30,8 @@ std::atomic<bool> g_counting{false};
 std::atomic<uint64_t> g_allocations{0};
 std::atomic<uint64_t> g_bytes{0};
 std::atomic<uint64_t> g_hash_calls{0};
+std::atomic<uint64_t> g_batch_calls{0};
+std::atomic<uint64_t> g_batch_inputs{0};
 std::atomic<uint64_t> g_hashed_bytes{0};
 
 void count(std::size_t size) {
@@ -112,6 +115,27 @@ pahoehoe::Sha256::Digest wrap_sha256_hash(std::span<const uint8_t> data) {
   return real_sha256_hash(data);
 }
 
+// The same for the batch entry, Sha256::hash_many.
+#define PAHOEHOE_SHA256_HASH_MANY                                     \
+  "_ZN8pahoehoe6Sha2569hash_manyESt4spanIKS1_IKhLm18446744073709551615" \
+  "EELm18446744073709551615EES1_ISt5arrayIhLm32EELm18446744073709551615EE"
+using Inputs = std::span<const std::span<const uint8_t>>;
+using Digests = std::span<pahoehoe::Sha256::Digest>;
+void real_sha256_hash_many(Inputs inputs, Digests digests)
+    __asm__("__real_" PAHOEHOE_SHA256_HASH_MANY);
+void wrap_sha256_hash_many(Inputs inputs, Digests digests)
+    __asm__("__wrap_" PAHOEHOE_SHA256_HASH_MANY);
+void wrap_sha256_hash_many(Inputs inputs, Digests digests) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_batch_calls.fetch_add(1, std::memory_order_relaxed);
+    g_batch_inputs.fetch_add(inputs.size(), std::memory_order_relaxed);
+    for (const std::span<const uint8_t>& input : inputs) {
+      g_hashed_bytes.fetch_add(input.size(), std::memory_order_relaxed);
+    }
+  }
+  real_sha256_hash_many(inputs, digests);
+}
+
 namespace pahoehoe::core {
 namespace {
 
@@ -120,12 +144,16 @@ struct Counted {
   uint64_t allocations = 0;
   uint64_t bytes = 0;
   uint64_t hashed_bytes = 0;
+  uint64_t batch_calls = 0;
+  uint64_t batch_inputs = 0;
 };
 
 void start_counting() {
   g_allocations.store(0);
   g_bytes.store(0);
   g_hash_calls.store(0);
+  g_batch_calls.store(0);
+  g_batch_inputs.store(0);
   g_hashed_bytes.store(0);
   g_counting.store(true);
 }
@@ -134,8 +162,9 @@ Counted run_counted(const RunConfig& config) {
   start_counting();
   RunResult result = run_experiment(config);
   g_counting.store(false);
-  return Counted{std::move(result), g_allocations.load(), g_bytes.load(),
-                 g_hashed_bytes.load()};
+  return Counted{std::move(result),     g_allocations.load(),
+                 g_bytes.load(),        g_hashed_bytes.load(),
+                 g_batch_calls.load(),  g_batch_inputs.load()};
 }
 
 RunConfig all_opts(int puts, size_t value_size) {
@@ -197,11 +226,13 @@ TEST(AllocBudgetTest, FailureFreeLargePutsAllocationsPerPut) {
   EXPECT_LE(kib_per_put, kKibPerPut * 1.1);
 }
 
-// The hashed-once gate. The proxy seals each fragment it encodes, hashing
-// it once; an FS's receipt check and every later integrity check read that
-// buffer's memo. So failure-free 100 KiB puts hash the n fragments of each
-// value and nothing else: (n / k) = 3.0 bytes per user byte at (4, 12),
-// where re-hashing at receipt would make it 6.0.
+// The hashed-once gate. The proxy seals the n fragments it encodes as one
+// batch, hashing each once; an FS's receipt check and every later
+// integrity check read that buffer's memo. So failure-free 100 KiB puts
+// hash the n fragments of each value and nothing else: (n / k) = 3.0 bytes
+// per user byte at (4, 12), where re-hashing at receipt would make it 6.0.
+// The bytes are counted at both entry points, and each put makes exactly
+// one n-input batch call.
 TEST(HashBudgetTest, FailureFreeLargePutsHashEachFragmentOnce) {
   const int puts = 20;
   const size_t value_size = 100 * 1024;
@@ -214,9 +245,14 @@ TEST(HashBudgetTest, FailureFreeLargePutsHashEachFragmentOnce) {
               static_cast<unsigned long long>(user_bytes),
               static_cast<double>(run.hashed_bytes) /
                   static_cast<double>(user_bytes));
+  std::printf("large puts: %llu hash_many calls, %llu inputs\n",
+              static_cast<unsigned long long>(run.batch_calls),
+              static_cast<unsigned long long>(run.batch_inputs));
   const Policy policy;
   const uint64_t fragment_bytes = (value_size + policy.k - 1) / policy.k;
   EXPECT_EQ(run.hashed_bytes, fragment_bytes * policy.n * puts);
+  EXPECT_EQ(run.batch_calls, uint64_t{puts});
+  EXPECT_EQ(run.batch_inputs, uint64_t{policy.n} * puts);
 }
 
 TEST(HashBudgetTest, CopiesOfABufferShareOneDigest) {
@@ -238,6 +274,23 @@ TEST(HashBudgetTest, CopiesOfABufferShareOneDigest) {
   EXPECT_EQ(g_hash_calls.load(), 3u);
   g_counting.store(false);
   EXPECT_EQ(g_hashed_bytes.load(), 3 * bytes.size());
+}
+
+TEST(HashBudgetTest, SealAllHashesAStripeInOneBatch) {
+  const Bytes bytes(4096, 0x3c);
+  start_counting();
+  const std::vector<Fragment> stripe =
+      Fragment::seal_all(std::vector<Bytes>(12, bytes));
+  EXPECT_EQ(g_batch_calls.load(), 1u);
+  EXPECT_EQ(g_batch_inputs.load(), 12u);
+  for (const Fragment& fragment : stripe) {
+    EXPECT_EQ(fragment.bytes(), bytes);
+    EXPECT_EQ(fragment.digest(), stripe[0].digest()) << "read from the memo";
+  }
+  EXPECT_EQ(g_hash_calls.load(), 0u) << "no fragment is hashed twice";
+  g_counting.store(false);
+  EXPECT_EQ(g_hashed_bytes.load(), 12 * bytes.size());
+  EXPECT_EQ(stripe[0].digest(), Sha256::hash(bytes));
 }
 
 }  // namespace

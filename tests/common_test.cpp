@@ -16,6 +16,7 @@
 #include "common/sha256.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "obs/prof.h"
 
 namespace pahoehoe {
 namespace {
@@ -204,7 +205,8 @@ class Sha256Test : public ::testing::TestWithParam<sha256::Kernel> {
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, Sha256Test,
-    ::testing::Values(sha256::Kernel::kScalar, sha256::Kernel::kShaNi),
+    ::testing::Values(sha256::Kernel::kScalar, sha256::Kernel::kShaNi,
+                      sha256::Kernel::kAvx512),
     [](const ::testing::TestParamInfo<sha256::Kernel>& info) {
       return std::string(sha256::to_string(info.param));
     });
@@ -259,6 +261,80 @@ TEST_P(Sha256Test, SingleBitChangesDigest) {
   EXPECT_NE(d1, d2);
 }
 
+/// hash_many against the scalar oracle, input by input, for every lane
+/// count around the crossover and the 16-lane width, every length that
+/// changes the padding (0..193) plus a fragment's 25 KiB and 25 KiB + 7, and
+/// every start alignment 0..15. Lane j of a batch starts 97 * j bytes into
+/// the pool, so lanes differ in content and alignment.
+TEST_P(Sha256Test, HashManyMatchesHashOnEveryLaneCountLengthAndAlignment) {
+  static constexpr size_t kLaneCounts[] = {0,  1,  2,  7,  8,  12,
+                                           15, 16, 17, 31, 32, 33};
+  constexpr size_t kMaxLanes = 33;
+  constexpr size_t kLaneStride = 97;
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 193; ++len) lengths.push_back(len);
+  lengths.push_back(25 * 1024);
+  lengths.push_back(25 * 1024 + 7);
+  Rng rng(62);
+  Bytes pool(25 * 1024 + 7 + 15 + kLaneStride * kMaxLanes);
+  for (auto& b : pool) b = static_cast<uint8_t>(rng.next_u64());
+  for (size_t start = 0; start < 16; ++start) {
+    for (size_t len : lengths) {
+      std::vector<std::span<const uint8_t>> inputs;
+      std::vector<Sha256::Digest> expected;
+      sha256::force_kernel(sha256::Kernel::kScalar);
+      for (size_t j = 0; j < kMaxLanes; ++j) {
+        inputs.emplace_back(pool.data() + start + kLaneStride * j, len);
+        expected.push_back(Sha256::hash(inputs.back()));
+      }
+      sha256::force_kernel(GetParam());
+      for (size_t lanes : kLaneCounts) {
+        std::vector<Sha256::Digest> digests(lanes);
+        Sha256::hash_many(std::span(inputs).first(lanes), digests);
+        for (size_t j = 0; j < lanes; ++j) {
+          ASSERT_EQ(digests[j], expected[j])
+              << "lane " << j << " of " << lanes << ", start " << start
+              << " length " << len;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(Sha256Test, HashManyLanesMayAliasOneBuffer) {
+  const Bytes data(25 * 1024, 0x5c);
+  const Sha256::Digest expected = Sha256::hash(data);
+  for (size_t lanes : {8u, 12u, 16u, 33u}) {
+    const std::vector<std::span<const uint8_t>> inputs(lanes, data);
+    std::vector<Sha256::Digest> digests(lanes);
+    Sha256::hash_many(inputs, digests);
+    for (size_t j = 0; j < lanes; ++j) {
+      EXPECT_EQ(digests[j], expected) << "lane " << j << " of " << lanes;
+    }
+  }
+}
+
+TEST_P(Sha256Test, HashManyOfUnequalLengthsHashesEachInput) {
+  // Unequal lengths take the one-at-a-time path: every length differs, or
+  // a single input is one byte short of the other 15.
+  Rng rng(63);
+  Bytes pool(4096);
+  for (auto& b : pool) b = static_cast<uint8_t>(rng.next_u64());
+  for (bool one_short : {false, true}) {
+    std::vector<std::span<const uint8_t>> inputs;
+    for (size_t j = 0; j < 16; ++j) {
+      const size_t len = one_short ? (j == 9 ? 999 : 1000) : 100 + 61 * j;
+      inputs.emplace_back(pool.data() + 3 * j, len);
+    }
+    std::vector<Sha256::Digest> digests(inputs.size());
+    Sha256::hash_many(inputs, digests);
+    for (size_t j = 0; j < inputs.size(); ++j) {
+      EXPECT_EQ(digests[j], Sha256::hash(inputs[j]))
+          << "lane " << j << (one_short ? ", one short" : ", all differ");
+    }
+  }
+}
+
 /// Hash `data` in chunks of 1, 63, 64, 65 and 130 bytes, in turn, so that
 /// both the buffered path and the whole-block path straddle block edges.
 Sha256::Digest hash_chunked(std::span<const uint8_t> data) {
@@ -302,12 +378,58 @@ TEST(Sha256KernelTest, ShaNiMatchesScalarOnEveryLengthAndAlignment) {
   }
 }
 
+TEST(Sha256KernelTest, ProfilerPhaseNamesTheKernelThatRan) {
+  struct Guard {
+    ~Guard() {
+      obs::prof::set_enabled(false);
+      sha256::reset_kernel();
+    }
+  } guard;
+  obs::prof::set_enabled(true);
+  const Bytes data(1000, 0x11);
+  const std::vector<std::span<const uint8_t>> stripe(12, data);
+  const std::vector<std::span<const uint8_t>> few(sha256::kLaneCrossover - 1,
+                                                  data);
+  std::vector<Sha256::Digest> digests(stripe.size());
+  for (sha256::Kernel k : sha256::supported_kernels()) {
+    sha256::force_kernel(k);
+    // Single messages and batches below the crossover run on the
+    // single-stream kernel, which is SHA-NI (where the CPU has it) under
+    // avx512.
+    const bool lanes = k == sha256::Kernel::kAvx512;
+    const sha256::Kernel stream =
+        !lanes ? k
+        : sha256::kernel_supported(sha256::Kernel::kShaNi)
+            ? sha256::Kernel::kShaNi
+            : sha256::Kernel::kScalar;
+    const std::string stream_phase =
+        std::string("sha256[") + sha256::to_string(stream) + "]";
+    const obs::prof::Snapshot begin = obs::prof::capture_begin();
+    Sha256::hash(data);
+    Sha256::hash_many(few, std::span(digests).first(few.size()));
+    Sha256::hash_many(stripe, digests);
+    const obs::ProfReport report = obs::prof::capture_delta(begin);
+    const obs::ProfPhase* stream_row = report.find("", stream_phase);
+    ASSERT_NE(stream_row, nullptr) << sha256::to_string(k);
+    EXPECT_EQ(stream_row->calls, lanes ? 2u : 3u) << sha256::to_string(k);
+    const obs::ProfPhase* lanes_row = report.find("", "sha256[avx512]");
+    EXPECT_EQ(lanes_row != nullptr, lanes) << sha256::to_string(k);
+    if (lanes_row != nullptr) {
+      EXPECT_EQ(lanes_row->calls, 1u);
+    }
+    EXPECT_EQ(report.phases.size(), lanes ? 2u : 1u) << sha256::to_string(k);
+  }
+}
+
 TEST(Sha256KernelTest, KernelNamesRoundTrip) {
-  for (sha256::Kernel k : {sha256::Kernel::kScalar, sha256::Kernel::kShaNi}) {
+  for (sha256::Kernel k : {sha256::Kernel::kScalar, sha256::Kernel::kShaNi,
+                           sha256::Kernel::kAvx512}) {
     EXPECT_EQ(sha256::parse_kernel(sha256::to_string(k)), k);
   }
+  EXPECT_STREQ(sha256::to_string(sha256::Kernel::kAvx512), "avx512");
   EXPECT_FALSE(sha256::parse_kernel("auto").has_value());
   EXPECT_FALSE(sha256::parse_kernel("SHANI").has_value());
+  EXPECT_FALSE(sha256::parse_kernel("AVX512").has_value());
 }
 
 TEST(Sha256KernelTest, EnvOverrideSelectsKernelAndFallsBack) {
@@ -330,6 +452,14 @@ TEST(Sha256KernelTest, EnvOverrideSelectsKernelAndFallsBack) {
   ::setenv(kVar, "scalar", /*overwrite=*/1);
   sha256::reset_kernel();
   EXPECT_EQ(sha256::active_kernel(), sha256::Kernel::kScalar);
+  // avx512 selects the lanes kernel where the host runs it; elsewhere it
+  // warns on stderr and falls back to the best kernel.
+  ::setenv(kVar, "avx512", /*overwrite=*/1);
+  sha256::reset_kernel();
+  EXPECT_EQ(sha256::active_kernel(),
+            sha256::kernel_supported(sha256::Kernel::kAvx512)
+                ? sha256::Kernel::kAvx512
+                : sha256::best_kernel());
   // An unknown name warns on stderr and falls back to the best kernel.
   ::setenv(kVar, "sha-ni", /*overwrite=*/1);
   sha256::reset_kernel();

@@ -1,15 +1,18 @@
 // Determinism lock-down for the kernel dispatches: the whole simulation's
 // output must not depend on which GF(2^8) mul_acc kernel or SHA-256 block
 // kernel ran. A `run_many` sweep executed under the scalar kernel and under
-// the best available hardware kernel must produce byte-identical RunResult
-// digests for any --jobs (reusing the jobs-identity machinery of
-// parallel_sweep_test). For GF(2^8) the only permitted difference is the
+// the best available hardware kernel (for SHA-256, under every supported
+// one: the 16-lane kernel hashes batches through its own code) must
+// produce byte-identical RunResult digests for any --jobs (reusing the
+// jobs-identity machinery of parallel_sweep_test). For GF(2^8) the only permitted difference is the
 // erasure_kernel_runs_total metric label, which records which path a run
 // took; the SHA-256 kernel leaves no trace at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/sha256.h"
 #include "core/harness.h"
@@ -154,10 +157,18 @@ TEST(KernelDeterminism, RunManyDigestIdenticalScalarVsSimdForAnyJobs) {
   }
 }
 
+/// Every supported SHA-256 kernel but the scalar oracle.
+std::vector<sha256::Kernel> hardware_sha256_kernels() {
+  std::vector<sha256::Kernel> out = sha256::supported_kernels();
+  out.erase(std::remove(out.begin(), out.end(), sha256::Kernel::kScalar),
+            out.end());
+  return out;
+}
+
 TEST(KernelDeterminism, RunResultDigestIdenticalAcrossSha256Kernels) {
   KernelGuard guard;
-  if (!sha256::kernel_supported(sha256::Kernel::kShaNi)) {
-    GTEST_SKIP() << "no SHA-NI on this host";
+  if (hardware_sha256_kernels().empty()) {
+    GTEST_SKIP() << "no hardware SHA-256 kernel on this host";
   }
   const core::RunConfig config = small_config();
   for (uint64_t seed : {1ull, 7ull}) {
@@ -165,29 +176,35 @@ TEST(KernelDeterminism, RunResultDigestIdenticalAcrossSha256Kernels) {
     c.seed = seed;
     sha256::force_kernel(sha256::Kernel::kScalar);
     const core::RunResult scalar = core::run_experiment(c);
-    sha256::force_kernel(sha256::Kernel::kShaNi);
-    const core::RunResult shani = core::run_experiment(c);
-    EXPECT_EQ(digest(shani), digest(scalar)) << "seed " << seed;
-    // No exempt metric line: the whole registry must match.
-    EXPECT_EQ(shani.metrics.to_text(), scalar.metrics.to_text())
-        << "seed " << seed;
+    for (sha256::Kernel k : hardware_sha256_kernels()) {
+      sha256::force_kernel(k);
+      const core::RunResult hw = core::run_experiment(c);
+      EXPECT_EQ(digest(hw), digest(scalar))
+          << sha256::to_string(k) << " seed " << seed;
+      // No exempt metric line: the whole registry must match.
+      EXPECT_EQ(hw.metrics.to_text(), scalar.metrics.to_text())
+          << sha256::to_string(k) << " seed " << seed;
+    }
   }
 }
 
 TEST(KernelDeterminism, RunManyDigestIdenticalAcrossSha256KernelsForAnyJobs) {
   KernelGuard guard;
-  if (!sha256::kernel_supported(sha256::Kernel::kShaNi)) {
-    GTEST_SKIP() << "no SHA-NI on this host";
+  if (hardware_sha256_kernels().empty()) {
+    GTEST_SKIP() << "no hardware SHA-256 kernel on this host";
   }
   const core::RunConfig config = small_config();
   sha256::force_kernel(sha256::Kernel::kScalar);
   const core::AggregateResult scalar = core::run_many(config, 4, 42, 1);
-  for (int jobs : {1, 2}) {
-    sha256::force_kernel(sha256::Kernel::kShaNi);
-    const core::AggregateResult shani = core::run_many(config, 4, 42, jobs);
-    EXPECT_EQ(digest(shani), digest(scalar)) << "jobs=" << jobs;
-    EXPECT_EQ(shani.metrics.to_text(), scalar.metrics.to_text())
-        << "jobs=" << jobs;
+  for (sha256::Kernel k : hardware_sha256_kernels()) {
+    for (int jobs : {1, 2}) {
+      sha256::force_kernel(k);
+      const core::AggregateResult hw = core::run_many(config, 4, 42, jobs);
+      EXPECT_EQ(digest(hw), digest(scalar))
+          << sha256::to_string(k) << " jobs=" << jobs;
+      EXPECT_EQ(hw.metrics.to_text(), scalar.metrics.to_text())
+          << sha256::to_string(k) << " jobs=" << jobs;
+    }
   }
 }
 
