@@ -5,10 +5,16 @@
 //
 // Gate design — why this catches a >= 20% encode regression:
 //  * machine-normalized (tol 15%): the best-kernel speedup vs scalar, and
-//    encode/decode throughput divided by the same kernel's raw mul_acc
-//    throughput. A uniform encode-path regression moves the ratio
-//    one-for-one while mul_acc is untouched; a SIMD-kernel regression
-//    moves the speedup. Either way a 20% loss trips the 15% gate.
+//    encode/decode throughput divided by the same kernel's raw throughput
+//    (`one_source_mb_s`: the dot product of one source into one output,
+//    dst = c * src, one product per byte). A regression in the
+//    encode/decode path around the kernel moves the ratio one-for-one
+//    while the raw rate stays put; a SIMD-kernel regression moves the
+//    speedup. Either way a 20% loss trips the 15% gate. Documents written
+//    before the fused dot product timed an in-place `mul_acc_mb_s`
+//    instead, which is not the same operation (the scalar kernel's
+//    one-source pass is about 1.4x its old in-place pass), so against such
+//    a baseline the ratio gates are reported as not run, not gated.
 //  * absolute MB/s (tol 60%): a catastrophe net only — catches
 //    "accidentally shipping the scalar path" class failures on same-class
 //    hosts without gating on exact clock speeds.
@@ -16,23 +22,30 @@
 // failed several of the 56 gates, at any commit (EXPERIMENTS.md
 // "Profiling & bench trajectory").
 //
-// Host class = the best GF(2^8) kernel the host supports (avx2 / ssse3 /
-// scalar): baselines/erasure-<class>.json. Simulated behaviour is not
-// gated here: it is deterministic, so tests/golden_outcome_test pins it
-// exactly.
+// Host class = the best GF(2^8) kernel the host supports (gfni / avx2 /
+// ssse3 / scalar): baselines/erasure-<class>.json. A class without a
+// baseline is gated against the next narrower class that has one, on the
+// kernels both documents measured: a gfni host checked against
+// erasure-avx2.json gates scalar, ssse3 and avx2, and notes that gfni is
+// ungated. Simulated behaviour is not gated here: it is deterministic, so
+// tests/golden_outcome_test pins it exactly.
 //
-// A missing baseline for this host class, or a baseline generated with
-// different flags/kernels, is a SKIP with notice (exit 0) so CI on exotic
-// runners degrades gracefully; --require turns skips into failures.
-// --write-baseline installs the fresh document as the new baseline.
-// --selftest proves the gate engine itself on synthetic documents,
-// including that an injected 20% encode-throughput regression fails.
+// No baseline at or below the host's class, a baseline generated with
+// different flags, or documents that share no scalar oracle is a SKIP with
+// notice (exit 0) so CI on exotic runners degrades gracefully; --require
+// turns skips into failures. --write-baseline installs the fresh document
+// as the baseline of the host's own class. --selftest proves the gate
+// engine itself on synthetic documents, including that an injected 20%
+// encode-throughput regression fails, also when the fresh document
+// measured a kernel the baseline did not.
 //
 // Examples:
 //   ./build/bench/micro_erasure --selfcheck --target-ms=200
 //   ./build/bench/trendcheck                       # gate the document
 //   ./build/bench/trendcheck --write-baseline      # refresh the baseline
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -122,15 +135,49 @@ const obs::JsonValue* find_kernel_result(const obs::JsonValue& results,
   return nullptr;
 }
 
+/// The names in both lists, in `a`'s order.
+std::vector<std::string> shared(const std::vector<std::string>& a,
+                                const std::vector<std::string>& b) {
+  std::vector<std::string> out;
+  for (const std::string& name : a) {
+    if (std::find(b.begin(), b.end(), name) != b.end()) out.push_back(name);
+  }
+  return out;
+}
+
+/// The best `op` throughput among `kernels` over scalar's (at least 1): the
+/// speedup micro_erasure reports, restricted to kernels both documents
+/// measured.
+double best_speedup(const obs::JsonValue& results,
+                    const std::vector<std::string>& kernels, const char* op) {
+  const obs::JsonValue* scalar = find_kernel_result(results, "scalar");
+  const double base = scalar != nullptr ? num_or(scalar->find(op), 0) : 0;
+  double best = 1.0;
+  if (base <= 0) return best;
+  for (const std::string& kernel : kernels) {
+    const obs::JsonValue* r = find_kernel_result(results, kernel);
+    if (r != nullptr) best = std::max(best, num_or(r->find(op), 0) / base);
+  }
+  return best;
+}
+
 Outcome compare_erasure(const obs::JsonValue& fresh,
                         const obs::JsonValue& baseline) {
   Outcome out;
   const std::vector<std::string> fresh_kernels = kernel_names(fresh);
   const std::vector<std::string> base_kernels = kernel_names(baseline);
-  if (fresh_kernels != base_kernels) {
-    out.skip_reason = "kernel sets differ: fresh [" + join(fresh_kernels) +
-                      "] vs baseline [" + join(base_kernels) + "]";
+  const std::vector<std::string> kernels =
+      shared(fresh_kernels, base_kernels);
+  if (std::find(kernels.begin(), kernels.end(), "scalar") == kernels.end()) {
+    out.skip_reason = "no shared scalar oracle: fresh [" +
+                      join(fresh_kernels) + "] vs baseline [" +
+                      join(base_kernels) + "]";
     return out;
+  }
+  if (kernels != fresh_kernels || kernels != base_kernels) {
+    out.notices.push_back("kernel sets differ: fresh [" + join(fresh_kernels) +
+                          "] vs baseline [" + join(base_kernels) +
+                          "]; gating the shared [" + join(kernels) + "]");
   }
   const obs::JsonValue* fresh_cases = fresh.find("cases");
   const obs::JsonValue* base_cases = baseline.find("cases");
@@ -141,6 +188,7 @@ Outcome compare_erasure(const obs::JsonValue& fresh,
   }
   out.comparable = true;
 
+  int unrun_ratios = 0;
   for (const obs::JsonValue& fc : fresh_cases->array) {
     const double k = num_or(fc.find("k"), -1);
     const double n = num_or(fc.find("n"), -1);
@@ -155,37 +203,48 @@ Outcome compare_erasure(const obs::JsonValue& fresh,
                             "--write-baseline)");
       continue;
     }
+    const obs::JsonValue& fresh_results = *fc.find("results");
+    const obs::JsonValue& base_results = *bc->find("results");
     // Machine-normalized: best-kernel speedup over scalar.
     for (const char* op : {"encode", "decode"}) {
-      const double f = num_or(fc.find("speedup")->find(op), 0);
-      const double b = num_or(bc->find("speedup")->find(op), 0);
-      gate(out, std::string(label) + " speedup." + op, f, b, kTolNormalized);
+      const std::string key = std::string(op) + "_mb_s";
+      gate(out, std::string(label) + " speedup." + op,
+           best_speedup(fresh_results, kernels, key.c_str()),
+           best_speedup(base_results, kernels, key.c_str()), kTolNormalized);
     }
-    for (const obs::JsonValue& fr : fc.find("results")->array) {
-      const std::string kernel = fr.find("kernel")->string;
-      const obs::JsonValue* br = find_kernel_result(*bc->find("results"),
-                                                    kernel);
-      if (br == nullptr) {
+    for (const std::string& kernel : kernels) {
+      const obs::JsonValue* fr = find_kernel_result(fresh_results, kernel);
+      const obs::JsonValue* br = find_kernel_result(base_results, kernel);
+      if (fr == nullptr || br == nullptr) {
         out.notices.push_back(std::string(label) + " kernel " + kernel +
-                              " has no baseline result");
+                              " has no result in both documents");
         continue;
       }
       const std::string prefix = std::string(label) + " " + kernel + " ";
-      const double f_mul = num_or(fr.find("mul_acc_mb_s"), 0);
-      const double b_mul = num_or(br->find("mul_acc_mb_s"), 0);
+      const double f_raw = num_or(fr->find("one_source_mb_s"), 0);
+      const double b_raw = num_or(br->find("one_source_mb_s"), 0);
       for (const char* op : {"encode_mb_s", "decode_mb_s"}) {
-        const double f = num_or(fr.find(op), 0);
+        const double f = num_or(fr->find(op), 0);
         const double b = num_or(br->find(op), 0);
         // Machine-normalized: throughput per unit of this host's own raw
-        // mul_acc throughput. A kernel-wide slowdown cancels out; an
+        // kernel throughput. A kernel-wide slowdown cancels out; an
         // encode/decode-path regression does not.
-        if (f_mul > 0 && b_mul > 0) {
-          gate(out, prefix + op + "/mul_acc", f / f_mul, b / b_mul,
+        if (f_raw > 0 && b_raw > 0) {
+          gate(out, prefix + op + "/one_source", f / f_raw, b / b_raw,
                kTolNormalized);
+        } else {
+          ++unrun_ratios;
         }
         gate(out, prefix + op, f, b, kTolAbsolute);
       }
     }
+  }
+  if (unrun_ratios > 0) {
+    out.notices.push_back(
+        std::to_string(unrun_ratios) +
+        " ratio gates not run: a document has no one_source_mb_s (a "
+        "baseline from before it; refresh it with --write-baseline on a "
+        "host of its class)");
   }
   return out;
 }
@@ -228,14 +287,17 @@ bool copy_file(const std::string& from, const std::string& to) {
 
 // --- selftest ---------------------------------------------------------------
 
-/// A miniature but shape-complete erasure document (two kernels, one case).
-std::string synth_erasure_text() {
+/// A miniature but shape-complete erasure document (two kernels, one case;
+/// with `wide`, a third kernel as a host of a wider class measures).
+std::string synth_erasure_text(bool wide) {
   obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "erasure");
   bench::json_meta(w, /*jobs=*/1);
   w.key("kernels");
-  w.begin_array().value("scalar").value("simd").end_array();
+  w.begin_array().value("scalar").value("simd");
+  if (wide) w.value("wide");
+  w.end_array();
   w.key("cases");
   w.begin_array();
   w.begin_object();
@@ -246,17 +308,26 @@ std::string synth_erasure_text() {
       .kv("kernel", "scalar")
       .kv("encode_mb_s", 1000.0)
       .kv("decode_mb_s", 900.0)
-      .kv("mul_acc_mb_s", 2000.0)
+      .kv("one_source_mb_s", 2000.0)
       .end_object();
   w.begin_object()
       .kv("kernel", "simd")
       .kv("encode_mb_s", 5000.0)
       .kv("decode_mb_s", 4500.0)
-      .kv("mul_acc_mb_s", 11000.0)
+      .kv("one_source_mb_s", 11000.0)
       .end_object();
+  if (wide) {
+    w.begin_object()
+        .kv("kernel", "wide")
+        .kv("encode_mb_s", 9000.0)
+        .kv("decode_mb_s", 8100.0)
+        .kv("one_source_mb_s", 20000.0)
+        .end_object();
+  }
   w.end_array();
   w.key("speedup");
-  w.begin_object().kv("encode", 5.0).kv("decode", 5.0).end_object();
+  const double speedup = wide ? 9.0 : 5.0;
+  w.begin_object().kv("encode", speedup).kv("decode", speedup).end_object();
   w.end_object();
   w.end_array();
   w.end_object();
@@ -275,10 +346,20 @@ bool any_failure_mentions(const Outcome& out, const std::string& needle) {
   return false;
 }
 
+/// Uniform 20% encode regression across every kernel of `doc`.
+void regress_encode(obs::JsonValue& doc) {
+  for (obs::JsonValue& c : doc.object["cases"].array) {
+    for (obs::JsonValue& r : c.object["results"].array) {
+      r.object["encode_mb_s"].number *= 0.8;
+    }
+  }
+}
+
 /// Prove the gate engine: identical documents pass, and an injected 20%
-/// encode-throughput regression (the acceptance scenario) fails.
+/// encode-throughput regression (the acceptance scenario) fails, also when
+/// one document measured a kernel the other did not.
 int run_selftest() {
-  const std::string erasure_text = synth_erasure_text();
+  const std::string erasure_text = synth_erasure_text(/*wide=*/false);
   obs::JsonValue base = *obs::json_parse(erasure_text);
   obs::JsonValue fresh = *obs::json_parse(erasure_text);
 
@@ -290,17 +371,51 @@ int run_selftest() {
   // Uniform 20% encode regression across every kernel: the speedup is
   // unchanged (it is a ratio of two regressed numbers) and the absolute
   // gates are inside their catastrophe tolerance — only the
-  // encode/mul_acc ratio gates can catch it, and they must.
-  for (obs::JsonValue& c : fresh.object["cases"].array) {
-    for (obs::JsonValue& r : c.object["results"].array) {
-      r.object["encode_mb_s"].number *= 0.8;
-    }
-  }
+  // encode/one_source ratio gates can catch it, and they must.
+  regress_encode(fresh);
   Outcome regressed = compare_erasure(fresh, base);
   if (regressed.failures.empty() ||
-      !any_failure_mentions(regressed, "encode_mb_s/mul_acc")) {
+      !any_failure_mentions(regressed, "encode_mb_s/one_source")) {
     return selftest_fail(
         "injected 20% encode regression must trip the ratio gate");
+  }
+
+  // A wider-class host against a narrower class's baseline, and the
+  // reverse: the kernels both measured are gated, the extra one is noted,
+  // and the speedup compares the shared kernels only.
+  obs::JsonValue wide = *obs::json_parse(synth_erasure_text(/*wide=*/true));
+  for (const Outcome& o :
+       {compare_erasure(wide, base), compare_erasure(base, wide)}) {
+    if (!o.comparable || o.gates != same.gates || !o.failures.empty() ||
+        o.notices.empty()) {
+      return selftest_fail(
+          "documents with different kernel sets must gate the shared ones");
+    }
+  }
+  regress_encode(wide);
+  if (!any_failure_mentions(compare_erasure(wide, base),
+                            "simd encode_mb_s/one_source")) {
+    return selftest_fail(
+        "a shared kernel's 20% encode regression must trip its ratio gate "
+        "when the fresh document has an extra kernel");
+  }
+
+  // A baseline from before one_source_mb_s: its ratio gates are reported
+  // as not run, and the speedup and absolute gates still gate.
+  obs::JsonValue stale = *obs::json_parse(erasure_text);
+  for (obs::JsonValue& c : stale.object["cases"].array) {
+    for (obs::JsonValue& r : c.object["results"].array) {
+      r.object.erase("one_source_mb_s");
+    }
+  }
+  const Outcome old_base = compare_erasure(base, stale);
+  if (!old_base.comparable || old_base.gates == 0 ||
+      old_base.gates >= same.gates || !old_base.failures.empty() ||
+      old_base.notices.empty() ||
+      old_base.notices.back().find("not run") == std::string::npos) {
+    return selftest_fail(
+        "a baseline without one_source_mb_s must report its ratio gates "
+        "as not run and gate the rest");
   }
 
   std::printf("trendcheck --selftest: ok (pass and regress paths behave; "
@@ -372,10 +487,12 @@ int run(int argc, char** argv) {
 
   if (selftest) return run_selftest();
 
-  const std::string host_class = gf256::to_string(gf256::best_kernel());
-  const std::string erasure_baseline =
-      baselines + "/erasure-" + host_class + ".json";
-  std::printf("trendcheck: host class %s\n", host_class.c_str());
+  const gf256::Kernel host = gf256::best_kernel();
+  const auto baseline_of = [&](gf256::Kernel k) {
+    return baselines + "/erasure-" + gf256::to_string(k) + ".json";
+  };
+  const std::string erasure_baseline = baseline_of(host);
+  std::printf("trendcheck: host class %s\n", gf256::to_string(host));
 
   if (write_baseline) {
     const std::optional<obs::JsonValue> doc =
@@ -386,6 +503,18 @@ int run(int argc, char** argv) {
     std::printf("trendcheck: wrote %s (build %s)\n", erasure_baseline.c_str(),
                 doc_sha(*doc).c_str());
     return 0;
+  }
+  // The host's own class, else the next narrower one with a baseline (the
+  // Kernel values run from scalar up to the widest).
+  for (int k = static_cast<int>(host); k >= 0; --k) {
+    const std::string path = baseline_of(static_cast<gf256::Kernel>(k));
+    if (!std::filesystem::exists(path)) continue;
+    if (path != erasure_baseline) {
+      std::printf("trendcheck: no baseline for class %s; gating the kernels "
+                  "it shares with %s\n",
+                  gf256::to_string(host), path.c_str());
+    }
+    return gate_erasure(erasure_path, path, require);
   }
   return gate_erasure(erasure_path, erasure_baseline, require);
 }

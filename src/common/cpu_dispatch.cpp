@@ -16,7 +16,8 @@ bool cpu_has(uint32_t features) {
          ((features & kAvx2) == 0 || __builtin_cpu_supports("avx2")) &&
          ((features & kSha) == 0 || __builtin_cpu_supports("sha")) &&
          ((features & kAvx512f) == 0 || __builtin_cpu_supports("avx512f")) &&
-         ((features & kAvx512bw) == 0 || __builtin_cpu_supports("avx512bw"));
+         ((features & kAvx512bw) == 0 || __builtin_cpu_supports("avx512bw")) &&
+         ((features & kGfni) == 0 || __builtin_cpu_supports("gfni"));
 #else
   return features == 0;
 #endif

@@ -1,5 +1,5 @@
 // Runtime selection among the bit-exact kernels of one family (the GF(2^8)
-// multiply-accumulate, the SHA-256 block compressors).
+// dot product, the SHA-256 block compressors).
 //
 // A family lists its kernels narrowest first; kernel 0 is the portable
 // scalar reference, always compiled in and supported. The choice is made
@@ -32,6 +32,7 @@ enum Feature : uint32_t {
   kSha = 1u << 3,
   kAvx512f = 1u << 4,
   kAvx512bw = 1u << 5,
+  kGfni = 1u << 6,
 };
 
 /// True iff the CPU has every feature in `features`. Off x86 only the

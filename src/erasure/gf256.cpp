@@ -39,6 +39,17 @@ Tables build_tables() {
       t.nib[c][static_cast<size_t>(i)] = t.mul[c][i];
       t.nib[c][static_cast<size_t>(16 + i)] = t.mul[c][i << 4];
     }
+    // Row i of the matrix (byte 7 - i) collects, for each input bit k,
+    // bit i of mul(c, 1 << k): the product is linear in the bits of b.
+    uint64_t matrix = 0;
+    for (int i = 0; i < 8; ++i) {
+      uint64_t row = 0;
+      for (int k = 0; k < 8; ++k) {
+        row |= static_cast<uint64_t>((t.mul[c][1 << k] >> i) & 1) << k;
+      }
+      matrix |= row << (8 * (7 - i));
+    }
+    t.gfni[static_cast<size_t>(c)] = matrix;
   }
   return t;
 }
@@ -50,9 +61,26 @@ const Tables& tables() {
   return t;
 }
 
-void mul_acc_scalar(uint8_t* dst, const uint8_t* src, size_t len,
-                    const uint8_t* /*nib32*/, const uint8_t* row) {
-  for (size_t i = 0; i < len; ++i) dst[i] ^= row[src[i]];
+void dot_prod_scalar(size_t len, size_t nsrc, size_t ndst,
+                     const uint8_t* coefs, const uint8_t* const* srcs,
+                     uint8_t* const* dsts) {
+  const auto& mul = tables().mul;
+  for (size_t r = 0; r < ndst; ++r) {
+    uint8_t* dst = dsts[r];
+    for (size_t j = 0; j < nsrc; ++j) {
+      const uint8_t coef = coefs[r * nsrc + j];
+      const uint8_t* row = mul[coef].data();
+      const uint8_t* src = srcs[j];
+      if (j == 0) {
+        for (size_t i = 0; i < len; ++i) dst[i] = row[src[i]];
+      } else if (coef == 1) {
+        // Coefficient 1 needs no table, and 0 adds nothing.
+        for (size_t i = 0; i < len; ++i) dst[i] ^= src[i];
+      } else if (coef != 0) {
+        for (size_t i = 0; i < len; ++i) dst[i] ^= row[src[i]];
+      }
+    }
+  }
 }
 
 }  // namespace detail
@@ -70,18 +98,24 @@ uint8_t pow(uint8_t a, unsigned e) {
   return t.exp[(log_a * (e % 255ull)) % 255];
 }
 
+void dot_prod(std::span<const uint8_t> coefs,
+              std::span<const uint8_t* const> srcs,
+              std::span<uint8_t* const> dsts, size_t len) {
+  PAHOEHOE_CHECK(!srcs.empty() && srcs.size() <= kMaxSources &&
+                 coefs.size() == srcs.size() * dsts.size());
+  if (len == 0 || dsts.empty()) return;
+  detail::active_dot_prod()(len, srcs.size(), dsts.size(), coefs.data(),
+                            srcs.data(), dsts.data());
+}
+
 void mul_acc(std::span<uint8_t> dst, std::span<const uint8_t> src,
              uint8_t coef) {
   PAHOEHOE_CHECK(dst.size() == src.size());
-  if (coef == 0 || dst.empty()) return;
-  if (coef == 1) {
-    // Pure XOR; the compiler vectorizes this loop on its own.
-    for (size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
-    return;
-  }
-  const auto& t = detail::tables();
-  detail::active_mul_acc()(dst.data(), src.data(), dst.size(),
-                           t.nib[coef].data(), t.mul[coef].data());
+  if (coef == 0) return;
+  const uint8_t coefs[] = {1, coef};
+  const uint8_t* const srcs[] = {dst.data(), src.data()};
+  uint8_t* const dsts[] = {dst.data()};
+  dot_prod(coefs, srcs, dsts, dst.size());
 }
 
 }  // namespace pahoehoe::gf256

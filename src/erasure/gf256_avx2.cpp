@@ -1,48 +1,73 @@
-// AVX2 split-nibble mul_acc kernel (VPSHUFB, 32 bytes per step).
+// AVX2 split-nibble dot-product kernel (VPSHUFB, 32 bytes per step).
 //
 // Same formulation as the SSSE3 kernel with the 16-entry tables broadcast
 // to both 128-bit lanes (VPSHUFB shuffles within lanes, which is exactly
-// what the nibble lookup wants). Only this translation unit gets -mavx2.
+// what the nibble lookup wants). Up to four outputs stay in registers per
+// pass over the sources. Only this translation unit gets -mavx2.
 #include "erasure/gf256_kernels.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <array>
+#include <cstring>
+
+#include "erasure/gf256_simd.h"
+
 namespace pahoehoe::gf256::detail {
 namespace {
 
-void mul_acc_avx2(uint8_t* dst, const uint8_t* src, size_t len,
-                  const uint8_t* nib32, const uint8_t* row) {
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib32)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(nib32 + 16)));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i d = _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    const __m256i prod_lo = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
-    const __m256i prod_hi = _mm256_shuffle_epi8(
-        hi, _mm256_and_si256(_mm256_srli_epi16(s, 4), mask));
-    d = _mm256_xor_si256(d, _mm256_xor_si256(prod_lo, prod_hi));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), d);
+struct Avx2 {
+  using Vec = __m256i;
+  struct Src {
+    __m256i lo, hi;  // each byte's low and high nibble
+  };
+  using Operand = std::array<uint8_t, 32>;  // Tables::nib
+  static constexpr size_t kWidth = 32;
+  static constexpr size_t kMaxGroup = 4;
+
+  static Operand operand(uint8_t c) { return tables().nib[c]; }
+  static Src load(const uint8_t* p) {
+    const __m256i mask = _mm256_set1_epi8(0x0f);
+    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    return {_mm256_and_si256(s, mask),
+            _mm256_and_si256(_mm256_srli_epi16(s, 4), mask)};
   }
-  for (; i < len; ++i) dst[i] ^= row[src[i]];
-}
+  static Src load_tail(const uint8_t* p, size_t n) {
+    alignas(32) uint8_t buf[kWidth] = {};
+    std::memcpy(buf, p, n);
+    return load(buf);
+  }
+  static Vec mul(const Src& s, const Operand& op) {
+    const auto table = [](const uint8_t* half) {
+      return _mm256_broadcastsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(half)));
+    };
+    return _mm256_xor_si256(_mm256_shuffle_epi8(table(op.data()), s.lo),
+                            _mm256_shuffle_epi8(table(op.data() + 16), s.hi));
+  }
+  static Vec add(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
+  static void store(uint8_t* p, Vec v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static void store_tail(uint8_t* p, size_t n, Vec v) {
+    alignas(32) uint8_t buf[kWidth];
+    store(buf, v);
+    std::memcpy(p, buf, n);
+  }
+};
 
 }  // namespace
 
-MulAccFn avx2_impl() { return &mul_acc_avx2; }
+DotProdFn avx2_impl() { return &dot_prod_simd<Avx2>; }
 
 }  // namespace pahoehoe::gf256::detail
 
 #else  // !__AVX2__
 
 namespace pahoehoe::gf256::detail {
-MulAccFn avx2_impl() { return nullptr; }
+DotProdFn avx2_impl() { return nullptr; }
 }  // namespace pahoehoe::gf256::detail
 
 #endif

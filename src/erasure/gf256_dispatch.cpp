@@ -1,4 +1,4 @@
-// Runtime kernel selection for gf256::mul_acc, through the shared CPU
+// Runtime kernel selection for gf256::dot_prod, through the shared CPU
 // dispatch (common/cpu_dispatch.h): $PAHOEHOE_GF256_KERNEL if set,
 // otherwise the widest kernel both compiled in and supported by CPUID.
 #include "common/cpu_dispatch.h"
@@ -8,12 +8,15 @@
 namespace pahoehoe::gf256 {
 namespace {
 
-cpu_dispatch::Dispatch<detail::MulAccFn>& dispatch() {
-  static cpu_dispatch::Dispatch<detail::MulAccFn> d(
+cpu_dispatch::Dispatch<detail::DotProdFn>& dispatch() {
+  static cpu_dispatch::Dispatch<detail::DotProdFn> d(
       "PAHOEHOE_GF256_KERNEL",
-      {{"scalar", &detail::mul_acc_scalar, 0},
+      {{"scalar", &detail::dot_prod_scalar, 0},
        {"ssse3", detail::ssse3_impl(), cpu_dispatch::kSsse3},
-       {"avx2", detail::avx2_impl(), cpu_dispatch::kAvx2}});
+       {"avx2", detail::avx2_impl(), cpu_dispatch::kAvx2},
+       {"gfni", detail::gfni_impl(),
+        cpu_dispatch::kAvx512f | cpu_dispatch::kAvx512bw |
+            cpu_dispatch::kGfni}});
   return d;
 }
 
@@ -23,7 +26,7 @@ int index(Kernel k) { return static_cast<int>(k); }
 
 namespace detail {
 
-MulAccFn active_mul_acc() { return dispatch().fn(); }
+DotProdFn active_dot_prod() { return dispatch().fn(); }
 
 }  // namespace detail
 

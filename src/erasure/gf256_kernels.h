@@ -1,14 +1,18 @@
 // Internal kernel interface between the GF(2^8) dispatcher and the
-// per-ISA translation units (gf256_ssse3.cpp / gf256_avx2.cpp, each built
-// with its own -m flag so the rest of the library stays portable).
+// per-ISA translation units (gf256_ssse3.cpp, gf256_avx2.cpp and
+// gf256_gfni.cpp, each built with its own -m flags so the rest of the
+// library stays portable; gf256_simd.h holds the loop they share).
 //
 // Every kernel computes the same contract as the scalar reference:
-//   dst[i] ^= mul(coef, src[i])  for i in [0, len)
-// where `nib32` points at the 32-byte split-nibble product table for `coef`
-// (low-nibble products in bytes 0..15, high-nibble products in 16..31) and
-// `row` at the full 256-byte product row — kernels may use either. Buffers
-// carry no alignment guarantee; vector bodies use unaligned loads/stores
-// and finish sub-vector tails through `row`.
+//   dsts[r][i] = XOR over j < nsrc of mul(coefs[r * nsrc + j], srcs[j][i])
+// for r < ndst and i < len, with nsrc >= 1. The SIMD kernels take the
+// outputs in groups that fit in registers: for each vector of bytes they
+// load each source once, multiply it into every output of the group, and
+// store each output once, without reading it. So with ndst == 1 the output
+// may be srcs[0] itself; a later group would read sources an earlier group
+// had already written, so with more outputs none may overlap a source.
+// Buffers carry no alignment guarantee; vector bodies use unaligned loads
+// and stores.
 #pragma once
 
 #include <cstddef>
@@ -16,20 +20,23 @@
 
 namespace pahoehoe::gf256::detail {
 
-using MulAccFn = void (*)(uint8_t* dst, const uint8_t* src, size_t len,
-                          const uint8_t* nib32, const uint8_t* row);
+using DotProdFn = void (*)(size_t len, size_t nsrc, size_t ndst,
+                           const uint8_t* coefs, const uint8_t* const* srcs,
+                           uint8_t* const* dsts);
 
-/// Portable reference kernel (the original table-lookup loop).
-void mul_acc_scalar(uint8_t* dst, const uint8_t* src, size_t len,
-                    const uint8_t* nib32, const uint8_t* row);
+/// Portable reference kernel: one table-lookup pass per (output, source).
+void dot_prod_scalar(size_t len, size_t nsrc, size_t ndst,
+                     const uint8_t* coefs, const uint8_t* const* srcs,
+                     uint8_t* const* dsts);
 
 /// ISA kernels; nullptr when the toolchain could not compile them (non-x86
-/// targets, or a compiler without the -m flag). Runtime CPU support is the
+/// targets, or a compiler without the -m flags). Runtime CPU support is the
 /// dispatcher's problem, not theirs.
-MulAccFn ssse3_impl();
-MulAccFn avx2_impl();
+DotProdFn ssse3_impl();
+DotProdFn avx2_impl();
+DotProdFn gfni_impl();
 
 /// The currently installed kernel (initializes dispatch on first use).
-MulAccFn active_mul_acc();
+DotProdFn active_dot_prod();
 
 }  // namespace pahoehoe::gf256::detail

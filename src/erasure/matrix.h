@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pahoehoe::erasure {
@@ -17,6 +18,8 @@ class Matrix {
 
   uint8_t at(int r, int c) const { return data_[index(r, c)]; }
   uint8_t& at(int r, int c) { return data_[index(r, c)]; }
+  /// Every entry, row-major: the coefficient layout gf256::dot_prod takes.
+  std::span<const uint8_t> data() const { return data_; }
 
   /// Identity matrix of the given size.
   static Matrix identity(int size);

@@ -1,6 +1,7 @@
 #include "erasure/reed_solomon.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <iterator>
 
@@ -12,19 +13,20 @@ namespace pahoehoe::erasure {
 namespace {
 
 // Wall-clock phase ids carry the active kernel so a profile shows *which*
-// mul_acc implementation burned the time. The names are string literals
+// dot_prod implementation burned the time. The names are string literals
 // selected at scope entry (obs::ProfScope keeps only the pointer); lookup
 // runs only when profiling is enabled.
 struct KernelPhases {
   const char* by_kernel[gf256::kKernelCount];
 };
 
-constexpr KernelPhases kEncodePhase = {
-    {"rs_encode[scalar]", "rs_encode[ssse3]", "rs_encode[avx2]"}};
-constexpr KernelPhases kDecodePhase = {
-    {"rs_decode[scalar]", "rs_decode[ssse3]", "rs_decode[avx2]"}};
+constexpr KernelPhases kEncodePhase = {{"rs_encode[scalar]", "rs_encode[ssse3]",
+                                        "rs_encode[avx2]", "rs_encode[gfni]"}};
+constexpr KernelPhases kDecodePhase = {{"rs_decode[scalar]", "rs_decode[ssse3]",
+                                        "rs_decode[avx2]", "rs_decode[gfni]"}};
 constexpr KernelPhases kRegeneratePhase = {
-    {"rs_regenerate[scalar]", "rs_regenerate[ssse3]", "rs_regenerate[avx2]"}};
+    {"rs_regenerate[scalar]", "rs_regenerate[ssse3]", "rs_regenerate[avx2]",
+     "rs_regenerate[gfni]"}};
 
 const char* kernel_phase(const KernelPhases& phases) {
   if (!obs::prof::enabled()) return nullptr;
@@ -43,25 +45,33 @@ Matrix build_systematic_matrix(int k, int n) {
   return v.multiply(top_inv);
 }
 
-// Row-major product of the selected matrix rows against whole fragments:
-// out[r] = sum_j m(rows[r], j) * inputs[j]. Every encode/decode/regenerate
-// funnels through this loop, so the gf256 kernel dispatch (scalar / SSSE3 /
-// AVX2, bit-exact by contract) covers all of them. mul_acc itself takes the
-// coefficient 0 (skip) and 1 (XOR) fast paths — with a systematic matrix the
-// identity rows reduce to a single copy-by-XOR.
-std::vector<Bytes> multiply_rows(const Matrix& m, const std::vector<int>& rows,
-                                 const std::vector<const Bytes*>& inputs,
-                                 size_t frag_size) {
-  std::vector<Bytes> out;
-  out.reserve(rows.size());
-  for (int r : rows) {
-    Bytes acc(frag_size, 0);
-    for (size_t j = 0; j < inputs.size(); ++j) {
-      gf256::mul_acc(acc, *inputs[j], m.at(r, static_cast<int>(j)));
+// The first k distinct fragments supplied, which decode and regeneration
+// read: their indices, and their bytes in the same order.
+struct Held {
+  std::vector<int> indices;
+  std::vector<const uint8_t*> data;
+};
+
+Held select_k(const std::vector<IndexedFragment>& fragments, int k, int n,
+              size_t frag_size) {
+  PAHOEHOE_CHECK_MSG(fragments.size() >= static_cast<size_t>(k),
+                     "need at least k fragments to decode");
+  Held held;
+  for (const auto& f : fragments) {
+    if (std::find(held.indices.begin(), held.indices.end(), f.index) !=
+        held.indices.end()) {
+      continue;
     }
-    out.push_back(std::move(acc));
+    PAHOEHOE_CHECK(f.index >= 0 && f.index < n && f.data != nullptr);
+    PAHOEHOE_CHECK_MSG(f.data->size() == frag_size,
+                       "fragment size mismatch");
+    held.indices.push_back(f.index);
+    held.data.push_back(f.data->data());
+    if (held.indices.size() == static_cast<size_t>(k)) break;
   }
-  return out;
+  PAHOEHOE_CHECK_MSG(held.indices.size() == static_cast<size_t>(k),
+                     "need k distinct fragment indices to decode");
+  return held;
 }
 
 }  // namespace
@@ -83,93 +93,87 @@ std::vector<Bytes> ReedSolomon::encode(const Bytes& value) const {
   const size_t frag_size = fragment_size(value.size());
   std::vector<Bytes> fragments(static_cast<size_t>(n_));
 
-  // Data fragments: stripe the value, zero-padding the tail. An empty value
-  // yields n zero-length fragments (frag_size == 0).
+  // Data fragments: each is one copy of its slice of the value, and only
+  // the zero pad past the value's end is filled. An empty value yields n
+  // zero-length fragments (frag_size == 0).
   for (int i = 0; i < k_; ++i) {
-    Bytes frag(frag_size, 0);
-    const size_t offset = static_cast<size_t>(i) * frag_size;
-    if (offset < value.size()) {
-      const size_t take = std::min(frag_size, value.size() - offset);
-      std::memcpy(frag.data(), value.data() + offset, take);
-    }
-    fragments[static_cast<size_t>(i)] = std::move(frag);
+    Bytes& frag = fragments[static_cast<size_t>(i)];
+    const size_t offset =
+        std::min(static_cast<size_t>(i) * frag_size, value.size());
+    const size_t take = std::min(frag_size, value.size() - offset);
+    frag.reserve(frag_size);
+    frag.assign(value.begin() + static_cast<std::ptrdiff_t>(offset),
+                value.begin() + static_cast<std::ptrdiff_t>(offset + take));
+    frag.resize(frag_size);
   }
 
-  // Parity fragments: rows k..n-1 of the encode matrix over the data rows.
-  std::vector<const Bytes*> data;
+  // Parity fragments: rows k..n-1 of the encode matrix over the data
+  // fragments, all in one dot product. The pointer lists are allocated
+  // between the data and parity buffers on purpose: freed first, they keep
+  // the freed data buffers from merging into the heap top, which glibc
+  // trims, so the next encode does not fault those pages in again (18
+  // page faults per (4, 12) encode of 100 KiB instead of 43).
+  std::vector<const uint8_t*> data;
   data.reserve(static_cast<size_t>(k_));
-  for (int j = 0; j < k_; ++j) data.push_back(&fragments[static_cast<size_t>(j)]);
-  std::vector<int> parity_rows;
-  parity_rows.reserve(static_cast<size_t>(n_ - k_));
-  for (int i = k_; i < n_; ++i) parity_rows.push_back(i);
-  std::vector<Bytes> parity =
-      multiply_rows(encode_matrix_, parity_rows, data, frag_size);
-  for (size_t i = 0; i < parity.size(); ++i) {
-    fragments[static_cast<size_t>(k_) + i] = std::move(parity[i]);
+  for (int i = 0; i < k_; ++i) {
+    data.push_back(fragments[static_cast<size_t>(i)].data());
   }
+  std::vector<uint8_t*> parity;
+  parity.reserve(static_cast<size_t>(n_ - k_));
+  for (int i = k_; i < n_; ++i) {
+    Bytes& frag = fragments[static_cast<size_t>(i)];
+    frag.resize(frag_size);
+    parity.push_back(frag.data());
+  }
+  gf256::dot_prod(encode_matrix_.data().subspan(static_cast<size_t>(k_) *
+                                                static_cast<size_t>(k_)),
+                  data, parity, frag_size);
   return fragments;
-}
-
-std::vector<Bytes> ReedSolomon::recover_data_fragments(
-    const std::vector<IndexedFragment>& fragments, size_t frag_size) const {
-  PAHOEHOE_CHECK_MSG(fragments.size() >= static_cast<size_t>(k_),
-                     "need at least k fragments to decode");
-
-  // Use the first k distinct indices supplied.
-  std::vector<int> indices;
-  std::vector<const Bytes*> data;
-  for (const auto& f : fragments) {
-    if (std::find(indices.begin(), indices.end(), f.index) != indices.end()) {
-      continue;
-    }
-    PAHOEHOE_CHECK(f.index >= 0 && f.index < n_ && f.data != nullptr);
-    PAHOEHOE_CHECK_MSG(f.data->size() == frag_size,
-                       "fragment size mismatch");
-    indices.push_back(f.index);
-    data.push_back(f.data);
-    if (indices.size() == static_cast<size_t>(k_)) break;
-  }
-  PAHOEHOE_CHECK_MSG(indices.size() == static_cast<size_t>(k_),
-                     "need k distinct fragment indices to decode");
-
-  // The code is systematic, so data row r is fragment r itself: copy the
-  // data fragments supplied and multiply only the rows that are missing.
-  std::vector<Bytes> out(static_cast<size_t>(k_));
-  std::vector<int> missing;
-  missing.reserve(static_cast<size_t>(k_));
-  for (int r = 0; r < k_; ++r) {
-    const auto held = std::find(indices.begin(), indices.end(), r);
-    if (held == indices.end()) {
-      missing.push_back(r);
-    } else {
-      out[static_cast<size_t>(r)] = *data[static_cast<size_t>(
-          std::distance(indices.begin(), held))];
-    }
-  }
-  if (missing.empty()) return out;
-  const Matrix decode = encode_matrix_.select_rows(indices).inverted();
-  std::vector<Bytes> decoded = multiply_rows(decode, missing, data, frag_size);
-  for (size_t i = 0; i < missing.size(); ++i) {
-    out[static_cast<size_t>(missing[i])] = std::move(decoded[i]);
-  }
-  return out;
 }
 
 Bytes ReedSolomon::decode(const std::vector<IndexedFragment>& fragments,
                           size_t value_size) const {
   // lint:prof-ok(kernel_phase returns a pointer into a static name table)
   obs::ProfScope prof(kernel_phase(kDecodePhase));
-  const size_t frag_size = fragment_size(value_size);
   if (value_size == 0) return {};
-  std::vector<Bytes> data_frags = recover_data_fragments(fragments, frag_size);
+  const size_t frag_size = fragment_size(value_size);
+  const Held held = select_k(fragments, k_, n_, frag_size);
 
-  Bytes value(value_size);
-  for (int i = 0; i < k_; ++i) {
-    const size_t offset = static_cast<size_t>(i) * frag_size;
-    if (offset >= value_size) break;
+  // The code is systematic, so data row r is fragment r itself. The value
+  // is built in row order: a held data fragment is copied straight in, and
+  // a missing row's slice is made room for and left to the dot product
+  // below. A missing short last row goes through one full-length row instead.
+  Bytes value;
+  value.reserve(value_size);
+  std::vector<int> missing;
+  std::vector<uint8_t*> outputs;
+  Bytes short_row;
+  for (int r = 0; r < k_ && value.size() < value_size; ++r) {
+    const size_t offset = value.size();
     const size_t take = std::min(frag_size, value_size - offset);
-    std::memcpy(value.data() + offset,
-                data_frags[static_cast<size_t>(i)].data(), take);
+    const auto it = std::find(held.indices.begin(), held.indices.end(), r);
+    if (it != held.indices.end()) {
+      const uint8_t* frag = held.data[static_cast<size_t>(
+          std::distance(held.indices.begin(), it))];
+      value.insert(value.end(), frag, frag + take);
+      continue;
+    }
+    value.resize(offset + take);
+    if (take < frag_size) short_row.resize(frag_size);
+    missing.push_back(r);
+    outputs.push_back(take < frag_size ? short_row.data()
+                                       : value.data() + offset);
+  }
+  if (missing.empty()) return value;
+
+  // Row r of the inverse of the held rows rebuilds data row r from the
+  // held fragments.
+  const Matrix rows =
+      encode_matrix_.select_rows(held.indices).inverted().select_rows(missing);
+  gf256::dot_prod(rows.data(), held.data, outputs, frag_size);
+  if (!short_row.empty()) {
+    const size_t offset = static_cast<size_t>(missing.back()) * frag_size;
+    std::memcpy(value.data() + offset, short_row.data(), value_size - offset);
   }
   return value;
 }
@@ -186,17 +190,27 @@ std::vector<Bytes> ReedSolomon::regenerate_sized(
     const std::vector<int>& target_indices, size_t frag_size) const {
   // lint:prof-ok(kernel_phase returns a pointer into a static name table)
   obs::ProfScope prof(kernel_phase(kRegeneratePhase));
-  if (frag_size == 0) {
-    return std::vector<Bytes>(target_indices.size(), Bytes{});
-  }
-  std::vector<Bytes> data_frags = recover_data_fragments(available, frag_size);
-  std::vector<const Bytes*> data;
-  data.reserve(data_frags.size());
-  for (const Bytes& f : data_frags) data.push_back(&f);
+  std::vector<Bytes> out(target_indices.size());
+  if (frag_size == 0) return out;
+  const Held held = select_k(available, k_, n_, frag_size);
   for (int target : target_indices) {
     PAHOEHOE_CHECK(target >= 0 && target < n_);
   }
-  return multiply_rows(encode_matrix_, target_indices, data, frag_size);
+
+  // The target rows of the encode matrix times the inverse of the held
+  // rows: one matrix from the held fragments straight to the targets, so
+  // the data rows are never materialized.
+  const Matrix composed = encode_matrix_.select_rows(target_indices)
+                              .multiply(encode_matrix_.select_rows(held.indices)
+                                            .inverted());
+  std::vector<uint8_t*> outputs;
+  outputs.reserve(out.size());
+  for (Bytes& frag : out) {
+    frag.resize(frag_size);
+    outputs.push_back(frag.data());
+  }
+  gf256::dot_prod(composed.data(), held.data, outputs, frag_size);
+  return out;
 }
 
 }  // namespace pahoehoe::erasure

@@ -60,10 +60,6 @@ class ReedSolomon {
   const Matrix& encode_matrix() const { return encode_matrix_; }
 
  private:
-  /// Data fragments (the first k rows) recovered from any k fragments.
-  std::vector<Bytes> recover_data_fragments(
-      const std::vector<IndexedFragment>& fragments, size_t frag_size) const;
-
   int k_;
   int n_;
   Matrix encode_matrix_;

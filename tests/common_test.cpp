@@ -566,8 +566,10 @@ TEST(RngTest, DistributionsAndShuffleMatchUnderBothEngines) {
 // used to be made with, at lengths around word and refill (2496-byte)
 // boundaries.
 TEST(RngTest, FillMatchesByteLoop) {
-  const auto byte_loop = [](uint64_t seed, size_t length) {
+  // `skip` words are drawn before the fill, so it starts mid-block.
+  const auto byte_loop = [](uint64_t seed, size_t skip, size_t length) {
     std::mt19937_64 gen(seed);
+    gen.discard(skip);
     Bytes value(length);
     size_t i = 0;
     while (i + 8 <= value.size()) {
@@ -586,11 +588,14 @@ TEST(RngTest, FillMatchesByteLoop) {
         size_t{2496}, size_t{2497}, size_t{2496 * 3 - 1}, size_t{2496 * 3 + 1},
         size_t{100 * 1024 + 3}}) {
     for (const uint64_t seed : {uint64_t{3}, uint64_t{0xfeedULL}}) {
-      Rng rng(seed);
-      Bytes value(length);
-      rng.fill(value);
-      EXPECT_EQ(value, byte_loop(seed, length))
-          << "length " << length << " seed " << seed;
+      for (const size_t skip : {size_t{0}, size_t{1}, size_t{311}}) {
+        Rng rng(seed);
+        for (size_t i = 0; i < skip; ++i) rng.next_u64();
+        Bytes value(length);
+        rng.fill(value);
+        EXPECT_EQ(value, byte_loop(seed, skip, length))
+            << "length " << length << " seed " << seed << " skip " << skip;
+      }
     }
   }
 }

@@ -2,10 +2,11 @@
 // heavier than the unit tests: full GF(2^8) table verification against a
 // reference implementation, every k-subset decode for the paper's default
 // (k=4, n=12) code, and the cross-kernel differential battery that pins
-// every compiled SIMD mul_acc kernel byte-identical to the scalar oracle
-// (the simulation's determinism contract, DESIGN.md §10).
+// every compiled SIMD dot-product kernel byte-identical to the scalar
+// oracle (the simulation's determinism contract, DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 #include <utility>
 
@@ -225,13 +226,13 @@ TEST(CrossKernelTest, RegenerateMatchesScalarFragments) {
 }
 
 // Seeded property test hammering mul_acc's head/tail remainder paths: random
-// buffers, deliberately misaligned offsets, and every length in 0..3×(AVX2
+// buffers, deliberately misaligned offsets, and every length in 0..3×(zmm
 // vector width), checked against the scalar kernel on identical inputs. The
 // canary bytes around the destination span catch out-of-bounds writes even
 // without ASan (ASan CI additionally catches OOB reads).
 TEST(CrossKernelTest, MulAccMisalignedHeadsAndTailsMatchScalarOracle) {
   KernelGuard guard;
-  constexpr size_t kMaxLen = 3 * 32;  // three AVX2 registers
+  constexpr size_t kMaxLen = 3 * 64;  // three AVX-512 registers
   constexpr size_t kPad = 64;
   Rng rng(77);
 
@@ -267,6 +268,118 @@ TEST(CrossKernelTest, MulAccMisalignedHeadsAndTailsMatchScalarOracle) {
             << " src_off=" << src_off << " dst_off=" << dst_off
             << " coef=" << static_cast<int>(coef);
       }
+    }
+  }
+}
+
+// Every kernel's dot product against the scalar oracle: output groups of
+// 1 to 8 and 16 (a (4, 20) code's parity rows), lengths on both sides of
+// each vector width up to a (4, 12) fragment of a 100 KiB value, and
+// misaligned sources and outputs. 40 sources make the GFNI kernel's groups
+// smaller than 8. Each output sits between random canary bytes, which must
+// come through untouched.
+TEST(CrossKernelTest, DotProductMatchesScalarOracle) {
+  KernelGuard guard;
+  constexpr size_t kPad = 64;
+  Rng rng(20261020);
+  const auto random_bytes = [&rng](size_t size) {
+    Bytes bytes(size);
+    for (auto& b : bytes) b = static_cast<uint8_t>(rng.next_u64());
+    return bytes;
+  };
+  for (size_t num_sources : {4, 40}) {
+    for (size_t outputs : {1, 2, 3, 4, 5, 6, 7, 8, 16}) {
+      for (size_t len : {0, 1, 63, 64, 65, 255, 256, 25600}) {
+        // Coefficients 0 and 1 take no shortcut; keep both in every matrix.
+        Bytes coefs = random_bytes(outputs * num_sources);
+        coefs[0] = 0;
+        coefs[coefs.size() - 1] = 1;
+        std::vector<Bytes> sources;
+        std::vector<const uint8_t*> srcs;
+        for (size_t j = 0; j < num_sources; ++j) {
+          sources.push_back(random_bytes(kPad + len + kPad));
+          srcs.push_back(sources.back().data() + 1 + rng.next_u64() % 63);
+        }
+        std::vector<Bytes> before;
+        std::vector<size_t> offsets;
+        for (size_t r = 0; r < outputs; ++r) {
+          before.push_back(random_bytes(kPad + len + kPad));
+          offsets.push_back(1 + rng.next_u64() % 63);
+        }
+        const auto run = [&](gf256::Kernel kernel) {
+          gf256::force_kernel(kernel);
+          std::vector<Bytes> after = before;
+          std::vector<uint8_t*> dsts;
+          for (size_t r = 0; r < outputs; ++r) {
+            dsts.push_back(after[r].data() + offsets[r]);
+          }
+          gf256::dot_prod(coefs, srcs, dsts, len);
+          return after;
+        };
+        const std::vector<Bytes> expected = run(gf256::Kernel::kScalar);
+        for (size_t r = 0; r < outputs; ++r) {
+          for (size_t i = 0; i < before[r].size(); ++i) {
+            if (i >= offsets[r] && i < offsets[r] + len) continue;
+            ASSERT_EQ(expected[r][i], before[r][i]) << "scalar canary " << i;
+          }
+        }
+        for (gf256::Kernel kernel : gf256::supported_kernels()) {
+          ASSERT_EQ(run(kernel), expected)
+              << "kernel " << gf256::to_string(kernel) << " sources="
+              << num_sources << " outputs=" << outputs << " len=" << len;
+        }
+      }
+    }
+  }
+}
+
+// mul_acc's form of the dot product: one output that is source 0 itself,
+// at the same misaligned offset. Checked against products taken one byte
+// at a time with gf256::mul.
+TEST(CrossKernelTest, OneOutputMayBeSourceZeroOnEveryKernel) {
+  KernelGuard guard;
+  Rng rng(20261021);
+  for (size_t len : {0, 1, 63, 64, 65, 255, 256, 25600}) {
+    const size_t offset = 1 + rng.next_u64() % 63;
+    Bytes a(offset + len), b(len);
+    for (auto& x : a) x = static_cast<uint8_t>(rng.next_u64());
+    for (auto& x : b) x = static_cast<uint8_t>(rng.next_u64());
+    const uint8_t coefs[] = {static_cast<uint8_t>(rng.next_u64()),
+                             static_cast<uint8_t>(rng.next_u64())};
+    Bytes expected = a;
+    for (size_t i = 0; i < len; ++i) {
+      expected[offset + i] = gf256::add(gf256::mul(coefs[0], a[offset + i]),
+                                        gf256::mul(coefs[1], b[i]));
+    }
+    for (gf256::Kernel kernel : gf256::supported_kernels()) {
+      gf256::force_kernel(kernel);
+      Bytes x = a;
+      const uint8_t* const srcs[] = {x.data() + offset, b.data()};
+      uint8_t* const dsts[] = {x.data() + offset};
+      gf256::dot_prod(coefs, srcs, dsts, len);
+      ASSERT_EQ(x, expected)
+          << "kernel " << gf256::to_string(kernel) << " len=" << len;
+    }
+  }
+}
+
+// Tables::gfni[c] is the bit matrix VGF2P8AFFINEQB applies: bit i of the
+// result is the parity of (byte 7 - i of the matrix) AND the input byte.
+// Emulated here, so the matrices are checked on hosts without GFNI too:
+// every coefficient's matrix must reproduce gf256::mul on every byte.
+TEST(CrossKernelTest, GfniMatricesReproduceMultiplication) {
+  const auto& t = gf256::detail::tables();
+  for (int c = 0; c < 256; ++c) {
+    const uint64_t matrix = t.gfni[static_cast<size_t>(c)];
+    for (int b = 0; b < 256; ++b) {
+      unsigned product = 0;
+      for (int i = 0; i < 8; ++i) {
+        const unsigned row = (matrix >> (8 * (7 - i))) & 0xff;
+        product |= (std::popcount(row & static_cast<unsigned>(b)) & 1u) << i;
+      }
+      ASSERT_EQ(product, gf256::mul(static_cast<uint8_t>(c),
+                                    static_cast<uint8_t>(b)))
+          << c << " * " << b;
     }
   }
 }

@@ -111,12 +111,13 @@ struct KernelGuard {
 
 TEST(Gf256KernelTest, KernelNamesRoundTrip) {
   for (gf256::Kernel k : {gf256::Kernel::kScalar, gf256::Kernel::kSsse3,
-                          gf256::Kernel::kAvx2}) {
+                          gf256::Kernel::kAvx2, gf256::Kernel::kGfni}) {
     EXPECT_EQ(gf256::parse_kernel(gf256::to_string(k)), k);
   }
   EXPECT_FALSE(gf256::parse_kernel("auto").has_value());
   EXPECT_FALSE(gf256::parse_kernel("").has_value());
   EXPECT_FALSE(gf256::parse_kernel("AVX2").has_value());
+  EXPECT_EQ(gf256::parse_kernel("gfni"), gf256::Kernel::kGfni);
 }
 
 TEST(Gf256KernelTest, ScalarAlwaysSupportedAndForceable) {
@@ -132,9 +133,9 @@ TEST(Gf256KernelTest, ScalarAlwaysSupportedAndForceable) {
 }
 
 TEST(Gf256KernelTest, MulAccCoefZeroIsExactNoOpOnEveryKernel) {
-  // A naive kernel would run the table loop for coef 0 and XOR zeros into
-  // dst — harmless — but the contract is stronger: coefficient 0 must not
-  // touch dst at all, so a systematic matrix's zero entries cost nothing.
+  // A kernel run for coef 0 would rewrite dst with its own bytes, which is
+  // harmless, but the contract is stronger: mul_acc returns before any
+  // kernel runs, so coefficient 0 does not touch dst at all.
   KernelGuard guard;
   Rng rng(31);
   for (gf256::Kernel k : gf256::supported_kernels()) {
