@@ -101,7 +101,7 @@ bool selfcheck(const std::string& path, size_t min_variants) {
       }
     }
     // Tail attribution: cohorts partition the resolved versions, gap
-    // shares are proper fractions, and every retained exemplar's integer
+    // shares are proper fractions, and every top exemplar's integer
     // component micros telescope exactly to its reported latency.
     const obs::JsonValue* attribution = variant.find("tail_attribution");
     if (attribution == nullptr) return fail("missing tail_attribution");
@@ -180,11 +180,10 @@ int run(int argc, char** argv) {
   config.workload.value_size = static_cast<size_t>(object_kib) * 1024;
   config.telemetry.sample_interval =
       static_cast<SimTime>(sample_interval_s * kMicrosPerSecond);
-  // Span tracing feeds the per-variant critical-path decomposition, and
-  // exemplars+attribution are carved out of it; both are pure observers, so
-  // the measured runs are unchanged.
+  // Span tracing feeds the per-variant critical-path decomposition and the
+  // tail attribution over it; it is a pure observer, so the measured runs
+  // are unchanged.
   config.telemetry.spans = true;
-  config.telemetry.exemplars = true;
   if (blackout_min > 0) {
     config.faults.push_back(core::FaultSpec::fs_blackout(
         0, 0, 0,

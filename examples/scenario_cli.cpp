@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     if (trace_lines > 0) {
       // Re-run inline with tracing (run_experiment owns its own network).
       sim::Simulator sim(config.seed);
-      net::Network net(sim, config.network);
+      net::Network net(sim);
       net.tracer().enable();
       core::Cluster cluster(sim, net, config.topology, config.convergence,
                             config.proxy);

@@ -65,8 +65,6 @@ int main(int argc, char** argv) {
       "perfetto", "",
       "also write the selected versions as a Chrome trace-event / Perfetto "
       "JSON file");
-  config.telemetry.max_spans_per_version = static_cast<size_t>(flags.get_int(
-      "max-spans", 8192, "spans kept per version before truncation"));
   const bool profile = flags.get_bool(
       "profile", false,
       "wall-clock phase profile: print the hottest phases and add a "
@@ -76,7 +74,6 @@ int main(int argc, char** argv) {
 
   obs::prof::set_enabled(profile);
   config.telemetry.spans = true;
-  config.telemetry.exemplars = true;
   if (blackout_s > 0) {
     config.faults.push_back(core::FaultSpec::fs_blackout(
         0, 0, 0, blackout_s * kMicrosPerSecond));
@@ -89,13 +86,13 @@ int main(int argc, char** argv) {
 
   std::vector<ObjectVersionId> selected;
   if (worst > 0) {
-    // Exemplar-driven selection: the report's worst-K already names the
-    // versions; jump straight to their span trees.
-    const std::vector<obs::Exemplar>& top = result.amr_exemplars.worst();
+    // The attribution report already names the worst versions; jump
+    // straight to their span trees.
+    const std::vector<obs::Exemplar>& top = result.attribution.top;
     if (top.empty()) {
       std::fprintf(stderr,
-                   "flag error: --worst=%lld but the run retained no "
-                   "exemplars (0 resolved versions out of %d puts)\n",
+                   "flag error: --worst=%lld but the run resolved no "
+                   "versions (0 out of %d puts)\n",
                    static_cast<long long>(worst), result.puts_attempted);
       return 2;
     }

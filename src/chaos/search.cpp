@@ -59,8 +59,8 @@ std::string build_forensics(const core::RunResult& run) {
   }
   if (!run.attribution.empty()) {
     // Names the component that inflated the tail of this failing run
-    // ("83% of the gap is recovery_backoff") with concrete exemplar
-    // versions to chase in version_inspector --worst.
+    // ("83% of the gap is recovery_backoff") with the worst versions to
+    // chase in version_inspector --worst.
     out += run.attribution.to_text();
   }
   return out;
@@ -184,10 +184,9 @@ std::string SearchResult::summary() const {
 SearchResult run_search(core::RunConfig config, const SearchOptions& options) {
   const std::vector<core::FaultSpec> base_faults = config.faults;
   config.telemetry.trace_capacity = options.trace_capacity;
-  // Signatures need the span walk, and exemplars give every failure its
-  // tail attribution. Both are pure observers.
+  // Signatures need the span walk, which also gives every failure its tail
+  // attribution. It is a pure observer.
   config.telemetry.spans = true;
-  config.telemetry.exemplars = true;
 
   SearchResult result;
   CorpusState state;

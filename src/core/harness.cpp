@@ -275,15 +275,11 @@ void install_fault(const FaultSpec& spec, Cluster& cluster,
 static RunResult run_experiment_impl(const RunConfig& config) {
   obs::ProfScope prof_run("run_experiment");
   sim::Simulator sim(config.seed);
-  net::Network net(sim, config.network);
+  net::Network net(sim);
   if (config.telemetry.trace_capacity > 0) {
     net.tracer().enable(config.telemetry.trace_capacity);
   }
-  // Exemplars are carved out of the span tracer's critical paths, so they
-  // imply span tracing. Both are pure observers.
-  if (config.telemetry.spans || config.telemetry.exemplars) {
-    net.telemetry().spans.enable(&sim, config.telemetry.max_spans_per_version);
-  }
+  if (config.telemetry.spans) net.telemetry().spans.enable(&sim);
   Cluster cluster(sim, net, config.topology, config.convergence,
                   config.proxy);
   for (const FaultSpec& fault : config.faults) {
@@ -453,38 +449,10 @@ static RunResult run_experiment_impl(const RunConfig& config) {
       }
     }
   }
-  if (config.telemetry.exemplars) {
-    // Built from already-recorded telemetry after the simulation quiesced:
-    // a pure side channel, so exemplars on vs. off cannot change the run.
-    for (const obs::VersionCriticalPath& path : result.critical_paths) {
-      obs::Exemplar e;
-      e.ov = path.ov;
-      e.seed = config.seed;
-      e.latency_micros = path.total();
-      e.components = path.components;
-      result.amr_exemplars.add(e);
-    }
-    for (const OpLatency& op : driver.put_latencies()) {
-      if (!op.ok) continue;
-      obs::Exemplar e;
-      e.ov = op.ov;
-      e.seed = config.seed;
-      e.latency_micros = op.end - op.start;
-      result.put_op_exemplars.add(e);
-    }
-    for (const OpLatency& op : driver.get_latencies()) {
-      if (!op.ok) continue;
-      obs::Exemplar e;
-      e.ov = op.ov;
-      e.seed = config.seed;
-      e.latency_micros = op.end - op.start;
-      result.get_op_exemplars.add(e);
-    }
-    obs::AttributionBuilder builder(result.amr_exemplars);
-    for (const obs::VersionCriticalPath& path : result.critical_paths) {
-      builder.add(path);
-    }
-    result.attribution = builder.finish();
+  if (config.telemetry.spans) {
+    // Built from the recorded critical paths after the simulation
+    // quiesced, so it cannot change the run.
+    result.attribution = obs::attribute({{config.seed, result.critical_paths}});
   }
   result.spans = std::move(tel.spans);
   return result;
@@ -551,22 +519,16 @@ AggregateResult run_many(RunConfig config, int num_seeds, uint64_t base_seed,
     agg.amr_confirmed.add(static_cast<double>(r.amr_confirmed));
     agg.amr_backlog_final.add(static_cast<double>(r.amr_backlog_final));
     agg.critical_path.merge(r.critical_path);
-    agg.amr_exemplars.merge(r.amr_exemplars);
-    agg.put_op_exemplars.merge(r.put_op_exemplars);
-    agg.get_op_exemplars.merge(r.get_op_exemplars);
     agg.profile.merge(r.profile);
   }
-  if (config.telemetry.exemplars) {
-    // Pooled attribution is two-pass: the merged sketch above fixes the p95
-    // threshold, then every seed's critical paths are bucketed against it,
-    // walked in seed order (pure integer accumulation).
-    obs::AttributionBuilder builder(agg.amr_exemplars);
-    for (const RunResult& r : results) {
-      for (const obs::VersionCriticalPath& path : r.critical_paths) {
-        builder.add(path);
-      }
+  if (config.telemetry.spans) {
+    // Pooled: one sketch over every seed's paths fixes the threshold.
+    std::vector<obs::SeedPaths> runs;
+    runs.reserve(results.size());
+    for (size_t s = 0; s < results.size(); ++s) {
+      runs.push_back({base_seed + s, results[s].critical_paths});
     }
-    agg.attribution = builder.finish();
+    agg.attribution = obs::attribute(runs);
   }
   return agg;
 }

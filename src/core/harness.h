@@ -87,19 +87,12 @@ struct TelemetryOptions {
   /// failed audit attaches the trailing trace window to the RunResult.
   /// Message counts and bytes come from NetworkStats either way.
   size_t trace_capacity = 0;
-  /// Causal span tracing (obs/span.h): per-version lifecycle trees and
-  /// put-ack → AMR critical-path attribution. The tracer is a pure
-  /// observer (no events, no RNG draws), so enabling it never perturbs
-  /// the run.
+  /// Causal span tracing (obs/span.h): per-version lifecycle trees,
+  /// put-ack → AMR critical-path attribution, and the tail attribution
+  /// report over those paths (obs/attribution.h). The tracer is a pure
+  /// observer (no events, no RNG draws) and the report is built after the
+  /// run, so enabling this never perturbs the run.
   bool spans = false;
-  /// Spans stored per version before truncation (see SpanTracer::enable).
-  size_t max_spans_per_version = 8192;
-  /// Tail-latency exemplars + cohort attribution (obs/exemplar.h,
-  /// obs/attribution.h). Implies span tracing (the exemplar source). Like
-  /// spans, a pure observer: the stores are built from already-recorded
-  /// telemetry after the run, so enabling this never perturbs a run
-  /// (exemplar_test digests runs with it on vs. off).
-  bool exemplars = false;
 };
 
 struct RunConfig {
@@ -107,7 +100,6 @@ struct RunConfig {
   ConvergenceOptions convergence;
   ProxyOptions proxy;
   WorkloadConfig workload;
-  net::NetworkConfig network;
   TelemetryOptions telemetry;
   std::vector<FaultSpec> faults;
   uint64_t seed = 1;
@@ -207,14 +199,8 @@ struct RunResult {
   /// Forensics: span tree of the first audit violation that names a traced
   /// version (empty when the audit passed or spans were off).
   std::string span_forensics;
-  /// Tail-latency exemplars (empty unless telemetry.exemplars): put-ack →
-  /// AMR latency witnesses with exact critical-path components, plus
-  /// client-visible per-op put/get witnesses (all-zero components).
-  obs::ExemplarStore amr_exemplars;
-  obs::ExemplarStore put_op_exemplars;
-  obs::ExemplarStore get_op_exemplars;
   /// Tail (≥p95) vs. body cohort attribution over this run's critical
-  /// paths (empty unless telemetry.exemplars).
+  /// paths (empty unless telemetry.spans).
   obs::AttributionReport attribution;
   /// Host wall-clock phase breakdown of this run (empty unless
   /// obs::prof profiling is enabled). Pure side channel — excluded from
@@ -261,13 +247,8 @@ struct AggregateResult {
   /// Per-component critical-path aggregate merged in seed order —
   /// byte-identical to_text() for every jobs value.
   obs::CriticalPathAggregate critical_path;
-  /// Exemplar stores merged in seed order (retention is additionally
-  /// insertion-order independent, DESIGN.md §13) and the pooled tail
-  /// attribution built from the merged sketch's p95 over every seed's
-  /// critical paths. Empty unless telemetry.exemplars.
-  obs::ExemplarStore amr_exemplars;
-  obs::ExemplarStore put_op_exemplars;
-  obs::ExemplarStore get_op_exemplars;
+  /// Tail attribution pooled over every seed's critical paths, walked in
+  /// seed order (empty unless telemetry.spans).
   obs::AttributionReport attribution;
   /// Per-seed wall-clock profiles merged in seed order (empty unless
   /// profiling was enabled). Side channel only — never digested.

@@ -36,17 +36,16 @@ void WorkloadDriver::start() {
   Rng arrival_rng(value_seed_ ^ 0xa11a1a1a5eedULL);
   const double rate = config_.arrival_rate_per_s;
   arrivals_.assign(static_cast<size_t>(config_.num_puts), 0);
-  SimTime poisson_clock = config_.start_time;
+  SimTime poisson_clock = 0;
   for (int i = 0; i < config_.num_puts; ++i) {
-    SimTime when = config_.start_time;
+    SimTime when = 0;
     switch (config_.arrivals) {
       case ArrivalProcess::kClosedLoop:
-        when = config_.start_time + i * config_.spacing;
+        when = i * config_.spacing;
         break;
       case ArrivalProcess::kOpenFixed:
-        when = config_.start_time +
-               static_cast<SimTime>(std::llround(
-                   static_cast<double>(i) * kMicrosPerSecond / rate));
+        when = static_cast<SimTime>(std::llround(
+            static_cast<double>(i) * kMicrosPerSecond / rate));
         break;
       case ArrivalProcess::kOpenPoisson: {
         const double gap_s =
@@ -111,11 +110,9 @@ void WorkloadDriver::finish_put(int object_index, bool acked) {
   // Latency runs from the object's first-attempt arrival, not the last
   // retry's issue time: with retry_failed set, the client-visible latency
   // of a put is everything since its original arrival.
-  // finish_put runs synchronously inside resolve(), right after the final
-  // attempt's PutRecord was pushed, so records_.back() is that attempt.
   put_latencies_.push_back(OpLatency{
       object_index, acked, arrivals_[static_cast<size_t>(object_index)],
-      sim_.now(), records_.back().ov});
+      sim_.now()});
 }
 
 void WorkloadDriver::maybe_get(int object_index) {
@@ -135,8 +132,7 @@ void WorkloadDriver::maybe_get(int object_index) {
                  }
                  get_records_.push_back(record);
                  get_latencies_.push_back(OpLatency{
-                     object_index, result.success, issued, sim_.now(),
-                     ObjectVersionId{key_for(object_index), record.ts}});
+                     object_index, result.success, issued, sim_.now()});
                });
   });
 }

@@ -26,8 +26,8 @@ namespace pahoehoe::core {
 
 /// How first attempts are scheduled over time.
 enum class ArrivalProcess {
-  kClosedLoop,   ///< start_time + i * spacing (the paper's workload)
-  kOpenFixed,    ///< fixed rate: start_time + i / arrival_rate_per_s
+  kClosedLoop,   ///< i * spacing (the paper's workload)
+  kOpenFixed,    ///< fixed rate: i / arrival_rate_per_s
   kOpenPoisson,  ///< Poisson: iid exponential inter-arrival gaps
 };
 
@@ -35,7 +35,6 @@ struct WorkloadConfig {
   int num_puts = 100;               ///< distinct objects
   size_t value_size = 100 * 1024;   ///< 100 KiB, the paper's object size
   Policy policy;
-  SimTime start_time = 0;
   SimTime spacing = 1 * kMicrosPerSecond;  ///< gap between first attempts
   ArrivalProcess arrivals = ArrivalProcess::kClosedLoop;
   /// Offered load for the open-loop models (first attempts per second).
@@ -82,11 +81,6 @@ struct OpLatency {
   bool ok = false;  ///< put: finally acked; get: completed with a value
   SimTime start = 0;
   SimTime end = 0;
-  /// Version the op resolved to (put: the final attempt's version; get: the
-  /// version returned). Invalid timestamp when no version was assigned
-  /// (client timeout, failed get) — exemplar retention skips those anyway
-  /// because only ok ops are sampled.
-  ObjectVersionId ov;
 
   double seconds() const {
     return static_cast<double>(end - start) /

@@ -115,10 +115,7 @@ std::string NetworkStats::to_table() const {
 
 Network::Network(sim::Simulator& sim, NetworkConfig config)
     : sim_(sim), config_(config),
-      duplication_rate_(config.duplication_rate) {
-  PAHOEHOE_CHECK(config_.min_latency >= 0 &&
-                 config_.min_latency <= config_.max_latency);
-}
+      duplication_rate_(config.duplication_rate) {}
 
 void Network::register_node(NodeId id, MessageHandler* handler) {
   PAHOEHOE_CHECK(id.valid() && handler != nullptr);
@@ -151,7 +148,10 @@ void Network::add_fault(std::shared_ptr<FaultRule> rule) {
 void Network::clear_faults() { faults_.clear(); }
 
 SimTime Network::sample_latency() {
-  return sim_.rng().uniform_int(config_.min_latency, config_.max_latency);
+  // One-way latency is U(10 ms, 30 ms), the paper's §5.1 setup.
+  constexpr SimTime kMinLatency = 10 * kMicrosPerMilli;
+  constexpr SimTime kMaxLatency = 30 * kMicrosPerMilli;
+  return sim_.rng().uniform_int(kMinLatency, kMaxLatency);
 }
 
 void Network::send(NodeId from, NodeId to, wire::MessageType type,

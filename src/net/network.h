@@ -134,8 +134,6 @@ class NetworkStats {
 };
 
 struct NetworkConfig {
-  SimTime min_latency = 10 * kMicrosPerMilli;
-  SimTime max_latency = 30 * kMicrosPerMilli;
   /// Probability that a delivered message is delivered twice (bounded
   /// duplication from the system model; defaults off).
   double duplication_rate = 0.0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/stats.h"
+
 namespace pahoehoe::obs {
 
 namespace {
@@ -87,35 +89,74 @@ double CohortTotals::component_mean_s(PathComponent c) const {
          static_cast<double>(versions);
 }
 
-AttributionBuilder::AttributionBuilder(const ExemplarStore& store) {
-  const QuantileSketch& sketch = store.latency_s();
-  report_.p50_s = sketch.quantile(0.5);
-  report_.p95_s = sketch.quantile(0.95);
-  report_.p99_s = sketch.quantile(0.99);
-  report_.max_s = sketch.max();
-  report_.tail_threshold_s = sketch.quantile(0.95);
-  report_.top = store.worst();
+std::string exemplar_to_text(const Exemplar& e) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "key=%s ts=%lld/%u seed=%llu latency_us=%lld"
+                " nw=%lld rs=%lld rb=%lld sp=%lld",
+                e.ov.key.value.c_str(),
+                static_cast<long long>(e.ov.ts.wall_micros), e.ov.ts.proxy,
+                static_cast<unsigned long long>(e.seed),
+                static_cast<long long>(e.latency_micros),
+                static_cast<long long>(e.components[0]),
+                static_cast<long long>(e.components[1]),
+                static_cast<long long>(e.components[2]),
+                static_cast<long long>(e.components[3]));
+  return buf;
 }
 
-void AttributionBuilder::add(const VersionCriticalPath& path) {
-  const SimTime total = path.total();
-  // Membership is tested in the same double space the sketch was fed, so
-  // the max-latency version always lands in the tail even when p95 == max.
-  const bool tail =
-      static_cast<double>(total) / static_cast<double>(kMicrosPerSecond) >=
-      report_.tail_threshold_s;
-  CohortTotals& cohort = tail ? report_.tail : report_.body;
-  ++cohort.versions;
-  cohort.latency_micros += static_cast<uint64_t>(total);
-  for (size_t i = 0; i < kPathComponentCount; ++i) {
-    cohort.component_micros[i] += static_cast<uint64_t>(path.components[i]);
+bool worse_than(const Exemplar& a, const Exemplar& b) {
+  if (a.latency_micros != b.latency_micros) {
+    return a.latency_micros > b.latency_micros;
   }
+  if (a.ov != b.ov) return a.ov < b.ov;
+  return a.seed < b.seed;
 }
 
-AttributionReport AttributionBuilder::finish() const {
-  AttributionReport report = report_;
+AttributionReport attribute(const std::vector<SeedPaths>& runs) {
+  AttributionReport report;
+  // Pass one: the latency sketch fixes the p95 threshold.
+  QuantileSketch latency_s(0.01);
+  for (const SeedPaths& run : runs) {
+    for (const VersionCriticalPath& path : run.paths) {
+      latency_s.add(micros_to_s(static_cast<uint64_t>(path.total())));
+    }
+  }
+  report.p50_s = latency_s.quantile(0.5);
+  report.p95_s = latency_s.quantile(0.95);
+  report.p99_s = latency_s.quantile(0.99);
+  report.max_s = latency_s.max();
+  report.tail_threshold_s = report.p95_s;
+
+  // Pass two: integer cohort totals and the worst versions, in seed order.
+  for (const SeedPaths& run : runs) {
+    for (const VersionCriticalPath& path : run.paths) {
+      const SimTime total = path.total();
+      const auto micros = static_cast<uint64_t>(total);
+      // Membership is tested in the same double space the sketch was fed,
+      // so the max-latency version always lands in the tail even when
+      // p95 == max.
+      CohortTotals& cohort = micros_to_s(micros) >= report.tail_threshold_s
+                                 ? report.tail
+                                 : report.body;
+      ++cohort.versions;
+      cohort.latency_micros += micros;
+      for (size_t i = 0; i < kPathComponentCount; ++i) {
+        cohort.component_micros[i] +=
+            static_cast<uint64_t>(path.components[i]);
+      }
+      const Exemplar e{path.ov, run.seed, total, path.components};
+      const auto at =
+          std::lower_bound(report.top.begin(), report.top.end(), e, worse_than);
+      if (static_cast<size_t>(at - report.top.begin()) <
+          AttributionReport::kTopK) {
+        report.top.insert(at, e);
+        if (report.top.size() > AttributionReport::kTopK) report.top.pop_back();
+      }
+    }
+  }
   report.versions = report.tail.versions + report.body.versions;
-  report.ranked.clear();
+
   double gap_sum = 0.0;
   for (size_t i = 0; i < kPathComponentCount; ++i) {
     const auto c = static_cast<PathComponent>(i);
@@ -124,7 +165,7 @@ AttributionReport AttributionBuilder::finish() const {
     g.tail_mean_s = report.tail.component_mean_s(c);
     g.body_mean_s = report.body.component_mean_s(c);
     g.gap_s = g.tail_mean_s - g.body_mean_s;
-    gap_sum += std::max(g.gap_s, 0.0);  // lint:float-ok(fixed 4-component order over seed-order-merged integer totals)
+    gap_sum += std::max(g.gap_s, 0.0);  // lint:float-ok(fixed 4-component order over seed-order integer totals)
     report.ranked.push_back(g);
   }
   if (gap_sum > 0.0) {

@@ -35,10 +35,7 @@ void SpanTracer::Scope::release() {
   }
 }
 
-void SpanTracer::enable(sim::Simulator* sim, size_t max_spans_per_version) {
-  sim_ = sim;
-  cap_ = max_spans_per_version;
-}
+void SpanTracer::enable(sim::Simulator* sim) { sim_ = sim; }
 
 SpanTracer::VersionTrace* SpanTracer::find(const ObjectVersionId& ov) {
   auto it = index_.find(ov);
@@ -64,7 +61,7 @@ SpanTracer::VersionTrace& SpanTracer::intern(const ObjectVersionId& ov) {
 uint32_t SpanTracer::add_span(VersionTrace& v, uint32_t parent,
                               const char* name, NodeId node, SimTime start,
                               SimTime end, std::string note, NodeId peer) {
-  if (v.spans.size() >= cap_) {
+  if (v.spans.size() >= kMaxSpansPerVersion) {
     ++v.dropped;
     ++spans_dropped_;
     return 0;

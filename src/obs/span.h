@@ -84,13 +84,16 @@ class SpanTracer {
     SpanTracer* tracer_ = nullptr;
   };
 
+  /// Spans stored per version. Bounds memory: once a version's tree is
+  /// full, further spans are counted in spans_dropped() but not stored;
+  /// messages past the cap are untracked, so component attribution of their
+  /// flight time falls to the residual components (totals still telescope
+  /// exactly to confirm - ack).
+  static constexpr size_t kMaxSpansPerVersion = 8192;
+
   /// Turn tracing on. Off (default-constructed), every hook is a cheap
-  /// no-op and tokens are 0. `max_spans_per_version` bounds memory: once a
-  /// version's tree is full, further spans are counted in spans_dropped()
-  /// but not stored; messages past the cap are untracked, so component
-  /// attribution of their flight time falls to the residual components
-  /// (totals still telescope exactly to confirm - ack).
-  void enable(sim::Simulator* sim, size_t max_spans_per_version = 8192);
+  /// no-op and tokens are 0.
+  void enable(sim::Simulator* sim);
   bool enabled() const { return sim_ != nullptr; }
 
   // ---- instrumentation hooks (all no-ops when disabled) ----
@@ -209,7 +212,6 @@ class SpanTracer {
   uint32_t scope_parent(uint32_t vidx) const;
 
   sim::Simulator* sim_ = nullptr;
-  size_t cap_ = 0;
   std::map<ObjectVersionId, uint32_t> index_;  // ov -> index into versions_
   std::deque<VersionTrace> versions_;          // deque: stable references
   std::vector<std::pair<uint32_t, uint32_t>> scope_stack_;  // (vidx, span id)

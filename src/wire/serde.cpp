@@ -1,46 +1,19 @@
 #include "wire/serde.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace pahoehoe::wire {
 
 namespace {
 constexpr size_t kMaxLengthPrefix = 1u << 30;  // 1 GiB sanity bound
 }
 
-Writer::Writer(size_t capacity) {
-  out_.reserve(capacity);
-  out_.resize(std::min(capacity, kReserve));
-}
-
-void Writer::grow(size_t count) {
-  // Zero the rest of the reservation first; past it, the vector grows
-  // geometrically.
-  out_.resize(std::max(out_.capacity(), used_ + count));
-}
-
-void Writer::append(const uint8_t* p, size_t count) {
-  if (count == 0) return;
-  if (count <= out_.size() - used_) {
-    std::memcpy(out_.data() + used_, p, count);
-    used_ += count;
-    return;
-  }
-  // A fragment: copy it in without zeroing its room first.
-  out_.resize(used_);
-  out_.insert(out_.end(), p, p + count);
-  used_ = out_.size();
-}
-
 void Writer::bytes(const Bytes& v) {
   u32(static_cast<uint32_t>(v.size()));
-  append(v.data(), v.size());
+  out_.insert(out_.end(), v.begin(), v.end());
 }
 
 void Writer::str(const std::string& v) {
   u32(static_cast<uint32_t>(v.size()));
-  append(reinterpret_cast<const uint8_t*>(v.data()), v.size());
+  out_.insert(out_.end(), v.begin(), v.end());
 }
 
 void Reader::fail(const char* what) { throw WireError(what); }

@@ -25,54 +25,37 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Appends fields to one payload buffer. The buffer is reserved up front and
-/// each fixed-width field is stored in place, so encoding a message costs
-/// one allocation when the reservation holds it.
+/// Appends fields to one payload buffer.
 class Writer {
  public:
-  /// Room for every fragment-free message of the paper topology: the
-  /// largest, FsConvergeReq and KlsConvergeReq, carry 105 bytes plus the
-  /// key (about 112 with the workload's keys).
-  static constexpr size_t kReserve = 160;
-
-  Writer() : Writer(kReserve) {}
+  Writer() = default;
   /// Reserve `capacity` bytes (a message reserves its counted size).
-  explicit Writer(size_t capacity);
+  explicit Writer(size_t capacity) { out_.reserve(capacity); }
 
-  void u8(uint8_t v) { *room(1) = v; }
-  void u16(uint16_t v) { store_le(room(2), v); }
-  void u32(uint32_t v) { store_le(room(4), v); }
-  void u64(uint64_t v) { store_le(room(8), v); }
+  void u8(uint8_t v) { out_.push_back(v); }
+  void u16(uint16_t v) { fixed(v); }
+  void u32(uint32_t v) { fixed(v); }
+  void u64(uint64_t v) { fixed(v); }
   void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(const Bytes& v);        // u32 length prefix + raw bytes
   void str(const std::string& v);    // u32 length prefix + raw bytes
 
   /// The bytes written so far.
-  const Bytes& data() & {
-    out_.resize(used_);
-    return out_;
-  }
-  Bytes take() && {
-    out_.resize(used_);
-    return std::move(out_);
-  }
+  const Bytes& data() const { return out_; }
+  Bytes take() && { return std::move(out_); }
 
  private:
-  /// Claim `count` bytes at the end of the message, growing past the
-  /// reservation only when it is full.
-  uint8_t* room(size_t count) {
-    if (out_.size() - used_ < count) grow(count);
-    uint8_t* p = out_.data() + used_;
-    used_ += count;
-    return p;
+  // Grow, then store in place: GCC 12 reports a range insert of these few
+  // bytes as an overflow (-Wstringop-overflow) in the TSan build.
+  template <typename T>
+  void fixed(T v) {
+    const size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    store_le(out_.data() + at, v);
   }
-  void grow(size_t count);
-  void append(const uint8_t* p, size_t count);
 
-  // [0, used_) is the message; the rest is zeroed room for the next fields.
   Bytes out_;
-  size_t used_ = 0;
 };
 
 /// A sink with Writer's field methods that only counts: run a field walk

@@ -1,14 +1,14 @@
-// Determinism and pure-observer contract for tail-latency exemplars and
-// cohort attribution (DESIGN.md §13):
-//  * worst-K is a total order with value-then-version-id tie-breaks, so
-//    colliding latencies retain a unique, insertion-order-independent set;
-//  * stores merge to the same bytes in any order (KMV reservoir + sorted
-//    worst-K union);
-//  * run_many renders worst-K and attribution byte-identically for
+// Determinism and pure-observer contract for tail attribution
+// (obs/attribution.h, DESIGN.md §13):
+//  * the worst versions are a total order with value-then-version-id
+//    tie-breaks, so colliding latencies keep a unique set whatever the
+//    order of the paths, the runs and the seeds;
+//  * cohorts split at the latency sketch's p95 and the gap is ranked;
+//  * run_many renders the pooled report byte-identically for
 //    jobs ∈ {1, 2, 8};
-//  * enabling exemplars leaves run digests unchanged (the prof_test
+//  * enabling spans leaves run digests unchanged (the prof_test
 //    side-channel contract);
-//  * every retained exemplar's integer components telescope exactly to its
+//  * every top exemplar's integer components telescope exactly to its
 //    AmrTracker latency.
 #include <gtest/gtest.h>
 
@@ -18,117 +18,73 @@
 
 #include "core/harness.h"
 #include "obs/attribution.h"
-#include "obs/exemplar.h"
 
 namespace pahoehoe {
 namespace {
 
-obs::Exemplar make_exemplar(const std::string& key, SimTime ts_wall,
-                            uint64_t seed, SimTime latency) {
-  obs::Exemplar e;
-  e.ov = ObjectVersionId{Key{key}, Timestamp{ts_wall, 101}};
-  e.seed = seed;
-  e.latency_micros = latency;
-  // Telescoping components: all of it in recovery_backoff.
-  e.components[static_cast<size_t>(obs::PathComponent::kRecoveryBackoff)] =
+/// A critical path of `latency` micros, all of it in recovery_backoff.
+obs::VersionCriticalPath make_path(const std::string& key, SimTime ts_wall,
+                                   SimTime latency) {
+  obs::VersionCriticalPath path;
+  path.ov = ObjectVersionId{Key{key}, Timestamp{ts_wall, 101}};
+  path.components[static_cast<size_t>(obs::PathComponent::kRecoveryBackoff)] =
       latency;
-  return e;
+  path.confirm_time = path.ack_time + latency;
+  return path;
 }
 
-TEST(ExemplarStore, WorstKIsValueThenVersionIdOrdered) {
-  obs::ExemplarStore store(/*worst_k=*/3, /*reservoir=*/8);
-  store.add(make_exemplar("obj-2", 2'000'000, 7, 500));
-  store.add(make_exemplar("obj-0", 0, 7, 900));
-  store.add(make_exemplar("obj-3", 3'000'000, 7, 700));
-  store.add(make_exemplar("obj-1", 1'000'000, 7, 600));  // evicted: 4th worst
+// --- the worst versions ------------------------------------------------------
 
-  ASSERT_EQ(store.worst().size(), 3u);
-  EXPECT_EQ(store.worst()[0].ov.key.value, "obj-0");  // 900
-  EXPECT_EQ(store.worst()[1].ov.key.value, "obj-3");  // 700
-  EXPECT_EQ(store.worst()[2].ov.key.value, "obj-1");  // 600
-  EXPECT_EQ(store.count(), 4u);  // the sketch still saw every add
-}
-
-TEST(ExemplarStore, TieBreakIsStableWhenLatenciesCollide) {
-  // Same latency everywhere: retention must fall back to (version id, seed)
-  // and be independent of insertion order.
-  std::vector<obs::Exemplar> all;
-  for (int i = 0; i < 6; ++i) {
-    all.push_back(make_exemplar("obj-" + std::to_string(i),
-                                i * kMicrosPerSecond, /*seed=*/42, 1000));
+TEST(Attribution, WorstEightAreValueThenVersionIdOrdered) {
+  // Twelve distinct latencies, scattered over the keys so the ranking is
+  // not the walk order: the report keeps the 8 worst, worst first.
+  std::vector<obs::VersionCriticalPath> paths;
+  for (int i = 0; i < 12; ++i) {
+    const int rank = (i * 5) % 12;  // a permutation of 0..11
+    paths.push_back(make_path("obj-" + std::to_string(i),
+                              i * kMicrosPerSecond, (rank + 1) * 100));
   }
-  all.push_back(make_exemplar("obj-0", 0, /*seed=*/43, 1000));  // seed tie
+  const obs::AttributionReport report = obs::attribute({{7, paths}});
 
-  obs::ExemplarStore forward(/*worst_k=*/4, /*reservoir=*/4);
-  for (const obs::Exemplar& e : all) forward.add(e);
-  obs::ExemplarStore backward(/*worst_k=*/4, /*reservoir=*/4);
-  for (auto it = all.rbegin(); it != all.rend(); ++it) backward.add(*it);
+  EXPECT_EQ(report.versions, 12u);
+  ASSERT_EQ(report.top.size(), obs::AttributionReport::kTopK);
+  for (size_t i = 0; i < report.top.size(); ++i) {
+    EXPECT_EQ(report.top[i].latency_micros, static_cast<SimTime>(12 - i) * 100)
+        << i;
+    EXPECT_EQ(report.top[i].seed, 7u);
+  }
+  EXPECT_EQ(report.top[0].ov.key.value, "obj-7");  // 1200
+  EXPECT_EQ(report.top[1].ov.key.value, "obj-2");  // 1100
+  EXPECT_EQ(report.top[7].ov.key.value, "obj-8");  // 500; 100-400 dropped
+}
+
+TEST(Attribution, TieBreakIsStableOverPermutedRunsAndSeeds) {
+  // The same six versions under two seeds, every latency equal: the worst
+  // versions fall back to version id, then seed, so reversing the paths
+  // within each run and the order of the runs changes no byte.
+  std::vector<obs::VersionCriticalPath> paths;
+  for (int i = 0; i < 6; ++i) {
+    paths.push_back(
+        make_path("obj-" + std::to_string(i), i * kMicrosPerSecond, 1000));
+  }
+  const std::vector<obs::VersionCriticalPath> reversed(paths.rbegin(),
+                                                       paths.rend());
+  const obs::AttributionReport forward =
+      obs::attribute({{42, paths}, {43, paths}});
+  const obs::AttributionReport backward =
+      obs::attribute({{43, reversed}, {42, reversed}});
 
   EXPECT_EQ(forward.to_text(), backward.to_text());
-  ASSERT_EQ(forward.worst().size(), 4u);
-  // All latencies equal -> version id ascending, seed breaking the ov tie.
-  EXPECT_EQ(forward.worst()[0].seed, 42u);
-  EXPECT_EQ(forward.worst()[0].ov.key.value, "obj-0");
-  EXPECT_EQ(forward.worst()[1].seed, 43u);
-  EXPECT_EQ(forward.worst()[1].ov.key.value, "obj-0");
-  EXPECT_EQ(forward.worst()[2].ov.key.value, "obj-1");
-}
-
-TEST(ExemplarStore, MergeIsOrderIndependent) {
-  std::vector<obs::ExemplarStore> parts;
-  for (int p = 0; p < 3; ++p) {
-    obs::ExemplarStore store(/*worst_k=*/4, /*reservoir=*/6);
-    for (int i = 0; i < 10; ++i) {
-      store.add(make_exemplar("obj-" + std::to_string(p * 10 + i),
-                              (p * 10 + i) * kMicrosPerSecond,
-                              /*seed=*/100 + p, (i + 1) * 37 + p));
-    }
-    parts.push_back(store);
+  EXPECT_EQ(forward.top, backward.top);
+  ASSERT_EQ(forward.top.size(), obs::AttributionReport::kTopK);
+  for (size_t i = 0; i < forward.top.size(); ++i) {
+    EXPECT_EQ(forward.top[i].ov.key.value, "obj-" + std::to_string(i / 2))
+        << i;
+    EXPECT_EQ(forward.top[i].seed, 42u + i % 2) << i;
   }
-  obs::ExemplarStore left(/*worst_k=*/4, /*reservoir=*/6);
-  left.merge(parts[0]);
-  left.merge(parts[1]);
-  left.merge(parts[2]);
-  obs::ExemplarStore right(/*worst_k=*/4, /*reservoir=*/6);
-  right.merge(parts[2]);
-  right.merge(parts[0]);
-  right.merge(parts[1]);
-  EXPECT_EQ(left.to_text(), right.to_text());
-  EXPECT_EQ(left.worst().size(), 4u);
-  EXPECT_EQ(left.reservoir().size(), 6u);
-  EXPECT_EQ(left.count(), 30u);
 }
 
-TEST(ExemplarStoreDeathTest, MergeRejectsMismatchedCaps) {
-  obs::ExemplarStore a(/*worst_k=*/8, /*reservoir=*/64);
-  obs::ExemplarStore b(/*worst_k=*/4, /*reservoir=*/64);
-  EXPECT_DEATH(a.merge(b), "cap mismatch.*8 vs 4");
-}
-
-TEST(ExemplarStore, StratifiedBucketsTheReservoirByDecile) {
-  obs::ExemplarStore store(/*worst_k=*/2, /*reservoir=*/64);
-  for (int i = 1; i <= 50; ++i) {
-    store.add(make_exemplar("obj-" + std::to_string(i),
-                            i * kMicrosPerSecond, 9,
-                            static_cast<SimTime>(i) * 100'000));
-  }
-  const auto strata = store.stratified(/*per_decile=*/2);
-  ASSERT_EQ(strata.size(), 10u);
-  size_t total = 0;
-  double prev_max = -1.0;
-  for (const auto& stratum : strata) {
-    ASSERT_LE(stratum.size(), 2u);
-    total += stratum.size();
-    for (const obs::Exemplar& e : stratum) {
-      // Strata ascend: everything here is >= the previous stratum's top.
-      EXPECT_GE(e.seconds(), prev_max - 1e-12);
-    }
-    if (!stratum.empty()) prev_max = stratum.back().seconds();
-  }
-  EXPECT_GT(total, 0u);
-}
-
-// --- attribution ------------------------------------------------------------
+// --- cohorts -----------------------------------------------------------------
 
 TEST(Attribution, SplitsCohortsAndRanksTheGap) {
   // 18 versions at 1 s, one at 10 s, one at 601 s. The p95 rank (18 of 20)
@@ -137,7 +93,6 @@ TEST(Attribution, SplitsCohortsAndRanksTheGap) {
   // version crosses the threshold. (An all-equal body would clamp the
   // threshold onto the point mass and pull everything into the tail — the
   // >= is what guarantees the max-latency version is never dropped.)
-  obs::ExemplarStore store(/*worst_k=*/4, /*reservoir=*/16);
   std::vector<obs::VersionCriticalPath> paths;
   for (int i = 0; i < 20; ++i) {
     obs::VersionCriticalPath path;
@@ -151,13 +106,9 @@ TEST(Attribution, SplitsCohortsAndRanksTheGap) {
           obs::PathComponent::kRecoveryBackoff)] = 600 * kMicrosPerSecond;
     }
     path.confirm_time = path.ack_time + path.total();
-    store.add(obs::Exemplar{path.ov, /*seed=*/1, path.total(),
-                            path.components});
     paths.push_back(path);
   }
-  obs::AttributionBuilder builder(store);
-  for (const obs::VersionCriticalPath& path : paths) builder.add(path);
-  const obs::AttributionReport report = builder.finish();
+  const obs::AttributionReport report = obs::attribute({{1, paths}});
 
   EXPECT_EQ(report.versions, 20u);
   EXPECT_GT(report.tail_threshold_s, 9.0);
@@ -179,7 +130,6 @@ TEST(Attribution, SplitsCohortsAndRanksTheGap) {
 }
 
 TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
-  obs::ExemplarStore store(/*worst_k=*/3, /*reservoir=*/8);
   std::vector<obs::VersionCriticalPath> paths;
   for (int i = 0; i < 5; ++i) {
     obs::VersionCriticalPath path;
@@ -188,12 +138,9 @@ TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
     path.components[0] = 123 + i;
     path.components[2] = i == 4 ? 987654321 : 17;
     path.confirm_time = path.total();
-    store.add(obs::Exemplar{path.ov, 55, path.total(), path.components});
     paths.push_back(path);
   }
-  obs::AttributionBuilder builder(store);
-  for (const obs::VersionCriticalPath& path : paths) builder.add(path);
-  const obs::AttributionReport report = builder.finish();
+  const obs::AttributionReport report = obs::attribute({{55, paths}});
 
   obs::JsonWriter w;
   obs::attribution_to_json(w, report);
@@ -216,11 +163,10 @@ TEST(Attribution, JsonRoundTripPreservesIntegersExactly) {
             report.ranked.front().component);
 }
 
-TEST(Attribution, EmptyStoreYieldsEmptyReport) {
-  obs::ExemplarStore store;
-  obs::AttributionBuilder builder(store);
-  const obs::AttributionReport report = builder.finish();
+TEST(Attribution, NoPathsYieldAnEmptyReport) {
+  const obs::AttributionReport report = obs::attribute({});
   EXPECT_TRUE(report.empty());
+  EXPECT_TRUE(report.top.empty());
   EXPECT_NE(report.to_text().find("no resolved versions"), std::string::npos);
 }
 
@@ -235,7 +181,7 @@ core::RunConfig small_config() {
   // A mid-run blackout so recovery/backoff phases produce a real tail.
   config.faults.push_back(core::FaultSpec::fs_blackout(
       0, 1, 30 * kMicrosPerSecond, 600 * kMicrosPerSecond));
-  config.telemetry.exemplars = true;
+  config.telemetry.spans = true;
   return config;
 }
 
@@ -245,9 +191,9 @@ void append_exact(std::ostringstream& os, const std::vector<double>& values) {
   os << '\n';
 }
 
-/// Everything observable about an aggregate except the exemplar side
-/// channel itself — the prof_test digest, reused to prove exemplars are a
-/// pure observer.
+/// Everything observable about an aggregate except what span tracing adds
+/// (critical paths and attribution) — the prof_test digest, reused to prove
+/// spans are a pure observer.
 std::string digest(const core::AggregateResult& agg) {
   std::ostringstream os;
   os << agg.seeds << '\n';
@@ -270,43 +216,34 @@ std::string digest(const core::AggregateResult& agg) {
   }
   os << '\n';
   os << agg.metrics.to_text();
-  os << agg.critical_path.to_text();
   return os.str();
 }
 
 TEST(ExemplarHarness, ByteIdenticalForAnyJobs) {
   const core::RunConfig config = small_config();
   const core::AggregateResult serial = core::run_many(config, 4, 42, 1);
-  const std::string amr_text = serial.amr_exemplars.to_text();
-  const std::string put_text = serial.put_op_exemplars.to_text();
-  const std::string get_text = serial.get_op_exemplars.to_text();
   const std::string attribution_text = serial.attribution.to_text();
-  EXPECT_GT(serial.amr_exemplars.count(), 0u);
   EXPECT_FALSE(serial.attribution.empty());
+  EXPECT_FALSE(serial.attribution.top.empty());
 
   for (int jobs : {2, 8}) {
     const core::AggregateResult parallel = core::run_many(config, 4, 42, jobs);
-    EXPECT_EQ(parallel.amr_exemplars.to_text(), amr_text) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.put_op_exemplars.to_text(), put_text)
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.get_op_exemplars.to_text(), get_text)
-        << "jobs=" << jobs;
     EXPECT_EQ(parallel.attribution.to_text(), attribution_text)
+        << "jobs=" << jobs;
+    EXPECT_EQ(parallel.attribution.top, serial.attribution.top)
         << "jobs=" << jobs;
   }
 }
 
 TEST(ExemplarHarness, PureObserverDigestIdenticalOnVsOff) {
   core::RunConfig config = small_config();
-  config.telemetry.exemplars = false;
-  config.telemetry.spans = true;  // hold spans fixed; toggle only exemplars
+  config.telemetry.spans = false;
   const core::AggregateResult off = core::run_many(config, 4, 42, 2);
-  EXPECT_EQ(off.amr_exemplars.count(), 0u);
   EXPECT_TRUE(off.attribution.empty());
 
-  config.telemetry.exemplars = true;
+  config.telemetry.spans = true;
   const core::AggregateResult on = core::run_many(config, 4, 42, 2);
-  EXPECT_GT(on.amr_exemplars.count(), 0u);
+  EXPECT_FALSE(on.attribution.empty());
   EXPECT_EQ(digest(on), digest(off));
 }
 
@@ -314,17 +251,14 @@ TEST(ExemplarHarness, ComponentsTelescopeToAmrLatencyForEveryExemplar) {
   const core::RunConfig config = small_config();
   const core::AggregateResult agg = core::run_many(config, 4, 42, 2);
 
-  // The AMR exemplar stream is exactly the AmrTracker-confirmed stream.
-  EXPECT_EQ(agg.amr_exemplars.count(), agg.time_to_amr_s.count());
-  const auto check = [](const obs::Exemplar& e) {
+  // The attributed versions are exactly the AmrTracker-confirmed stream.
+  EXPECT_EQ(agg.attribution.versions, agg.time_to_amr_s.count());
+  ASSERT_FALSE(agg.attribution.top.empty());
+  for (const obs::Exemplar& e : agg.attribution.top) {
     SimTime sum = 0;
     for (SimTime micros : e.components) sum += micros;
     EXPECT_EQ(sum, e.latency_micros) << obs::exemplar_to_text(e);
-  };
-  ASSERT_FALSE(agg.amr_exemplars.worst().empty());
-  for (const obs::Exemplar& e : agg.amr_exemplars.worst()) check(e);
-  for (const obs::Exemplar& e : agg.amr_exemplars.reservoir()) check(e);
-  for (const obs::Exemplar& e : agg.attribution.top) check(e);
+  }
 
   // Cohort integer totals partition the critical-path totals exactly.
   for (size_t c = 0; c < obs::kPathComponentCount; ++c) {

@@ -201,18 +201,22 @@ TEST(GoldenOutcomeTest, ChaosSweep) {
 }
 
 // The telemetry preset (convergence_telemetry --puts=6 --object-kib=8
-// --sample-interval-s=5, seeds 5000 and 5001): FS 0 of data center 0 is
-// blacked out for the first 10 minutes under each Figure 5 variant, with
-// spans, exemplars and sampling on. none and FSAMR-S synchronize their
-// rounds, which no all_opts pin above exercises.
-TEST(GoldenOutcomeTest, TelemetryPreset) {
+// --sample-interval-s=5): FS 0 of data center 0 is blacked out for the first
+// 10 minutes, with spans and sampling on.
+RunConfig telemetry_preset() {
   RunConfig config = paper_default_config();
   config.workload.num_puts = 6;
   config.workload.value_size = 8 * 1024;
   config.telemetry.sample_interval = 5 * kMicrosPerSecond;
   config.telemetry.spans = true;
-  config.telemetry.exemplars = true;
   config.faults = {FaultSpec::fs_blackout(0, 0, 0, 10 * kMinute)};
+  return config;
+}
+
+// The preset under each Figure 5 variant, seeds 5000 and 5001. none and
+// FSAMR-S synchronize their rounds, which no all_opts pin above exercises.
+TEST(GoldenOutcomeTest, TelemetryPreset) {
+  RunConfig config = telemetry_preset();
   struct Variant {
     const char* shape;
     ConvergenceOptions convergence;
@@ -231,6 +235,38 @@ TEST(GoldenOutcomeTest, TelemetryPreset) {
   for (const Variant& variant : variants) {
     config.convergence = variant.convergence;
     expect_pins(config, variant.pins, variant.shape);
+  }
+}
+
+// The tail attribution run_many pools over both preset seeds (as
+// convergence_telemetry --seeds=2 --jobs=2 reports it): one sketch over every
+// seed's critical paths fixes the threshold, and the worst versions are
+// ranked across seeds.
+TEST(GoldenOutcomeTest, PooledTailAttribution) {
+  RunConfig config = telemetry_preset();
+  struct Variant {
+    const char* shape;
+    ConvergenceOptions convergence;
+    uint64_t digest;
+  };
+  const std::vector<Variant> variants = {
+      {"pooled none", ConvergenceOptions::naive(), 0xe9c96efe9ee40577ULL},
+      {"pooled FSAMR-S", ConvergenceOptions::fs_amr_sync(),
+       0xc59baba61bbc072fULL},
+      {"pooled FSAMR-U", ConvergenceOptions::fs_amr_unsync(),
+       0x95c9412f8b613fd2ULL},
+      {"pooled All", ConvergenceOptions::all_opts(), 0x9ebcb29cebcf28e7ULL},
+  };
+  for (const Variant& variant : variants) {
+    config.convergence = variant.convergence;
+    const AggregateResult agg = run_many(config, 2, 5000, 2);
+    const std::string text = agg.attribution.to_text();
+    Digest d;
+    d.add(text);
+    std::printf("%s: 0x%016llx\n", variant.shape,
+                static_cast<unsigned long long>(d.value()));
+    EXPECT_FALSE(agg.attribution.empty()) << variant.shape;
+    EXPECT_EQ(d.value(), variant.digest) << variant.shape << "\n" << text;
   }
 }
 

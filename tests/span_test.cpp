@@ -112,6 +112,50 @@ TEST(SpanTest, EnablingSpansDoesNotPerturbTheRun) {
   EXPECT_EQ(a.spans.versions().size(), 0u);  // off: nothing traced
 }
 
+TEST(SpanTest, FullTreeDropsSpansAndUntracksMessagesButPathTelescopes) {
+  sim::Simulator sim(1);
+  obs::SpanTracer tracer;
+  tracer.enable(&sim);
+  const ObjectVersionId ov{Key{"obj-0"}, Timestamp{0, 101}};
+  const NodeId fs{8};
+  constexpr size_t kCap = obs::SpanTracer::kMaxSpansPerVersion;
+  constexpr size_t kExtra = 10;
+
+  tracer.on_put_acked(ov, fs);  // one span, and the critical-path clock
+  tracer.report_work(ov, fs, /*next_attempt=*/5 * kMicrosPerSecond,
+                     /*recovering=*/false);
+  for (size_t i = 1; i < kCap + kExtra; ++i) {
+    tracer.interval(ov, "filler", fs, 0, 0);
+  }
+  EXPECT_EQ(tracer.span_count(ov), kCap);
+  EXPECT_EQ(tracer.spans_dropped(), kExtra);
+
+  sim.schedule_at(2 * kMicrosPerSecond, [&] {
+    const obs::SpanTracer::Scope scope =
+        tracer.version_scope(ov, "converge_round", fs);
+    // The tree is full: the message gets no span, so no token and no
+    // network_wait.
+    EXPECT_EQ(tracer.on_send(fs, NodeId{9}, "FSConvergeReq"), 0u);
+  });
+  sim.schedule_at(8 * kMicrosPerSecond,
+                  [&] { tracer.on_amr_confirmed(ov, fs); });
+  sim.run();
+
+  EXPECT_EQ(tracer.span_count(ov), kCap);
+  // The scope, the message and the amr_confirmed instant were dropped too.
+  EXPECT_EQ(tracer.spans_dropped(), kExtra + 3);
+  ASSERT_EQ(tracer.critical_paths().size(), 1u);
+  const obs::VersionCriticalPath& path = tracer.critical_paths()[0];
+  EXPECT_EQ(path.total(), path.confirm_time - path.ack_time);
+  EXPECT_EQ(path.total(), 8 * kMicrosPerSecond);
+  EXPECT_EQ(path.components[static_cast<size_t>(
+                obs::PathComponent::kNetworkWait)],
+            0);
+  EXPECT_EQ(path.components[static_cast<size_t>(
+                obs::PathComponent::kRecoveryBackoff)],
+            5 * kMicrosPerSecond);
+}
+
 TEST(SpanTest, AggregateCriticalPathByteIdenticalAcrossJobCounts) {
   core::RunConfig config = traced_config(3);
   constexpr int kSeeds = 5;

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <type_traits>
 #include <utility>
 #include <variant>
+#include <vector>
 
+#include "chaos/schedule.h"
 #include "common/rng.h"
 #include "common/sha256.h"
 #include "wire/messages.h"
@@ -380,6 +385,57 @@ TEST(MessageValueTest, EveryAlternativeSizesAndRoundTrips) {
       },
       std::make_index_sequence<std::variant_size_v<Message>>{});
   EXPECT_EQ(checked, 18u);
+}
+
+uint64_t fnv1a(const Bytes& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+// The serialized form of every message is fixed: a change to the Writer or
+// to a field walk that moves a byte fails here, naming the message.
+TEST(MessageValueTest, EveryAlternativeEncodesToPinnedBytes) {
+  // FNV-1a of sample_of<M>().encode(), in the variant's alternative order.
+  constexpr std::array<uint64_t, 18> kPinned = {
+      0xd2787614dabde937ULL, 0x746e181d1990da35ULL, 0x8ad7d43b8187b076ULL,
+      0x2a391a367110952aULL, 0xf33076d9105bb427ULL, 0x3b7e79367ad5078fULL,
+      0x2eb2219dcba56193ULL, 0x8ae78fe2f3764ccdULL, 0x04a4574509b795a9ULL,
+      0xbb2edd24062adcb4ULL, 0xc4b40a4c0a1a9141ULL, 0x8ad7d43b8187b076ULL,
+      0xfe10b1210a04cb16ULL, 0x746e181d1990da35ULL, 0x9fecd0cd2212f92eULL,
+      0xf33076d9105bb427ULL, 0x3b7e79367ad5078fULL, 0x8ad7d43b8187b076ULL,
+  };
+  size_t index = 0;
+  for_each_alternative(
+      [&index, &kPinned](auto tag) {
+        using M = typename decltype(tag)::type;
+        const M msg = sample_of<M>();
+        const uint64_t h = fnv1a(msg.encode());
+        std::printf("%-18s 0x%016llxULL\n", to_string(type_of(msg)),
+                    static_cast<unsigned long long>(h));
+        EXPECT_EQ(h, kPinned[index]) << to_string(type_of(msg));
+        ++index;
+      },
+      std::make_index_sequence<std::variant_size_v<Message>>{});
+  EXPECT_EQ(index, kPinned.size());
+}
+
+// Corpus files hold schedules in this encoding, so it must not drift.
+TEST(SerdeTest, FaultScheduleEncodesToPinnedBytes) {
+  using core::FaultSpec;
+  const std::vector<FaultSpec> schedule = {
+      FaultSpec::fs_blackout(0, 1, 60 * kMicrosPerSecond,
+                             600 * kMicrosPerSecond),
+      FaultSpec::uniform_loss(0.05),
+      FaultSpec::disk_destroy(1, 2, 1, 90 * kMicrosPerSecond),
+      FaultSpec::duplication_burst(0.2, 10 * kMicrosPerSecond,
+                                   20 * kMicrosPerSecond),
+  };
+  const Bytes encoded = chaos::encode_schedule(schedule);
+  std::printf("schedule 0x%016llxULL\n",
+              static_cast<unsigned long long>(fnv1a(encoded)));
+  EXPECT_EQ(fnv1a(encoded), 0xd457b4ba3bd8f18aULL);
+  EXPECT_EQ(chaos::decode_schedule(encoded), schedule);
 }
 
 TEST(MessageValueTest, DecideLocsReqTypeFollowsItsSender) {
